@@ -9,7 +9,7 @@ from sketchsim import (
     CountingBloomFilter,
     Multiset,
     cbf_dice,
-    compatibility_check,
+    check_witnesses,
     decode,
     decode_header,
     encode,
@@ -35,7 +35,7 @@ print(" ".join(f"{b:02x}" for b in message_a[:32]))
 
 # The receiving side checks compatibility from the headers alone, then
 # scores the similarity from the two counter vectors.
-witness = compatibility_check(decode_header(message_a), decode_header(message_b))
+witness = check_witnesses(decode_header(message_a), decode_header(message_b))
 print("\ncompatible:", witness)
 
 score = cbf_dice(decode(message_a), decode(message_b))

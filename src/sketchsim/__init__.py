@@ -75,7 +75,6 @@ from .wire import (
     TruncatedPayloadError,
     UnsupportedVersionError,
     WireFormatError,
-    compatibility_check,
     decode,
     decode_header,
     encode,

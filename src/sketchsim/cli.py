@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from . import datasets, experiments, metrics, wire
-from .multiset import Multiset, UndefinedSimilarityError, cosine, dice
-from .sketches import CountMinSketch, CountingBloomFilter
+from .multiset import Multiset, UndefinedSimilarityError
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -24,13 +23,6 @@ EXIT_USAGE = 64
 DEFAULT_KIND = "cbf"
 DEFAULT_LENGTH = 128
 DEFAULT_THRESHOLD = 0.6
-
-_METRIC_FNS = {
-    ("cbf", "dice"): metrics.cbf_dice,
-    ("cbf", "cosine"): metrics.cbf_cosine,
-    ("cms", "dice"): metrics.cms_dice,
-    ("cms", "cosine"): metrics.cms_cosine,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -204,19 +196,13 @@ def _is_envelope(path: Path) -> bool:
 def _cmd_sketch(parser, args) -> int:
     params = _sketch_params(parser, args)
     profile = _load_profile(args.profile, args.user)
-    sketch = _build_sketch(profile, params)
+    sketch = experiments._BuildCache(params.seed).build(profile, params)
     if sketch.saturated:
         _log("warning: at least one counter saturated")
     data = wire.encode(sketch)
     args.out.write_bytes(data)
     _log(f"wrote {args.out} ({len(data)} bytes)")
     return EXIT_OK
-
-
-def _build_sketch(profile: Multiset, params: experiments.SketchParams):
-    if params.kind == "cbf":
-        return CountingBloomFilter.from_multiset(profile, params.width, params.hash_count, params.seed)
-    return CountMinSketch.from_multiset(profile, params.width, params.depth, params.seed)
 
 
 def _cmd_compare(parser, args) -> int:
@@ -228,22 +214,22 @@ def _cmd_compare(parser, args) -> int:
             parser.error("--truth needs profile inputs; envelopes carry no exact counts")
         a = wire.decode(args.a.read_bytes())
         b = wire.decode(args.b.read_bytes())
-        witness = wire.compatibility_check(metrics.witness_of(a), metrics.witness_of(b))
+        witness = metrics.check_witnesses(metrics.witness_of(a), metrics.witness_of(b))
         if witness.kind == "bf":
             raise ValueError("plain Bloom filter envelopes carry no counts to compare")
-        estimate = _METRIC_FNS[(witness.kind, args.metric)](a, b)
+        estimate = experiments._ESTIMATE_FNS[(witness.kind, args.metric)](a, b)
         print(f"estimate\t{estimate!r}")
         return EXIT_OK
     params = _sketch_params(parser, args)
     left = _load_profile(args.a, args.user_a)
     right = _load_profile(args.b, args.user_b)
-    estimate = _METRIC_FNS[(params.kind, args.metric)](
-        _build_sketch(left, params), _build_sketch(right, params)
+    cache = experiments._BuildCache(params.seed)
+    estimate = experiments._ESTIMATE_FNS[(params.kind, args.metric)](
+        cache.build(left, params), cache.build(right, params)
     )
     print(f"estimate\t{estimate!r}")
     if args.truth:
-        truth_fn = dice if args.metric == "dice" else cosine
-        truth = truth_fn(left, right)
+        truth = experiments._TRUTH_FNS[args.metric](left, right)
         print(f"truth\t{truth!r}")
         print(f"error\t{estimate - truth!r}")
     return EXIT_OK
@@ -265,6 +251,9 @@ def _cmd_threshold(parser, args) -> int:
     params = _sketch_params(parser, args)
     corpus = datasets.load_corpus(args.corpus)
     run = experiments.run_pairwise(corpus, params, args.metric)
+    if run.failures:
+        _log(f"{len(run.failures)} of {len(corpus)} pairs failed (first: {run.failures[0].pair_id}: "
+             f"{run.failures[0].reason})")
     report = experiments.threshold_report(run.results, args.threshold)
     experiments.write_threshold_csv(args.out, report)
     _log(

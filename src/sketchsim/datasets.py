@@ -222,8 +222,8 @@ def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
 def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> list[ListeningRecord]:
     """Parse ``user<TAB>song<TAB>count`` lines into listening records.
 
-    Blank lines are skipped. Malformed lines raise TripletParseError
-    with their line number. Duplicate (user, song) lines are summed with
+    Blank lines are skipped. A count is a string of ASCII digits.
+    Malformed lines raise TripletParseError with their line number. Duplicate (user, song) lines are summed with
     a warning, keeping first-seen order.
     """
     merged: dict[tuple[str, str], int] = {}
@@ -238,7 +238,10 @@ def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> list[Listen
         if not user or not song:
             raise TripletParseError(line_number, "empty user or song id")
         try:
-            count = int(count_text)
+            # int() alone would also take "1_000", " 7 " and non-ASCII digits
+            if not (count_text.isascii() and count_text.isdigit()):
+                raise ValueError(count_text)
+            count = int(count_text)  # still raises on a digit string past int's length limit
         except ValueError:
             raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
         if count < 1:

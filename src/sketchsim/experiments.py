@@ -6,6 +6,10 @@ oracle score as ground truth. Grids repeat that over a parameter lattice
 and reduce each cell to an RMSE. Everything is deterministic for a fixed
 corpus and seed; digests are cached per multiset so a sweep costs one
 digest pass plus cheap modular arithmetic per cell.
+
+`_ESTIMATE_FNS` and `_TRUTH_FNS` are the package's only metric dispatch
+tables and `_BuildCache.build` its only SketchParams -> sketch dispatch;
+the CLI uses all three.
 """
 
 from __future__ import annotations
@@ -16,12 +20,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
-import numpy as np
-
 from . import metrics
 from .hashing import derive_row_seed, digest1_bulk, digest_pairs_bulk
-from .multiset import Multiset, cosine, dice
-from .sketches import CountMinSketch, CountingBloomFilter
+from .multiset import Multiset, UndefinedSimilarityError, cosine, dice
+from .sketches import CountMinSketch, CountingBloomFilter, _multiset_arrays
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
 
@@ -118,7 +120,7 @@ class ThresholdReport:
 
 
 class _BuildCache:
-    """Per-run digest cache: one digest pass per multiset, reused across cells."""
+    """Per-run digest memo: one digest pass per multiset, reused across grid cells."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -127,47 +129,39 @@ class _BuildCache:
     def _entry(self, multiset: Multiset) -> dict:
         entry = self._entries.get(id(multiset))
         if entry is None or entry["ms"] is not multiset:
-            elements = []
-            counts = []
-            for element, count in multiset.items():
-                elements.append(element)
-                counts.append(count)
+            elements, counts = _multiset_arrays(multiset)
             entry = {
                 "ms": multiset,  # keep a reference so id() stays valid
                 "elements": elements,
-                "counts": np.asarray(counts, dtype=np.int64),
+                "counts": counts,
                 "pair": None,
                 "rows": {},
             }
             self._entries[id(multiset)] = entry
         return entry
 
-    def cbf(self, multiset: Multiset, length: int, hash_count: int) -> CountingBloomFilter:
+    def build(self, multiset: Multiset, params: SketchParams) -> CountingBloomFilter | CountMinSketch:
         entry = self._entry(multiset)
-        if entry["pair"] is None:
-            entry["pair"] = digest_pairs_bulk(self.seed, entry["elements"])
-        h1, h2 = entry["pair"]
-        return CountingBloomFilter.from_digest_counts(
-            h1, h2, entry["counts"], length=length, hash_count=hash_count, seed=self.seed
-        )
-
-    def cms(self, multiset: Multiset, width: int, depth: int) -> CountMinSketch:
-        entry = self._entry(multiset)
-        rows = entry["rows"]
-        row_h1 = []
-        for row in range(depth):
-            row_seed = derive_row_seed(self.seed, row)
-            if row_seed not in rows:
-                rows[row_seed] = digest1_bulk(row_seed, entry["elements"])
-            row_h1.append(rows[row_seed])
-        return CountMinSketch.from_row_digests(
-            row_h1, entry["counts"], width=width, depth=depth, seed=self.seed
-        )
-
-    def build(self, multiset: Multiset, params: SketchParams):
         if params.kind == "cbf":
-            return self.cbf(multiset, params.width, params.hash_count)
-        return self.cms(multiset, params.width, params.depth)
+            if entry["pair"] is None:
+                entry["pair"] = digest_pairs_bulk(self.seed, entry["elements"])
+            h1, h2 = entry["pair"]
+            sketch = CountingBloomFilter.from_digest_counts(
+                h1, h2, entry["counts"], length=params.width, hash_count=params.hash_count, seed=self.seed
+            )
+        else:
+            rows = entry["rows"]
+            row_h1 = []
+            for row in range(params.depth):
+                row_seed = derive_row_seed(self.seed, row)
+                if row_seed not in rows:
+                    rows[row_seed] = digest1_bulk(row_seed, entry["elements"])
+                row_h1.append(rows[row_seed])
+            sketch = CountMinSketch.from_row_digests(
+                row_h1, entry["counts"], width=params.width, depth=params.depth, seed=self.seed
+            )
+        sketch.total_insertions = multiset.cardinality()
+        return sketch
 
 
 _TRUTH_FNS: dict[str, Callable[[Multiset, Multiset], float]] = {"dice": dice, "cosine": cosine}
@@ -184,7 +178,8 @@ def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> 
 
     Results are sorted by ground truth ascending (pair id as tiebreaker,
     matching the sorted similarity plots); a pair whose truth or
-    estimate computation fails is recorded as a failure, not fatal.
+    estimate is undefined (UndefinedSimilarityError) is recorded as a
+    failure, not fatal.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -203,7 +198,7 @@ def _run_pairwise(corpus: Corpus, params: SketchParams, metric: str, cache: _Bui
         try:
             truth = truth_fn(left, right)
             estimate = estimate_fn(cache.build(left, params), cache.build(right, params))
-        except ValueError as exc:
+        except UndefinedSimilarityError as exc:
             failures.append(PairFailure(pair_id, str(exc)))
             continue
         results.append(ComparisonResult(pair_id, truth, estimate, estimate - truth))

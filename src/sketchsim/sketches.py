@@ -25,10 +25,6 @@ from .multiset import Multiset, as_element
 
 COUNTER_MAX = 2**32 - 1
 
-# Above this cardinality the vectorized int64 accumulator could wrap, so
-# builds fall back to per-element saturating inserts.
-_BULK_LIMIT = 2**62
-
 
 def _check_times(times: int) -> int:
     if not isinstance(times, int) or times < 1:
@@ -37,12 +33,17 @@ def _check_times(times: int) -> int:
 
 
 def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
-    elements: list[bytes] = []
-    counts: list[int] = []
-    for element, count in multiset.items():
-        elements.append(element)
-        counts.append(count)
-    return elements, np.asarray(counts, dtype=np.int64)
+    """A multiset's elements and their int64 counts, each clipped to COUNTER_MAX + 1.
+
+    The clip keeps the int64 accumulators exact (a cell sums at most
+    distinct * hash_count clipped counts) while a cell holding a clipped
+    count still exceeds COUNTER_MAX, so it saturates to the value
+    sequential inserts give. This is the only Multiset -> array step of
+    every sketch build.
+    """
+    elements = list(multiset.elements())
+    counts = np.asarray([count for _, count in multiset.items()], dtype=np.uint64)
+    return elements, np.minimum(counts, COUNTER_MAX + 1).astype(np.int64)
 
 
 def _clip_saturating(accumulated: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -165,14 +166,11 @@ class CountingBloomFilter:
     @classmethod
     def from_multiset(cls, multiset: Multiset, length: int, hash_count: int = 1, seed: int = 0) -> "CountingBloomFilter":
         """Sketch of a whole multiset; order-independent by construction."""
-        if multiset.cardinality() > _BULK_LIMIT // max(hash_count, 1):
-            sketch = cls(length, hash_count, seed)
-            for element, count in multiset.items():
-                sketch.insert(element, count)
-            return sketch
         elements, counts = _multiset_arrays(multiset)
         h1, h2 = digest_pairs_bulk(seed, elements)
-        return cls.from_digest_counts(h1, h2, counts, length=length, hash_count=hash_count, seed=seed)
+        sketch = cls.from_digest_counts(h1, h2, counts, length=length, hash_count=hash_count, seed=seed)
+        sketch.total_insertions = multiset.cardinality()
+        return sketch
 
     @classmethod
     def from_digest_counts(
@@ -187,8 +185,10 @@ class CountingBloomFilter:
     ) -> "CountingBloomFilter":
         """Bulk build from precomputed digest arrays (see digest_pairs_bulk).
 
-        Fast path for experiment sweeps, where the digests of a multiset
-        are reused across many (length, hash_count) combinations.
+        The accumulator behind every CBF build. Counts come from
+        `_multiset_arrays`, already clipped so the int64 sums are exact;
+        callers that memoise digests (the experiment grid) pass the same
+        arrays for many (length, hash_count) combinations.
         """
         sketch = cls(length, hash_count, seed)
         if len(h1):
@@ -260,15 +260,12 @@ class CountMinSketch:
 
     @classmethod
     def from_multiset(cls, multiset: Multiset, width: int, depth: int, seed: int = 0) -> "CountMinSketch":
-        if multiset.cardinality() > _BULK_LIMIT:
-            sketch = cls(width, depth, seed)
-            for element, count in multiset.items():
-                sketch.insert(element, count)
-            return sketch
+        """Sketch of a whole multiset; order-independent by construction."""
         elements, counts = _multiset_arrays(multiset)
-        sketch = cls(width, depth, seed)
-        row_h1 = [digest1_bulk(row_seed, elements) for row_seed in sketch.row_seeds]
-        return cls.from_row_digests(row_h1, counts, width=width, depth=depth, seed=seed)
+        row_h1 = [digest1_bulk(derive_row_seed(seed, row), elements) for row in range(depth)]
+        sketch = cls.from_row_digests(row_h1, counts, width=width, depth=depth, seed=seed)
+        sketch.total_insertions = multiset.cardinality()
+        return sketch
 
     @classmethod
     def from_row_digests(
@@ -280,7 +277,11 @@ class CountMinSketch:
         depth: int,
         seed: int = 0,
     ) -> "CountMinSketch":
-        """Bulk build from one precomputed h1 array per row (see digest1_bulk)."""
+        """Bulk build from one precomputed h1 array per row (see digest1_bulk).
+
+        The accumulator behind every CMS build; counts as for
+        CountingBloomFilter.from_digest_counts.
+        """
         if len(row_h1) != depth:
             raise ValueError(f"expected {depth} digest rows, got {len(row_h1)}")
         sketch = cls(width, depth, seed)

@@ -31,7 +31,7 @@ import struct
 
 import numpy as np
 
-from .metrics import CompatibilityWitness, IncompatibleSketchError, check_witnesses, witness_of
+from .metrics import CompatibilityWitness, IncompatibleSketchError, witness_of
 from .sketches import COUNTER_MAX, BloomFilter, CountMinSketch, CountingBloomFilter
 
 MAGIC = b"SKSM"
@@ -157,11 +157,6 @@ def decode(data: bytes) -> Sketch:
     return cms
 
 
-def compatibility_check(a: CompatibilityWitness, b: CompatibilityWitness) -> CompatibilityWitness:
-    """Shared witness of two envelope headers, or an error naming each differing field."""
-    return check_witnesses(a, b)
-
-
 __all__ = [
     "BadMagicError",
     "HeaderConsistencyError",
@@ -172,7 +167,6 @@ __all__ = [
     "HEADER_SIZE",
     "MAGIC",
     "VERSION",
-    "compatibility_check",
     "decode",
     "decode_header",
     "encode",

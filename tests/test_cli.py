@@ -3,7 +3,16 @@ from pathlib import Path
 
 import pytest
 
-from sketchsim import Multiset, decode, read_profiles, write_profiles
+from sketchsim import (
+    Multiset,
+    SyntheticPair,
+    datasets,
+    decode,
+    dice,
+    read_profiles,
+    write_corpus,
+    write_profiles,
+)
 from sketchsim.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
@@ -182,6 +191,30 @@ class TestGridAndThreshold:
         assert lines[0] == "threshold,tp,fp,tn,fn,max_overshoot"
         # overestimation: no false negatives ever
         assert lines[1].split(",")[4] == "0"
+
+    def test_threshold_accepts_count_past_int64(self, tmp_path, capsys):
+        base = Multiset({"hot": 2**63, "cold": 3})
+        other = Multiset({"hot": 1, "warm": 2})
+        manifest = write_corpus(tmp_path / "big", [SyntheticPair(base, other, 0.5, dice(base, other))],
+                                seed=0, target_unique=2, string_length=4)
+        out = tmp_path / "report.csv"
+        code, _, err = run(capsys, "threshold", "--corpus", str(manifest), "--out", str(out))
+        assert code == 0, err
+        assert out.read_text().splitlines()[0] == "threshold,tp,fp,tn,fn,max_overshoot"
+
+    def test_threshold_logs_failed_pairs(self, tmp_path, capsys, monkeypatch):
+        ok = Multiset({"a": 2, "b": 1})
+        reports = []
+        for corpus in ([("ok", ok, ok)], [("bad", Multiset(), Multiset()), ("ok", ok, ok)]):
+            monkeypatch.setattr(datasets, "load_corpus", lambda path, corpus=corpus: corpus)
+            out = tmp_path / f"report{len(reports)}.csv"
+            code, out_text, err = run(capsys, "threshold", "--corpus", "unused", "--out", str(out))
+            assert code == 0 and out_text == ""
+            reports.append((out.read_bytes(), err))
+        (clean_csv, clean_err), (failed_csv, failed_err) = reports
+        assert failed_csv == clean_csv
+        assert "pairs failed" not in clean_err
+        assert "1 of 2 pairs failed" in failed_err
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "grid", "--corpus", str(tmp_path / "nope.json"),

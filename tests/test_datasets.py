@@ -99,9 +99,12 @@ class TestIngest:
         assert info.value.line_number == 2
 
     def test_non_integer_count(self):
-        with pytest.raises(TripletParseError) as info:
-            ingest_triplets(io.StringIO("u1\ts9\tmany\n"))
-        assert "many" in str(info.value)
+        # int() accepts all but the first; only ASCII digits make a count
+        for count_text in ("many", "\u0663", "1_000", " 7 "):
+            with pytest.raises(TripletParseError) as info:
+                ingest_triplets(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{count_text}\n"))
+            assert info.value.line_number == 2
+            assert repr(count_text) in str(info.value)
 
     def test_wrong_field_count(self):
         with pytest.raises(TripletParseError):

@@ -10,8 +10,10 @@ from sketchsim import (
     CountingBloomFilter,
     HashFamily,
     Multiset,
+    SketchParams,
     cms_to_cbf,
 )
+from sketchsim.experiments import _BuildCache
 
 
 def _random_multiset(rng, max_distinct=40, max_count=9):
@@ -114,15 +116,6 @@ class TestCountingBloomFilter:
         assert cbf.saturated
         assert cbf.estimate_count("hot") == COUNTER_MAX
 
-    def test_bulk_build_saturation_matches_incremental(self):
-        m = Multiset({"hot": COUNTER_MAX, "hot2": 5})
-        bulk = CountingBloomFilter.from_multiset(m, 1, hash_count=1, seed=0)
-        manual = CountingBloomFilter(1, hash_count=1, seed=0)
-        manual.insert("hot", COUNTER_MAX)
-        manual.insert("hot2", 5)
-        assert bulk.saturated and manual.saturated
-        assert np.array_equal(bulk.counters, manual.counters)
-
     def test_order_independence(self):
         rng = random.Random(5)
         m = _random_multiset(rng, max_distinct=25)
@@ -224,3 +217,27 @@ def test_validation():
         BloomFilter(0)
     with pytest.raises(ValueError):
         CountingBloomFilter(4, hash_count=0)
+
+
+@pytest.mark.parametrize("count", [COUNTER_MAX, COUNTER_MAX + 1, 2**62, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("length", [1, 8])
+@pytest.mark.parametrize("kind, depth", [("cbf", 1), ("cbf", 2), ("cbf", 3), ("cms", 1), ("cms", 2)])
+def test_bulk_build_saturation_matches_incremental(kind, depth, length, count):
+    # depth is k for a CBF and d for a CMS; every build path must clamp like insert
+    m = Multiset({"hot": count, "hot2": 5})
+    if kind == "cbf":
+        params = SketchParams("cbf", length, hash_count=depth)
+        bulk = CountingBloomFilter.from_multiset(m, length, hash_count=depth)
+        manual = CountingBloomFilter(length, hash_count=depth)
+    else:
+        params = SketchParams("cms", length, depth=depth)
+        bulk = CountMinSketch.from_multiset(m, length, depth)
+        manual = CountMinSketch(length, depth)
+    for element, times in m.items():
+        manual.insert(element, times)
+    assert manual.saturated or count == COUNTER_MAX
+    cached = _BuildCache(0).build(m, params)
+    for built in (bulk, cached):
+        assert built == manual
+        assert built.saturated == manual.saturated
+        assert built.total_insertions == manual.total_insertions == m.cardinality()

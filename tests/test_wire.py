@@ -16,7 +16,7 @@ from sketchsim import (
     Multiset,
     TruncatedPayloadError,
     UnsupportedVersionError,
-    compatibility_check,
+    check_witnesses,
     decode,
     decode_header,
     encode,
@@ -177,19 +177,19 @@ class TestCompatibility:
     def test_identical_headers_give_witness(self):
         sketch = CountingBloomFilter(64, 2, seed=9)
         header = decode_header(encode(sketch))
-        witness = compatibility_check(header, header)
+        witness = check_witnesses(header, header)
         assert witness == witness_of(sketch)
 
     def test_differing_seed_named(self):
         a = decode_header(encode(CountingBloomFilter(64, 2, seed=1)))
         b = decode_header(encode(CountingBloomFilter(64, 2, seed=2)))
         with pytest.raises(IncompatibleSketchError) as info:
-            compatibility_check(a, b)
+            check_witnesses(a, b)
         assert info.value.mismatched_fields == ["seed"]
 
     def test_kind_mismatch_named(self):
         a = decode_header(encode(CountingBloomFilter(64, 1, seed=0)))
         b = decode_header(encode(CountMinSketch(64, 1, seed=0)))
         with pytest.raises(IncompatibleSketchError) as info:
-            compatibility_check(a, b)
+            check_witnesses(a, b)
         assert "kind" in info.value.mismatched_fields
