@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import datasets, experiments, metrics, wire
-from .multiset import Multiset, UndefinedSimilarityError
+from .multiset import Multiset
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -104,17 +104,20 @@ def build_parser() -> _Parser:
     p.add_argument("--unique", type=_positive_int, default=67)
     p.add_argument("--strlen", type=_positive_int, default=10)
     p.add_argument("--seed", type=_seed, default=0)
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("ingest", help="parse and filter listening-history triplets")
     p.add_argument("triplets", type=Path, help="TSV file: user<TAB>song<TAB>count (gzip ok)")
     p.add_argument("--out", type=Path, required=True, help="filtered profiles TSV")
     p.add_argument("--min-distinct", type=_nonneg_int, default=50)
+    p.set_defaults(run=_cmd_ingest)
 
     p = sub.add_parser("sketch", help="sketch one profile into a wire envelope")
     p.add_argument("profile", type=Path, help="profile TSV")
     p.add_argument("--out", type=Path, required=True, help="envelope output path")
     p.add_argument("--user", help="user id when the TSV holds several profiles")
     _add_sketch_flags(p)
+    p.set_defaults(run=_cmd_sketch)
 
     p = sub.add_parser("compare", help="similarity of two profiles or two envelopes")
     p.add_argument("a", type=Path)
@@ -124,6 +127,7 @@ def build_parser() -> _Parser:
     p.add_argument("--metric", choices=("dice", "cosine"), default="dice")
     p.add_argument("--truth", action="store_true", help="also print the exact score (profile inputs only)")
     _add_sketch_flags(p)
+    p.set_defaults(run=_cmd_compare)
 
     p = sub.add_parser("grid", help="RMSE sweep over sketch dimensions")
     p.add_argument("--corpus", type=Path, required=True, help="corpus manifest.json")
@@ -135,6 +139,7 @@ def build_parser() -> _Parser:
                    help="comma-separated hash counts (cbf) or row counts (cms)")
     p.add_argument("--metric", choices=("dice", "cosine"), default="dice")
     p.add_argument("--seed", type=_seed, default=0)
+    p.set_defaults(run=_cmd_grid)
 
     p = sub.add_parser("threshold", help="classification report at a relevance threshold")
     p.add_argument("--corpus", type=Path, required=True, help="corpus manifest.json")
@@ -142,6 +147,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
     p.add_argument("--metric", choices=("dice", "cosine"), default="dice")
     _add_sketch_flags(p)
+    p.set_defaults(run=_cmd_threshold)
 
     return parser
 
@@ -150,7 +156,7 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(parser, args) -> int:
     pairs = datasets.generate_synthetic(args.seed, args.pairs, args.unique, args.strlen)
     manifest = datasets.write_corpus(
         args.out, pairs, seed=args.seed, target_unique=args.unique, string_length=args.strlen
@@ -159,7 +165,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(parser, args) -> int:
     records = datasets.ingest_triplets(args.triplets)
     profiles = datasets.build_user_profiles(records, args.min_distinct)
     total_users = len({r.user for r in records})
@@ -235,7 +241,7 @@ def _cmd_compare(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_grid(args) -> int:
+def _cmd_grid(parser, args) -> int:
     corpus = datasets.load_corpus(args.corpus)
     grid = experiments.GridSpec(args.kind, args.dims, args.depths, metric=args.metric, seed=args.seed)
     _log(f"grid: {args.kind} {len(grid.dims)}x{len(grid.depths)} cells over {len(corpus)} pairs")
@@ -268,38 +274,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exit_:  # argparse reports usage problems itself
-        return int(exit_.code or 0)
-    try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "ingest":
-            return _cmd_ingest(args)
-        if args.command == "sketch":
-            return _cmd_sketch(parser, args)
-        if args.command == "compare":
-            return _cmd_compare(parser, args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        if args.command == "threshold":
-            return _cmd_threshold(parser, args)
-        parser.error(f"unknown command {args.command!r}")
-    except SystemExit as exit_:
+        return args.run(parser, args)
+    except SystemExit as exit_:  # argparse and parser.error report usage problems themselves
         return int(exit_.code or 0)
     except metrics.IncompatibleSketchError as exc:
         _log(f"sketchsim: incompatible sketches: {', '.join(exc.mismatched_fields)}")
         return EXIT_COMPAT
-    except (
-        UndefinedSimilarityError,
-        wire.WireFormatError,
-        datasets.TripletParseError,
-        datasets.GenerationError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, OSError, datasets.GenerationError) as exc:
         _log(f"sketchsim: error: {exc}")
         return EXIT_DATA
-    return EXIT_OK
 
 
 if __name__ == "__main__":

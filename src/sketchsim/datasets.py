@@ -23,7 +23,7 @@ from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .multiset import Multiset, dice
+from .multiset import COUNT_MAX, Multiset, dice
 
 logger = logging.getLogger(__name__)
 
@@ -222,11 +222,15 @@ def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
 def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> list[ListeningRecord]:
     """Parse ``user<TAB>song<TAB>count`` lines into listening records.
 
-    Blank lines are skipped. A count is a string of ASCII digits.
-    Malformed lines raise TripletParseError with their line number. Duplicate (user, song) lines are summed with
-    a warning, keeping first-seen order.
+    Blank lines are skipped. A count is a string of ASCII digits between
+    1 and COUNT_MAX. Malformed lines raise TripletParseError with their
+    line number. Duplicate (user, song) lines are summed, keeping
+    first-seen order, and one warning per call counts them; a sum above
+    COUNT_MAX is a parse error at the line that crosses it.
     """
     merged: dict[tuple[str, str], int] = {}
+    duplicate_lines = 0
+    first_duplicates: list[str] = []
     for line_number, raw in enumerate(_open_lines(source), 1):
         line = raw.rstrip("\r\n")
         if not line:
@@ -244,14 +248,21 @@ def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> list[Listen
             count = int(count_text)  # still raises on a digit string past int's length limit
         except ValueError:
             raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
-        if count < 1:
-            raise TripletParseError(line_number, f"play count must be >= 1, got {count}")
+        if not 1 <= count <= COUNT_MAX:
+            raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
         key = (user, song)
         if key in merged:
-            logger.warning("line %d: duplicate (user, song) %r; counts summed", line_number, key)
-            merged[key] += count
-        else:
-            merged[key] = count
+            duplicate_lines += 1
+            if len(first_duplicates) < 3:
+                first_duplicates.append(f"line {line_number} {key!r}")
+            count += merged[key]
+            if count > COUNT_MAX:
+                raise TripletParseError(line_number, f"summed play count of {key!r} exceeds {COUNT_MAX}")
+        merged[key] = count
+    if duplicate_lines:
+        logger.warning(
+            "%d duplicate (user, song) lines; counts summed (first: %s)", duplicate_lines, ", ".join(first_duplicates)
+        )
     return [ListeningRecord(user, song, count) for (user, song), count in merged.items()]
 
 

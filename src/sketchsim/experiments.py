@@ -18,12 +18,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 from . import metrics
-from .hashing import derive_row_seed, digest1_bulk, digest_pairs_bulk
+from .hashing import derive_row_seed
 from .multiset import Multiset, UndefinedSimilarityError, cosine, dice
-from .sketches import CountMinSketch, CountingBloomFilter, _multiset_arrays
+from .sketches import COUNTER_TYPES, CounterTable, _multiset_arrays, _row_digests
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
 
@@ -120,7 +120,7 @@ class ThresholdReport:
 
 
 class _BuildCache:
-    """Per-run digest memo: one digest pass per multiset, reused across grid cells."""
+    """Per-run digest memo: one digest pass per multiset and row seed, reused across grid cells."""
 
     def __init__(self, seed: int):
         self.seed = seed
@@ -134,32 +134,29 @@ class _BuildCache:
                 "ms": multiset,  # keep a reference so id() stays valid
                 "elements": elements,
                 "counts": counts,
-                "pair": None,
-                "rows": {},
+                "rows": {},  # row seed -> (h1,), or (h1, h2) once a cell probes twice
             }
             self._entries[id(multiset)] = entry
         return entry
 
-    def build(self, multiset: Multiset, params: SketchParams) -> CountingBloomFilter | CountMinSketch:
+    def build(self, multiset: Multiset, params: SketchParams) -> CounterTable:
         entry = self._entry(multiset)
-        if params.kind == "cbf":
-            if entry["pair"] is None:
-                entry["pair"] = digest_pairs_bulk(self.seed, entry["elements"])
-            h1, h2 = entry["pair"]
-            sketch = CountingBloomFilter.from_digest_counts(
-                h1, h2, entry["counts"], length=params.width, hash_count=params.hash_count, seed=self.seed
-            )
-        else:
-            rows = entry["rows"]
-            row_h1 = []
-            for row in range(params.depth):
-                row_seed = derive_row_seed(self.seed, row)
-                if row_seed not in rows:
-                    rows[row_seed] = digest1_bulk(row_seed, entry["elements"])
-                row_h1.append(rows[row_seed])
-            sketch = CountMinSketch.from_row_digests(
-                row_h1, entry["counts"], width=params.width, depth=params.depth, seed=self.seed
-            )
+        rows = entry["rows"]
+        row_digests = []
+        for row in range(params.depth):
+            row_seed = derive_row_seed(self.seed, row)
+            digests = rows.get(row_seed)
+            if digests is None or len(digests) < min(params.hash_count, 2):
+                digests = rows[row_seed] = _row_digests(row_seed, entry["elements"], params.hash_count)
+            row_digests.append(digests)
+        sketch = COUNTER_TYPES[params.kind].from_row_digests(
+            row_digests,
+            entry["counts"],
+            width=params.width,
+            depth=params.depth,
+            hash_count=params.hash_count,
+            seed=self.seed,
+        )
         sketch.total_insertions = multiset.cardinality()
         return sketch
 
@@ -251,23 +248,20 @@ def threshold_report(results: Sequence[ComparisonResult], threshold: float) -> T
     return ThresholdReport(threshold, tp, fp, tn, fn, max_overshoot)
 
 
-def _open_out(destination: str | Path | IO[str]):
+def _write_csv(destination: str | Path | IO[str], header: list[str], rows: Iterable[list]) -> None:
     if isinstance(destination, (str, Path)):
-        return open(destination, "w", encoding="utf-8", newline="")
-    return destination
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            _write_csv(handle, header, rows)
+        return
+    writer = csv.writer(destination)
+    writer.writerow(header)
+    writer.writerows(rows)
 
 
 def write_comparisons_csv(destination: str | Path | IO[str], results: Sequence[ComparisonResult]) -> None:
     """Columns: pair_id, truth, estimate, error."""
-    handle = _open_out(destination)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(COMPARISON_COLUMNS)
-        for r in results:
-            writer.writerow([r.pair_id, repr(r.truth), repr(r.estimate), repr(r.error)])
-    finally:
-        if handle is not destination:
-            handle.close()
+    rows = ([r.pair_id, repr(r.truth), repr(r.estimate), repr(r.error)] for r in results)
+    _write_csv(destination, COMPARISON_COLUMNS, rows)
 
 
 def write_grid_csv(
@@ -276,35 +270,22 @@ def write_grid_csv(
     grid: GridSpec,
 ) -> None:
     """Columns: dim, depth, rmse. Failed cells keep their row with an empty rmse."""
-    handle = _open_out(destination)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(GRID_COLUMNS)
-        for dim in grid.dims:
-            for depth in grid.depths:
-                value = cells.get((dim, depth))
-                writer.writerow([dim, depth, "" if value is None else repr(value)])
-    finally:
-        if handle is not destination:
-            handle.close()
+    rows = (
+        [dim, depth, "" if cells.get((dim, depth)) is None else repr(cells[(dim, depth)])]
+        for dim in grid.dims
+        for depth in grid.depths
+    )
+    _write_csv(destination, GRID_COLUMNS, rows)
 
 
 def write_threshold_csv(destination: str | Path | IO[str], report: ThresholdReport) -> None:
     """Columns: threshold, tp, fp, tn, fn, max_overshoot."""
-    handle = _open_out(destination)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(THRESHOLD_COLUMNS)
-        writer.writerow(
-            [
-                repr(report.threshold),
-                report.true_positives,
-                report.false_positives,
-                report.true_negatives,
-                report.false_negatives,
-                repr(report.max_overshoot),
-            ]
-        )
-    finally:
-        if handle is not destination:
-            handle.close()
+    row = [
+        repr(report.threshold),
+        report.true_positives,
+        report.false_positives,
+        report.true_negatives,
+        report.false_negatives,
+        repr(report.max_overshoot),
+    ]
+    _write_csv(destination, THRESHOLD_COLUMNS, [row])

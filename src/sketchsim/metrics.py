@@ -1,14 +1,19 @@
 """Similarity metrics over sketch pairs.
 
 These approximate the exact Dice / cosine scores of the underlying
-multisets using only the two counter vectors (or matrices), which is
-what makes a single sketch exchange between two devices sufficient.
+multisets using only the two counter tables, which is what makes a
+single sketch exchange between two devices sufficient. Both kinds are
+scored by one row scorer per metric: the metric of each pair of rows,
+averaged over the rows. A CBF is one row, so its score is that row's;
+a CMS score is the mean of its per-row CBF scores.
 
 Every metric is exact or an overestimate, never an underestimate: a
 collision can only add mass to a cell, and min(a+c, b+d) >= min(a,b) +
 min(c,d), so the positionwise-minimum numerator never loses intersection
-mass. All scores are computed from exact integer sums with one final
-floating division, so results are deterministic across platforms.
+mass. Each row score is computed from exact integer sums with one final
+floating division, so results are deterministic across platforms. The
+row mean (math.fsum, then / depth) can land a CMS score one rounding
+below its smallest row score, and so just below the exact score.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .multiset import UndefinedSimilarityError
-from .sketches import BloomFilter, CountMinSketch, CountingBloomFilter
+from .sketches import BloomFilter, CounterTable, CountMinSketch, CountingBloomFilter
 
 
 @dataclass(frozen=True)
@@ -46,14 +51,12 @@ class IncompatibleSketchError(ValueError):
         super().__init__("incompatible sketches, differing fields: " + ", ".join(mismatched_fields))
 
 
-def witness_of(sketch: BloomFilter | CountingBloomFilter | CountMinSketch) -> CompatibilityWitness:
+def witness_of(sketch: BloomFilter | CounterTable) -> CompatibilityWitness:
     """The compatibility header of a sketch."""
     if isinstance(sketch, BloomFilter):
         return CompatibilityWitness("bf", sketch.length, 1, sketch.hash_count, sketch.seed, 1)
-    if isinstance(sketch, CountingBloomFilter):
-        return CompatibilityWitness("cbf", sketch.length, 1, sketch.hash_count, sketch.seed, 32)
-    if isinstance(sketch, CountMinSketch):
-        return CompatibilityWitness("cms", sketch.width, sketch.depth, 1, sketch.seed, 32)
+    if isinstance(sketch, CounterTable):
+        return CompatibilityWitness(sketch.kind, sketch.width, sketch.depth, sketch.hash_count, sketch.seed, 32)
     raise TypeError(f"not a sketch: {type(sketch).__name__}")
 
 
@@ -65,37 +68,50 @@ def check_witnesses(a: CompatibilityWitness, b: CompatibilityWitness) -> Compati
     return a
 
 
-def _require_comparable(p, q, expected_type, type_name: str) -> None:
+def _require_comparable(p, q, expected_type: type) -> None:
     if not isinstance(p, expected_type) or not isinstance(q, expected_type):
-        raise TypeError(f"expected two {type_name} instances")
+        raise TypeError(f"expected two {expected_type.__name__} instances")
     check_witnesses(witness_of(p), witness_of(q))
 
 
-def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[int, int]:
-    # exact integer numerator/denominator of the positionwise Dice form
-    numerator = 2 * int(np.minimum(a, b).sum(dtype=np.uint64))
-    denominator = int(a.sum(dtype=np.uint64)) + int(b.sum(dtype=np.uint64))
-    return numerator, denominator
+def _dice(p: CounterTable, q: CounterTable, expected_type: type) -> float:
+    """Mean over rows of 2 * sum_i min(p_i, q_i) / sum_i (p_i + q_i).
+
+    A row pair with zero denominator (both rows empty) is an error, not
+    a skipped row: silently dropping rows would bias the average.
+    """
+    _require_comparable(p, q, expected_type)
+    shared = np.minimum(p.table, q.table).sum(axis=1, dtype=np.uint64).tolist()
+    mass_p = p.table.sum(axis=1, dtype=np.uint64).tolist()
+    mass_q = q.table.sum(axis=1, dtype=np.uint64).tolist()
+    values = []
+    for row, (common, a, b) in enumerate(zip(shared, mass_p, mass_q)):
+        if a + b == 0:
+            raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
+        values.append(2 * common / (a + b))
+    return math.fsum(values) / len(values)
 
 
-def _int_dot(a: np.ndarray, b: np.ndarray) -> int:
-    if a.size == 0:
-        return 0
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list[int]:
+    """Exact integer dot product of each pair of rows of two counter tables."""
     # int64 is exact only while products cannot reach 2^63
-    if int(a.max()) * int(b.max()) * a.size < 2**63:
-        return int(np.dot(a.astype(np.int64), b.astype(np.int64)))
-    return sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+    if int(a.max(initial=0)) * int(b.max(initial=0)) * a.shape[1] < 2**63:
+        return (a.astype(np.int64) * b.astype(np.int64)).sum(axis=1).tolist()
+    return [sum(x * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.tolist(), b.tolist())]
 
 
-def _cosine_value(a: np.ndarray, b: np.ndarray) -> float:
-    norm_sq_a = _int_dot(a, a)
-    norm_sq_b = _int_dot(b, b)
-    if norm_sq_a == 0 or norm_sq_b == 0:
-        raise UndefinedSimilarityError("cosine of an all-zero counter vector is undefined")
-    product = norm_sq_a * norm_sq_b
-    root = math.isqrt(product)
-    denominator = float(root) if root * root == product else math.sqrt(product)
-    return _int_dot(a, b) / denominator
+def _cosine(p: CounterTable, q: CounterTable, expected_type: type) -> float:
+    """Mean over rows of the cosine of each pair of rows."""
+    _require_comparable(p, q, expected_type)
+    values = []
+    rows = zip(_row_dots(p.table, q.table), _row_dots(p.table, p.table), _row_dots(q.table, q.table))
+    for dot, norm_sq_p, norm_sq_q in rows:
+        if norm_sq_p == 0 or norm_sq_q == 0:
+            raise UndefinedSimilarityError("cosine of an all-zero counter vector is undefined")
+        product = norm_sq_p * norm_sq_q
+        root = math.isqrt(product)
+        values.append(dot / (float(root) if root * root == product else math.sqrt(product)))
+    return math.fsum(values) / len(values)
 
 
 def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
@@ -105,37 +121,19 @@ def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
     cross sum of both full counter vectors; with k hash functions it
     equals k * (|X| + |Y|), so the score keeps the Dice scale.
     """
-    _require_comparable(p, q, CountingBloomFilter, "CountingBloomFilter")
-    numerator, denominator = _dice_sums(p.counters, q.counters)
-    if denominator == 0:
-        raise UndefinedSimilarityError("Dice of two all-zero sketches is undefined")
-    return numerator / denominator
+    return _dice(p, q, CountingBloomFilter)
 
 
 def cms_dice(r: CountMinSketch, s: CountMinSketch) -> float:
-    """Dice coefficient of two CMSs: mean of the per-row CBF Dice values.
-
-    A row pair with zero denominator (both rows empty) is an error, not
-    a skipped row: silently dropping rows would bias the average.
-    """
-    _require_comparable(r, s, CountMinSketch, "CountMinSketch")
-    values = []
-    for row in range(r.depth):
-        numerator, denominator = _dice_sums(r.table[row], s.table[row])
-        if denominator == 0:
-            raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
-        values.append(numerator / denominator)
-    return math.fsum(values) / r.depth
+    """Dice coefficient of two CMSs: mean of the per-row CBF Dice values."""
+    return _dice(r, s, CountMinSketch)
 
 
 def cbf_cosine(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
     """Cosine similarity of two CBF counter vectors."""
-    _require_comparable(p, q, CountingBloomFilter, "CountingBloomFilter")
-    return _cosine_value(p.counters, q.counters)
+    return _cosine(p, q, CountingBloomFilter)
 
 
 def cms_cosine(r: CountMinSketch, s: CountMinSketch) -> float:
     """Cosine similarity of two CMSs: mean of the per-row cosine values."""
-    _require_comparable(r, s, CountMinSketch, "CountMinSketch")
-    values = [_cosine_value(r.table[row], s.table[row]) for row in range(r.depth)]
-    return math.fsum(values) / r.depth
+    return _cosine(r, s, CountMinSketch)

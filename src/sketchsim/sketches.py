@@ -1,27 +1,26 @@
-"""Bloom Filter, Counting Bloom Filter and Count-Min Sketch.
+"""Bloom Filter, and the counter table behind the CBF and the Count-Min Sketch.
 
-All three structures share the seeded hash family from `hashing`. The
-counting structures use 32-bit saturating cells: a cell that would
-overflow sticks at the maximum and raises the sketch's `saturated` flag
-instead of erroring, so one hot cell cannot abort a profile exchange.
+All structures share the seeded hash family from `hashing`. The two
+counting sketches are one structure, `CounterTable`: a depth x width
+matrix of 32-bit counters in which row r hashes with
+`derive_row_seed(seed, r)` and probes each element `hash_count` times.
+A Counting Bloom Filter is the one-row case (one row probed k times, its
+`counters` being `table[0]`); a Count-Min Sketch is the one-probe case
+(d rows probed once each). A one-row Count-Min sketch is therefore cell
+for cell the one-hash CBF of the same seed, and summing the rows of a
+Count-Min sketch column-wise yields a CBF (`cms_to_cbf`).
 
-The two counting structures are related: summing the rows of a
-Count-Min sketch column-wise yields a Counting Bloom Filter, and a
-one-row Count-Min sketch is cell-for-cell identical to a one-hash CBF
-built with the same seed (see `hashing.derive_row_seed`).
+Counters saturate: a cell that would overflow sticks at COUNTER_MAX and
+raises the sketch's `saturated` flag instead of erroring, so one hot
+cell cannot abort a profile exchange.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .hashing import (
-    HashFamily,
-    derive_row_seed,
-    digest1_bulk,
-    digest_pairs_bulk,
-)
-from .multiset import Multiset, as_element
+from .hashing import HashFamily, derive_row_seed, digest1_bulk, digest_pairs_bulk
+from .multiset import Multiset
 
 COUNTER_MAX = 2**32 - 1
 
@@ -39,7 +38,7 @@ def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
     distinct * hash_count clipped counts) while a cell holding a clipped
     count still exceeds COUNTER_MAX, so it saturates to the value
     sequential inserts give. This is the only Multiset -> array step of
-    every sketch build.
+    every counting-sketch build.
     """
     elements = list(multiset.elements())
     counts = np.asarray([count for _, count in multiset.items()], dtype=np.uint64)
@@ -51,6 +50,22 @@ def _clip_saturating(accumulated: np.ndarray) -> tuple[np.ndarray, bool]:
     if saturated:
         accumulated = np.minimum(accumulated, COUNTER_MAX)
     return accumulated.astype(np.uint32), saturated
+
+
+def _row_digests(seed: int, elements: list[bytes], hash_count: int) -> tuple[np.ndarray, ...]:
+    """The digests a row with this seed needs: (h1,) for one probe, else (h1, h2)."""
+    if hash_count == 1:
+        return (digest1_bulk(seed, elements),)
+    return digest_pairs_bulk(seed, elements)
+
+
+def _probe_positions(digests: tuple[np.ndarray, ...], hash_count: int, size: int) -> np.ndarray:
+    """Flat indices of every probe, probe-major: (h1 + i * h2) mod size for i < hash_count."""
+    if hash_count == 1:
+        return (digests[0] % np.uint64(size)).astype(np.int64)
+    h1, h2 = digests
+    steps = np.arange(hash_count, dtype=np.uint64)[:, None]
+    return ((h1[None, :] + steps * h2[None, :]) % np.uint64(size)).astype(np.int64).ravel()
 
 
 class BloomFilter:
@@ -93,10 +108,10 @@ class BloomFilter:
     def from_multiset(cls, multiset: Multiset, length: int, hash_count: int = 1, seed: int = 0) -> "BloomFilter":
         """Membership sketch of a multiset's distinct elements (counts ignored)."""
         sketch = cls(length, hash_count, seed)
-        elements, _ = _multiset_arrays(multiset)
+        elements = list(multiset.elements())
         if elements:
-            h1, h2 = digest_pairs_bulk(seed, elements)
-            sketch.bits[_double_hash_positions(h1, h2, hash_count, length).ravel()] = True
+            digests = _row_digests(seed, elements, hash_count)
+            sketch.bits[_probe_positions(digests, hash_count, length)] = True
         return sketch
 
     def __eq__(self, other: object) -> bool:
@@ -108,209 +123,158 @@ class BloomFilter:
         return f"BloomFilter(length={self.length}, hash_count={self.hash_count}, seed={self.seed})"
 
 
-def _double_hash_positions(h1: np.ndarray, h2: np.ndarray, hash_count: int, size: int) -> np.ndarray:
-    """(hash_count, n_elements) table indices via wrapped double hashing."""
-    steps = np.arange(hash_count, dtype=np.uint64)[:, None]
-    return ((h1[None, :] + steps * h2[None, :]) % np.uint64(size)).astype(np.int64)
+class CounterTable:
+    """depth x width matrix of 32-bit saturating counters.
 
-
-class CountingBloomFilter:
-    """Bloom filter with a 32-bit saturating counter per cell.
-
-    A point query returns the minimum counter over the element's k
-    positions, which is always >= the true count: collisions only ever
-    add. One element may hit the same cell with two of its index
-    functions; the cell is incremented twice, keeping the invariant
-    sum(counters) == hash_count * total_insertions (absent saturation).
+    Row r hashes with derive_row_seed(seed, r) and probes each element
+    hash_count times by double hashing. An insert adds its count at every
+    probe, so a cell that two probes of one element hit is incremented
+    twice and every row sums to hash_count * total_insertions (absent
+    saturation). A point query returns the minimum over the element's
+    probed cells, which is always >= the true count: collisions only ever
+    add. Build one through CountingBloomFilter (one row) or CountMinSketch
+    (one probe per row).
     """
 
-    kind = "cbf"
+    kind = ""
 
-    def __init__(self, length: int, hash_count: int = 1, seed: int = 0):
-        self.family = HashFamily(seed=seed, hash_count=hash_count, size=length)
-        self.counters = np.zeros(length, dtype=np.uint32)
-        self.total_insertions = 0
-        self._saturated = False
-
-    @property
-    def length(self) -> int:
-        return self.family.size
-
-    @property
-    def hash_count(self) -> int:
-        return self.family.hash_count
-
-    @property
-    def seed(self) -> int:
-        return self.family.seed
-
-    @property
-    def saturated(self) -> bool:
-        """True once any cell has been clamped at COUNTER_MAX."""
-        return self._saturated
-
-    def insert(self, element: bytes | str, times: int = 1) -> None:
-        _check_times(times)
-        for position in self.family.positions(element):
-            current = int(self.counters[position]) + times
-            if current > COUNTER_MAX:
-                current = COUNTER_MAX
-                self._saturated = True
-            self.counters[position] = current
-        self.total_insertions += times
-
-    def estimate_count(self, element: bytes | str) -> int:
-        """Upper-bound estimate: minimum counter across the element's positions."""
-        return int(self.counters[self.family.positions(element)].min())
-
-    @classmethod
-    def from_multiset(cls, multiset: Multiset, length: int, hash_count: int = 1, seed: int = 0) -> "CountingBloomFilter":
-        """Sketch of a whole multiset; order-independent by construction."""
-        elements, counts = _multiset_arrays(multiset)
-        h1, h2 = digest_pairs_bulk(seed, elements)
-        sketch = cls.from_digest_counts(h1, h2, counts, length=length, hash_count=hash_count, seed=seed)
-        sketch.total_insertions = multiset.cardinality()
-        return sketch
-
-    @classmethod
-    def from_digest_counts(
-        cls,
-        h1: np.ndarray,
-        h2: np.ndarray,
-        counts: np.ndarray,
-        *,
-        length: int,
-        hash_count: int = 1,
-        seed: int = 0,
-    ) -> "CountingBloomFilter":
-        """Bulk build from precomputed digest arrays (see digest_pairs_bulk).
-
-        The accumulator behind every CBF build. Counts come from
-        `_multiset_arrays`, already clipped so the int64 sums are exact;
-        callers that memoise digests (the experiment grid) pass the same
-        arrays for many (length, hash_count) combinations.
-        """
-        sketch = cls(length, hash_count, seed)
-        if len(h1):
-            accumulated = np.zeros(length, dtype=np.int64)
-            positions = _double_hash_positions(h1, h2, hash_count, length)
-            np.add.at(accumulated, positions.ravel(), np.broadcast_to(counts, positions.shape).ravel())
-            sketch.counters, sketch._saturated = _clip_saturating(accumulated)
-            sketch.total_insertions = int(counts.sum())
-        return sketch
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountingBloomFilter):
-            return NotImplemented
-        return self.family == other.family and np.array_equal(self.counters, other.counters)
-
-    def __repr__(self) -> str:
-        return (
-            f"CountingBloomFilter(length={self.length}, hash_count={self.hash_count}, "
-            f"seed={self.seed}, total_insertions={self.total_insertions})"
-        )
-
-
-class CountMinSketch:
-    """depth x width counter matrix, one single-function hash family per row.
-
-    Row seeds derive deterministically from the base seed, so one seed
-    fully describes the sketch. A point query returns the row-wise
-    minimum, an upper bound on the true count for the same reason as the
-    CBF estimate.
-    """
-
-    kind = "cms"
-
-    def __init__(self, width: int, depth: int, seed: int = 0):
-        if width < 1:
-            raise ValueError(f"width must be >= 1, got {width}")
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
+    def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
+        for name, value in (("width", width), ("depth", depth), ("hash_count", hash_count)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         self.width = width
         self.depth = depth
+        self.hash_count = hash_count
         self.seed = seed
         self.row_seeds = [derive_row_seed(seed, row) for row in range(depth)]
-        self.row_families = [HashFamily(seed=s, hash_count=1, size=width) for s in self.row_seeds]
         self.table = np.zeros((depth, width), dtype=np.uint32)
         self.total_insertions = 0
-        self._saturated = False
+        self.saturated = False  # True once any cell has been clamped at COUNTER_MAX
 
-    @property
-    def saturated(self) -> bool:
-        return self._saturated
+    @classmethod
+    def _shaped(cls, width: int, depth: int, hash_count: int, seed: int):
+        """An empty sketch of this class, given the general table shape."""
+        sketch = cls.__new__(cls)
+        CounterTable.__init__(sketch, width, depth, hash_count, seed)
+        return sketch
 
-    def _row_positions(self, element: bytes | str) -> list[int]:
-        key = as_element(element)
-        return [family.positions(key)[0] for family in self.row_families]
+    def _cells(self, element: bytes | str) -> list[tuple[int, int]]:
+        """(row, column) of every probe of an element."""
+        return [
+            (row, column)
+            for row, row_seed in enumerate(self.row_seeds)
+            for column in HashFamily(row_seed, self.hash_count, self.width).positions(element)
+        ]
 
     def insert(self, element: bytes | str, times: int = 1) -> None:
         _check_times(times)
-        for row, position in enumerate(self._row_positions(element)):
-            current = int(self.table[row, position]) + times
+        for cell in self._cells(element):
+            current = int(self.table[cell]) + times
             if current > COUNTER_MAX:
                 current = COUNTER_MAX
-                self._saturated = True
-            self.table[row, position] = current
+                self.saturated = True
+            self.table[cell] = current
         self.total_insertions += times
 
     def estimate_count(self, element: bytes | str) -> int:
-        positions = self._row_positions(element)
-        return int(min(self.table[row, position] for row, position in enumerate(positions)))
+        """Upper-bound estimate: minimum counter across the element's probed cells."""
+        return min(int(self.table[cell]) for cell in self._cells(element))
 
     @classmethod
-    def from_multiset(cls, multiset: Multiset, width: int, depth: int, seed: int = 0) -> "CountMinSketch":
-        """Sketch of a whole multiset; order-independent by construction."""
+    def from_multiset(cls, multiset: Multiset, *args, **kwargs):
+        """Sketch of a whole multiset; the other arguments are the constructor's.
+
+        Order-independent by construction, and equal cell for cell to
+        inserting every element with its count.
+        """
+        sketch = cls(*args, **kwargs)
         elements, counts = _multiset_arrays(multiset)
-        row_h1 = [digest1_bulk(derive_row_seed(seed, row), elements) for row in range(depth)]
-        sketch = cls.from_row_digests(row_h1, counts, width=width, depth=depth, seed=seed)
+        sketch._accumulate([_row_digests(s, elements, sketch.hash_count) for s in sketch.row_seeds], counts)
         sketch.total_insertions = multiset.cardinality()
         return sketch
 
     @classmethod
     def from_row_digests(
         cls,
-        row_h1: list[np.ndarray],
+        row_digests: list[tuple[np.ndarray, ...]],
         counts: np.ndarray,
         *,
         width: int,
-        depth: int,
+        depth: int = 1,
+        hash_count: int = 1,
         seed: int = 0,
-    ) -> "CountMinSketch":
-        """Bulk build from one precomputed h1 array per row (see digest1_bulk).
+    ):
+        """Bulk build from precomputed digests, one `_row_digests` tuple per row.
 
-        The accumulator behind every CMS build; counts as for
-        CountingBloomFilter.from_digest_counts.
+        Counts come from `_multiset_arrays`; callers that memoise digests
+        (the experiment grid) pass the same arrays for many shapes.
         """
-        if len(row_h1) != depth:
-            raise ValueError(f"expected {depth} digest rows, got {len(row_h1)}")
-        sketch = cls(width, depth, seed)
-        if depth and len(counts):
-            accumulated = np.zeros((depth, width), dtype=np.int64)
-            for row, h1 in enumerate(row_h1):
-                columns = (h1 % np.uint64(width)).astype(np.int64)
-                np.add.at(accumulated[row], columns, counts)
-            table, saturated = _clip_saturating(accumulated.ravel())
-            sketch.table = table.reshape(depth, width)
-            sketch._saturated = saturated
-            sketch.total_insertions = int(counts.sum())
+        sketch = cls._shaped(width, depth, hash_count, seed)
+        sketch._accumulate(row_digests, counts)
         return sketch
 
+    def _accumulate(self, row_digests: list[tuple[np.ndarray, ...]], counts: np.ndarray) -> None:
+        """The one bulk accumulator: add each count at all its probes, then saturate.
+
+        Positions are flattened and counts tiled to match, because
+        np.add.at with a 2-D index and broadcast values is not reliable
+        across numpy versions.
+        """
+        if len(row_digests) != self.depth:
+            raise ValueError(f"expected {self.depth} digest rows, got {len(row_digests)}")
+        if not len(counts):
+            return
+        accumulated = np.zeros((self.depth, self.width), dtype=np.int64)
+        tiled = np.tile(counts, self.hash_count) if self.hash_count > 1 else counts
+        for row, digests in enumerate(row_digests):
+            np.add.at(accumulated[row], _probe_positions(digests, self.hash_count, self.width), tiled)
+        self.table, self.saturated = _clip_saturating(accumulated)
+        self.total_insertions = int(counts.sum())
+
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CountMinSketch):
+        if type(other) is not type(self):
             return NotImplemented
         return (
-            self.width == other.width
-            and self.depth == other.depth
-            and self.seed == other.seed
+            (self.width, self.depth, self.hash_count, self.seed)
+            == (other.width, other.depth, other.hash_count, other.seed)
             and np.array_equal(self.table, other.table)
         )
 
     def __repr__(self) -> str:
         return (
-            f"CountMinSketch(width={self.width}, depth={self.depth}, seed={self.seed}, "
-            f"total_insertions={self.total_insertions})"
+            f"{type(self).__name__}(width={self.width}, depth={self.depth}, hash_count={self.hash_count}, "
+            f"seed={self.seed}, total_insertions={self.total_insertions})"
         )
+
+
+class CountingBloomFilter(CounterTable):
+    """One row of `length` counters, probed hash_count times (the paper's CBF)."""
+
+    kind = "cbf"
+
+    def __init__(self, length: int, hash_count: int = 1, seed: int = 0):
+        super().__init__(length, 1, hash_count, seed)
+
+    @property
+    def length(self) -> int:
+        return self.width
+
+    @property
+    def counters(self) -> np.ndarray:
+        """The counter vector, a view of table[0]."""
+        return self.table[0]
+
+
+class CountMinSketch(CounterTable):
+    """depth rows of `width` counters, each probed once under its own row seed."""
+
+    kind = "cms"
+
+    def __init__(self, width: int, depth: int, seed: int = 0):
+        super().__init__(width, depth, 1, seed)
+
+
+COUNTER_TYPES = {"cbf": CountingBloomFilter, "cms": CountMinSketch}
 
 
 def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
@@ -322,9 +286,8 @@ def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
     it, so point queries against it answer for the projection, not for
     a natively built CBF.
     """
-    sums = sketch.table.sum(axis=0, dtype=np.int64)
     projected = CountingBloomFilter(sketch.width, hash_count=sketch.depth, seed=sketch.seed)
-    projected.counters, overflowed = _clip_saturating(sums)
-    projected._saturated = overflowed or sketch.saturated
+    projected.table, overflowed = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
+    projected.saturated = overflowed or sketch.saturated
     projected.total_insertions = sketch.total_insertions
     return projected

@@ -20,9 +20,9 @@ recommended one-hash CBF of length 128 therefore travels in exactly
 27 + 128*4 = 539 bytes.
 
 total_insertions and the saturation flag are derived conveniences, not
-wire fields: decode reconstructs total_insertions as sum(counters) //
-hash_count (exact absent saturation) and flags saturation when any cell
-sits at the counter maximum.
+wire fields: decode reconstructs total_insertions as the sum of the
+first row // hash_count (exact absent saturation) and flags saturation
+when any cell sits at the counter maximum.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import struct
 import numpy as np
 
 from .metrics import CompatibilityWitness, IncompatibleSketchError, witness_of
-from .sketches import COUNTER_MAX, BloomFilter, CountMinSketch, CountingBloomFilter
+from .sketches import COUNTER_MAX, COUNTER_TYPES, BloomFilter, CounterTable
 
 MAGIC = b"SKSM"
 VERSION = 1
@@ -65,7 +65,7 @@ class HeaderConsistencyError(WireFormatError):
     pass
 
 
-Sketch = BloomFilter | CountingBloomFilter | CountMinSketch
+Sketch = BloomFilter | CounterTable
 
 
 def payload_size(kind: str, width: int, depth: int = 1) -> int:
@@ -94,8 +94,6 @@ def encode(sketch: Sketch) -> bytes:
     )
     if isinstance(sketch, BloomFilter):
         payload = np.packbits(sketch.bits, bitorder="little").tobytes()
-    elif isinstance(sketch, CountingBloomFilter):
-        payload = sketch.counters.astype("<u4").tobytes()
     else:
         payload = sketch.table.astype("<u4").tobytes()
     return header + payload
@@ -143,18 +141,11 @@ def decode(data: bytes) -> Sketch:
         unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
         sketch.bits = unpacked[: witness.width].astype(bool)
         return sketch
-    counters = np.frombuffer(payload, dtype="<u4").astype(np.uint32)
-    if witness.kind == "cbf":
-        cbf = CountingBloomFilter(witness.width, witness.hash_count, witness.seed)
-        cbf.counters = counters
-        cbf.total_insertions = int(counters.sum(dtype=np.uint64)) // witness.hash_count
-        cbf._saturated = bool((counters == COUNTER_MAX).any())
-        return cbf
-    cms = CountMinSketch(witness.width, witness.depth, witness.seed)
-    cms.table = counters.reshape(witness.depth, witness.width)
-    cms.total_insertions = int(cms.table[0].sum(dtype=np.uint64))
-    cms._saturated = bool((cms.table == COUNTER_MAX).any())
-    return cms
+    sketch = COUNTER_TYPES[witness.kind]._shaped(witness.width, witness.depth, witness.hash_count, witness.seed)
+    sketch.table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(witness.depth, witness.width)
+    sketch.total_insertions = int(sketch.table[0].sum(dtype=np.uint64)) // witness.hash_count
+    sketch.saturated = bool((sketch.table == COUNTER_MAX).any())
+    return sketch
 
 
 __all__ = [

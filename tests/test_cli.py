@@ -84,6 +84,14 @@ class TestIngest:
         assert code == 1
         assert "line 2" in err
 
+    def test_count_sum_past_count_max_fails_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "big.tsv"
+        bad.write_text("u1\ts1\t18446744073709551615\nu1\ts1\t1\n")
+        code, _, err = run(capsys, "ingest", str(bad), "--out", str(tmp_path / "x.tsv"))
+        assert code == 1
+        assert "line 2" in err
+        assert "Traceback" not in err
+
 
 class TestSketchAndCompare:
     @pytest.fixture

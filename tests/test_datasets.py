@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sketchsim import (
+    COUNT_MAX,
     GenerationError,
     ListeningRecord,
     Multiset,
@@ -118,10 +119,27 @@ class TestIngest:
         assert len(ingest_triplets(io.StringIO("\nu1\ts1\t1\n\n"))) == 1
 
     def test_duplicates_summed_with_warning(self, caplog):
+        lines = "u1\ts1\t2\nu1\ts1\t3\n" + "u2\ts1\t1\n" * 5
         with caplog.at_level("WARNING"):
-            records = ingest_triplets(io.StringIO("u1\ts1\t2\nu1\ts1\t3\n"))
-        assert records == [ListeningRecord("u1", "s1", 5)]
-        assert any("duplicate" in message for message in caplog.messages)
+            records = ingest_triplets(io.StringIO(lines))
+        assert records == [ListeningRecord("u1", "s1", 5), ListeningRecord("u2", "s1", 5)]
+        # one summary record per call: the count and the first few offenders
+        assert len(caplog.records) == 1
+        message = caplog.messages[0]
+        assert message.startswith("5 duplicate")
+        assert "line 2 ('u1', 's1')" in message and "line 4 ('u2', 's1')" in message
+        assert "line 6" not in message
+
+    def test_count_above_count_max_is_parse_error(self):
+        with pytest.raises(TripletParseError) as info:
+            ingest_triplets(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{COUNT_MAX + 1}\n"))
+        assert info.value.line_number == 2
+
+    def test_duplicate_sum_above_count_max_is_parse_error(self):
+        with pytest.raises(TripletParseError) as info:
+            ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX}\nu1\ts2\t1\nu1\ts1\t1\n"))
+        assert info.value.line_number == 3
+        assert ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX - 1}\nu1\ts1\t1\n"))[0].play_count == COUNT_MAX
 
     def test_gzip_transparently_decompressed(self, tmp_path):
         path = tmp_path / "triplets.tsv.gz"

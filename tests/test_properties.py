@@ -1,0 +1,133 @@
+"""Property tests over generated multisets, shapes, seeds and counts.
+
+They pin the invariants every counting-sketch build and scorer must keep:
+a one-hash CBF is a one-row CMS, all build paths agree with sequential
+inserts (saturation included), envelopes round-trip, decode fails only
+with typed errors, and sketch Dice never undershoots the exact Dice.
+Examples are derandomised, so every run checks the same inputs.
+"""
+
+import math
+import struct
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sketchsim import (
+    COUNT_MAX,
+    COUNTER_MAX,
+    CountMinSketch,
+    CountingBloomFilter,
+    Multiset,
+    SketchParams,
+    WireFormatError,
+    cbf_cosine,
+    cbf_dice,
+    cms_cosine,
+    cms_dice,
+    decode,
+    dice,
+    encode,
+)
+from sketchsim.experiments import _BuildCache
+from sketchsim.sketches import COUNTER_TYPES
+from sketchsim.wire import HEADER_SIZE, MAGIC
+
+PROPERTY = settings(deadline=None, max_examples=100, derandomize=True)
+
+seeds = st.integers(0, 2**64 - 1)
+widths = st.integers(1, 64)
+probes = st.integers(1, 4)  # k of a CBF, d of a CMS
+small_counts = st.integers(1, 30)
+# counts that land on either side of the 32-bit counter limit
+edge_counts = st.one_of(small_counts, st.integers(2**32 - 3, 2**32 + 3), st.integers(1, COUNT_MAX))
+
+
+def multisets(counts=small_counts):
+    return st.dictionaries(st.binary(min_size=1, max_size=6), counts, min_size=1, max_size=20).map(Multiset)
+
+
+def _sketches(kind, multiset, width, probe_count, seed):
+    """The same sketch by from_multiset, by _BuildCache.build and by sequential insert."""
+    sketch_type = COUNTER_TYPES[kind]  # both constructors take (width, k or d, seed)
+    shape = {"hash_count": probe_count} if kind == "cbf" else {"depth": probe_count}
+    cached = _BuildCache(seed).build(multiset, SketchParams(kind, width, seed=seed, **shape))
+    manual = sketch_type(width, probe_count, seed)
+    for element, count in multiset.items():
+        manual.insert(element, count)
+    return sketch_type.from_multiset(multiset, width, probe_count, seed), cached, manual
+
+
+@PROPERTY
+@given(multisets(edge_counts), multisets(edge_counts), widths, seeds)
+def test_one_hash_cbf_is_one_row_cms(x, y, width, seed):
+    p, q = (CountingBloomFilter.from_multiset(m, width, 1, seed) for m in (x, y))
+    r, s = (CountMinSketch.from_multiset(m, width, 1, seed) for m in (x, y))
+    assert np.array_equal(p.table, r.table) and np.array_equal(q.table, s.table)
+    assert np.array_equal(p.counters, r.table[0])
+    assert cbf_dice(p, q) == cms_dice(r, s)
+    assert cbf_cosine(p, q) == cms_cosine(r, s)
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
+def test_build_paths_agree_with_sequential_insert(kind, multiset, width, probe_count, seed):
+    bulk, cached, manual = _sketches(kind, multiset, width, probe_count, seed)
+    for built in (bulk, cached):
+        assert np.array_equal(built.table, manual.table)
+        assert built.saturated == manual.saturated
+        assert built.total_insertions == manual.total_insertions == multiset.cardinality()
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
+def test_envelope_round_trip(kind, multiset, width, probe_count, seed):
+    sketch = COUNTER_TYPES[kind].from_multiset(multiset, width, probe_count, seed)
+    decoded = decode(encode(sketch))
+    assert decoded == sketch
+    # the envelope carries no flag: decode marks any cell at the maximum
+    assert decoded.saturated == bool((sketch.table == COUNTER_MAX).any())
+
+
+# plausible headers: small fields, any kind and counter code, payloads of any length
+headers = st.builds(
+    struct.pack,
+    st.just("<4sBBIIIQB"),
+    st.just(MAGIC),
+    st.integers(0, 2),
+    st.integers(0, 3),
+    st.integers(0, 9),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    seeds,
+    st.integers(0, 3),
+)
+envelope_like = st.one_of(
+    st.binary(max_size=40),
+    st.binary(max_size=HEADER_SIZE + 40).map(lambda tail: MAGIC + b"\x01" + tail),
+    st.tuples(headers, st.binary(max_size=80)).map(b"".join),
+)
+
+
+@settings(deadline=None, max_examples=500, derandomize=True)
+@given(envelope_like)
+def test_decode_raises_only_wire_format_errors(data):
+    try:
+        decode(data)
+    except WireFormatError:
+        pass
+
+
+@PROPERTY
+@given(multisets(), multisets(), widths, probes, seeds)
+def test_sketch_dice_never_below_exact(x, y, width, probe_count, seed):
+    truth = dice(x, y)
+    p, q = (CountingBloomFilter.from_multiset(m, width, probe_count, seed) for m in (x, y))
+    r, s = (CountMinSketch.from_multiset(m, width, probe_count, seed) for m in (x, y))
+    assert cbf_dice(p, q) >= truth
+    # Each CMS row scores >= truth, but averaging the rounded row scores
+    # (fsum, then / depth) can land one rounding below them: x = {0: 1,
+    # 1: 1}, y = {0: 1, 1: 1, 2: 7}, width 1, depth 3 gives
+    # 0.3636363636363636 against 0.36363636363636365.
+    assert cms_dice(r, s) >= truth - 2 * math.ulp(truth)
