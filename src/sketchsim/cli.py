@@ -156,6 +156,11 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _log_failures(failures: list[experiments.PairFailure], pairs: int) -> None:
+    if failures:
+        _log(f"{len(failures)} of {pairs} pairs failed (first: {failures[0].pair_id}: {failures[0].reason})")
+
+
 def _cmd_gen(parser, args) -> int:
     pairs = datasets.generate_synthetic(args.seed, args.pairs, args.unique, args.strlen)
     manifest = datasets.write_corpus(
@@ -245,7 +250,9 @@ def _cmd_grid(parser, args) -> int:
     corpus = datasets.load_corpus(args.corpus)
     grid = experiments.GridSpec(args.kind, args.dims, args.depths, metric=args.metric, seed=args.seed)
     _log(f"grid: {args.kind} {len(grid.dims)}x{len(grid.depths)} cells over {len(corpus)} pairs")
-    cells = experiments.run_grid(corpus, grid)
+    failures: list[experiments.PairFailure] = []
+    cells = experiments.run_grid(corpus, grid, failures)
+    _log_failures(failures, len(corpus))
     for (dim, depth), value in cells.items():
         _log(f"  dim={dim} depth={depth} rmse={'n/a' if value is None else f'{value:.6f}'}")
     experiments.write_grid_csv(args.out, cells, grid)
@@ -257,9 +264,7 @@ def _cmd_threshold(parser, args) -> int:
     params = _sketch_params(parser, args)
     corpus = datasets.load_corpus(args.corpus)
     run = experiments.run_pairwise(corpus, params, args.metric)
-    if run.failures:
-        _log(f"{len(run.failures)} of {len(corpus)} pairs failed (first: {run.failures[0].pair_id}: "
-             f"{run.failures[0].reason})")
+    _log_failures(run.failures, len(corpus))
     report = experiments.threshold_report(run.results, args.threshold)
     experiments.write_threshold_csv(args.out, report)
     _log(

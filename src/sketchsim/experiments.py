@@ -4,8 +4,10 @@ A run builds both sketches of every corpus pair with identical
 parameters and seed, evaluates the chosen metric, and attaches the exact
 oracle score as ground truth. Grids repeat that over a parameter lattice
 and reduce each cell to an RMSE. Everything is deterministic for a fixed
-corpus and seed; digests are cached per multiset so a sweep costs one
-digest pass plus cheap modular arithmetic per cell.
+corpus and seed. A run holds its corpus in columns (`_BuildCache`), so a
+sweep digests each distinct element once per row seed, asks the oracle
+about each pair once, builds each sketch row of all profiles in one pass
+and scores all pairs from that row with the `metrics` row reducers.
 
 `_ESTIMATE_FNS` and `_TRUTH_FNS` are the package's only metric dispatch
 tables and `_BuildCache.build` its only SketchParams -> sketch dispatch;
@@ -17,13 +19,16 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import metrics
 from .hashing import derive_row_seed
 from .multiset import Multiset, UndefinedSimilarityError, cosine, dice
-from .sketches import COUNTER_TYPES, CounterTable, _multiset_arrays, _row_digests
+from .sketches import COUNTER_TYPES, CounterTable, _count_rows, _multiset_arrays, _row_digests
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
 
@@ -119,44 +124,90 @@ class ThresholdReport:
     max_overshoot: float
 
 
+_CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bounds a cell's working memory
+_DIGEST_CHUNK = 2**13  # vocabulary elements per digest call; bounds the memory hashing takes
+
+
 class _BuildCache:
-    """Per-run digest memo: one digest pass per multiset and row seed, reused across grid cells."""
+    """Per-run columnar corpus, shared by every cell of a run.
+
+    Each distinct profile object is interned once, as CSR-style arrays:
+    the ids of its elements in one bytes -> id vocabulary and its counts
+    clipped by `_multiset_arrays`. Digests are memoised per row seed over
+    the vocabulary and exact truths per pair and metric. `_rows` builds a
+    sketch row of many profiles at once; `build` is the one-profile case.
+    """
 
     def __init__(self, seed: int):
         self.seed = seed
-        self._entries: dict[int, dict] = {}
+        self._index: dict[int, int] = {}  # id(profile) -> profile number
+        self._profiles: list[Multiset] = []  # keeps every interned profile alive, so ids stay unique
+        self._vocabulary: dict[bytes, int] = {}
+        self._element = self._count = np.zeros(0, dtype=np.int64)
+        self._offsets = [0]  # profile p owns entries offsets[p]:offsets[p + 1]
+        self._digests: dict[int, tuple[np.ndarray, ...]] = {}  # row seed -> (h1,) or (h1, h2) per element id
+        self._truths: dict[tuple[str, int, int], float] = {}  # (metric, left, right) -> exact score
 
-    def _entry(self, multiset: Multiset) -> dict:
-        entry = self._entries.get(id(multiset))
-        if entry is None or entry["ms"] is not multiset:
-            elements, counts = _multiset_arrays(multiset)
-            entry = {
-                "ms": multiset,  # keep a reference so id() stays valid
-                "elements": elements,
-                "counts": counts,
-                "rows": {},  # row seed -> (h1,), or (h1, h2) once a cell probes twice
-            }
-            self._entries[id(multiset)] = entry
-        return entry
+    def _intern(self, multisets: Iterable[Multiset]) -> list[int]:
+        """The profile number of each multiset, interning the ones not seen before."""
+        numbers, new = [], []
+        for multiset in multisets:
+            if id(multiset) not in self._index:
+                self._index[id(multiset)] = len(self._profiles)
+                self._profiles.append(multiset)
+                new.append(_multiset_arrays(multiset))
+            numbers.append(self._index[id(multiset)])
+        if new:
+            vocabulary = self._vocabulary
+            ids = (vocabulary.setdefault(e, len(vocabulary)) for elements, _ in new for e in elements)
+            lengths = [len(counts) for _, counts in new]
+            self._element = np.concatenate([self._element, np.fromiter(ids, np.int64, sum(lengths))])
+            self._count = np.concatenate([self._count, *(counts for _, counts in new)])
+            self._offsets += list(accumulate(lengths, initial=self._offsets[-1]))[1:]
+        return numbers
+
+    def _vocabulary_digests(self, row_seed: int, hash_count: int) -> tuple[np.ndarray, ...]:
+        """`_row_digests` of every vocabulary element under a row seed."""
+        digests = self._digests.get(row_seed)
+        if not digests or len(digests[0]) < len(self._vocabulary) or len(digests) < min(hash_count, 2):
+            elements = list(self._vocabulary)
+            parts = [_row_digests(row_seed, elements[i : i + _DIGEST_CHUNK], hash_count)
+                     for i in range(0, len(elements), _DIGEST_CHUNK)]
+            digests = self._digests[row_seed] = tuple(np.concatenate(column) for column in zip(*parts))
+        return digests
+
+    def _truth(self, metric: str, left: int, right: int) -> float:
+        """The exact score of a pair of interned profiles, from one oracle call (an undefined one raises each time)."""
+        key = (metric, left, right)
+        if key not in self._truths:
+            self._truths[key] = _TRUTH_FNS[metric](self._profiles[left], self._profiles[right])
+        return self._truths[key]
+
+    def _rows(self, profiles: range, params: SketchParams) -> Iterator[tuple[np.ndarray, bool]]:
+        """Each sketch row of the profiles in turn, in one (profiles x width) uint32 buffer, and its saturation."""
+        offsets = self._offsets
+        longest = int(np.diff(offsets[profiles.start : profiles.stop + 1]).max())
+        step = max(1, _CHUNK_CELLS // (params.width + params.hash_count * longest))
+        table = np.empty((len(profiles), params.width), dtype=np.uint32)
+        for row in range(params.depth):
+            digests = self._vocabulary_digests(derive_row_seed(self.seed, row), params.hash_count)
+            saturated = False
+            for first in range(profiles.start, profiles.stop, step):
+                last = min(first + step, profiles.stop)
+                entries = slice(offsets[first], offsets[last])
+                owners = np.repeat(np.arange(last - first), np.diff(offsets[first : last + 1]))
+                part, part_saturated = _count_rows(tuple(d[self._element[entries]] for d in digests), owners,
+                                                   self._count[entries], last - first, params.width, params.hash_count)
+                table[first - profiles.start : last - profiles.start] = part
+                saturated = saturated or part_saturated
+            yield table, saturated
 
     def build(self, multiset: Multiset, params: SketchParams) -> CounterTable:
-        entry = self._entry(multiset)
-        rows = entry["rows"]
-        row_digests = []
-        for row in range(params.depth):
-            row_seed = derive_row_seed(self.seed, row)
-            digests = rows.get(row_seed)
-            if digests is None or len(digests) < min(params.hash_count, 2):
-                digests = rows[row_seed] = _row_digests(row_seed, entry["elements"], params.hash_count)
-            row_digests.append(digests)
-        sketch = COUNTER_TYPES[params.kind].from_row_digests(
-            row_digests,
-            entry["counts"],
-            width=params.width,
-            depth=params.depth,
-            hash_count=params.hash_count,
-            seed=self.seed,
-        )
+        sketch = COUNTER_TYPES[params.kind]._shaped(params.width, params.depth, params.hash_count, self.seed)
+        (number,) = self._intern([multiset])
+        for row, (table, saturated) in enumerate(self._rows(range(number, number + 1), params)):
+            sketch.table[row] = table[0]
+            sketch.saturated = sketch.saturated or saturated
         sketch.total_insertions = multiset.cardinality()
         return sketch
 
@@ -184,17 +235,23 @@ def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> 
 
 
 def _run_pairwise(corpus: Corpus, params: SketchParams, metric: str, cache: _BuildCache) -> PairwiseRun:
-    try:
-        truth_fn = _TRUTH_FNS[metric]
-        estimate_fn = _ESTIMATE_FNS[(params.kind, metric)]
-    except KeyError:
-        raise ValueError(f"unknown metric {metric!r}") from None
-    results = []
-    failures = []
-    for pair_id, left, right in corpus:
+    if metric not in _TRUTH_FNS:
+        raise ValueError(f"unknown metric {metric!r}")
+    sums, score = metrics._ROW_SCORERS[metric]
+    numbers = cache._intern(profile for _, x, y in corpus for profile in (x, y))
+    lowest = min(numbers)  # rows cover profiles lowest..max(numbers), which is all of a run's own cache
+    left, right = np.array(numbers[0::2]) - lowest, np.array(numbers[1::2]) - lowest
+    step = max(1, _CHUNK_CELLS // params.width)
+    row_sums = []  # per sketch row, the metric's row sums of every pair
+    for table, _ in cache._rows(range(lowest, max(numbers) + 1), params):
+        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(corpus), step)]
+        row_sums.append([list(chain.from_iterable(parts)) for parts in zip(*chunks)])
+    pair_sums = zip(*(zip(*rows) for rows in zip(*row_sums)))  # per pair, each sum over the sketch rows
+    results, failures = [], []
+    for (pair_id, _, _), x, y, pair in zip(corpus, numbers[0::2], numbers[1::2], pair_sums):
         try:
-            truth = truth_fn(left, right)
-            estimate = estimate_fn(cache.build(left, params), cache.build(right, params))
+            truth = cache._truth(metric, x, y)
+            estimate = score(*pair)
         except UndefinedSimilarityError as exc:
             failures.append(PairFailure(pair_id, str(exc)))
             continue
@@ -210,11 +267,16 @@ def rmse(results: Sequence[ComparisonResult]) -> float:
     return math.sqrt(math.fsum(r.error * r.error for r in results) / len(results))
 
 
-def run_grid(corpus: Corpus, grid: GridSpec) -> dict[tuple[int, int], float | None]:
+def run_grid(
+    corpus: Corpus, grid: GridSpec, failures: list[PairFailure] | None = None
+) -> dict[tuple[int, int], float | None]:
     """RMSE per (dim, depth) cell; a cell whose run wholly fails is None.
 
-    Cells are independent and evaluated sequentially in lattice order;
-    the digest cache is shared, so corpus hashing happens once.
+    Cells are evaluated sequentially in lattice order over one columnar
+    corpus, so hashing and the exact oracle run once per element and
+    pair. A non-empty profile puts mass in every sketch row, so a pair
+    fails in every cell or in none; when `failures` is given, the pairs
+    that failed are appended to it once.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
@@ -224,6 +286,8 @@ def run_grid(corpus: Corpus, grid: GridSpec) -> dict[tuple[int, int], float | No
         for depth in grid.depths:
             run = _run_pairwise(corpus, grid.params_for(dim, depth), grid.metric, cache)
             cells[(dim, depth)] = rmse(run.results) if run.results else None
+    if failures is not None:
+        failures.extend(run.failures)
     return cells
 
 

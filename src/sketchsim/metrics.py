@@ -74,16 +74,18 @@ def _require_comparable(p, q, expected_type: type) -> None:
     check_witnesses(witness_of(p), witness_of(q))
 
 
-def _dice(p: CounterTable, q: CounterTable, expected_type: type) -> float:
+def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Per-row min-sums and masses of the paired rows of two counter tables, as exact ints."""
+    shared = np.minimum(a, b).sum(axis=1, dtype=np.uint64).tolist()
+    return shared, a.sum(axis=1, dtype=np.uint64).tolist(), b.sum(axis=1, dtype=np.uint64).tolist()
+
+
+def _dice_score(shared, mass_p, mass_q) -> float:
     """Mean over rows of 2 * sum_i min(p_i, q_i) / sum_i (p_i + q_i).
 
     A row pair with zero denominator (both rows empty) is an error, not
     a skipped row: silently dropping rows would bias the average.
     """
-    _require_comparable(p, q, expected_type)
-    shared = np.minimum(p.table, q.table).sum(axis=1, dtype=np.uint64).tolist()
-    mass_p = p.table.sum(axis=1, dtype=np.uint64).tolist()
-    mass_q = q.table.sum(axis=1, dtype=np.uint64).tolist()
     values = []
     for row, (common, a, b) in enumerate(zip(shared, mass_p, mass_q)):
         if a + b == 0:
@@ -100,18 +102,31 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> list[int]:
     return [sum(x * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.tolist(), b.tolist())]
 
 
-def _cosine(p: CounterTable, q: CounterTable, expected_type: type) -> float:
+def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Per-row dot products and squared norms of the paired rows of two counter tables."""
+    return _row_dots(a, b), _row_dots(a, a), _row_dots(b, b)
+
+
+def _cosine_score(dots, norms_sq_p, norms_sq_q) -> float:
     """Mean over rows of the cosine of each pair of rows."""
-    _require_comparable(p, q, expected_type)
     values = []
-    rows = zip(_row_dots(p.table, q.table), _row_dots(p.table, p.table), _row_dots(q.table, q.table))
-    for dot, norm_sq_p, norm_sq_q in rows:
+    for dot, norm_sq_p, norm_sq_q in zip(dots, norms_sq_p, norms_sq_q):
         if norm_sq_p == 0 or norm_sq_q == 0:
             raise UndefinedSimilarityError("cosine of an all-zero counter vector is undefined")
         product = norm_sq_p * norm_sq_q
         root = math.isqrt(product)
         values.append(dot / (float(root) if root * root == product else math.sqrt(product)))
     return math.fsum(values) / len(values)
+
+
+# metric -> (row sums of paired table rows, row mean over those sums); the grid engine uses them too
+_ROW_SCORERS = {"dice": (_dice_sums, _dice_score), "cosine": (_cosine_sums, _cosine_score)}
+
+
+def _score(metric: str, p: CounterTable, q: CounterTable, expected_type: type) -> float:
+    _require_comparable(p, q, expected_type)
+    sums, score = _ROW_SCORERS[metric]
+    return score(*sums(p.table, q.table))
 
 
 def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
@@ -121,19 +136,19 @@ def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
     cross sum of both full counter vectors; with k hash functions it
     equals k * (|X| + |Y|), so the score keeps the Dice scale.
     """
-    return _dice(p, q, CountingBloomFilter)
+    return _score("dice", p, q, CountingBloomFilter)
 
 
 def cms_dice(r: CountMinSketch, s: CountMinSketch) -> float:
     """Dice coefficient of two CMSs: mean of the per-row CBF Dice values."""
-    return _dice(r, s, CountMinSketch)
+    return _score("dice", r, s, CountMinSketch)
 
 
 def cbf_cosine(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
     """Cosine similarity of two CBF counter vectors."""
-    return _cosine(p, q, CountingBloomFilter)
+    return _score("cosine", p, q, CountingBloomFilter)
 
 
 def cms_cosine(r: CountMinSketch, s: CountMinSketch) -> float:
     """Cosine similarity of two CMSs: mean of the per-row cosine values."""
-    return _cosine(r, s, CountMinSketch)
+    return _score("cosine", r, s, CountMinSketch)

@@ -97,7 +97,8 @@ class Multiset:
 def intersection_cardinality(x: Multiset, y: Multiset) -> int:
     """Multiset intersection size: sum over elements of min(count_x, count_y)."""
     small, large = (x, y) if x.distinct_count() <= y.distinct_count() else (y, x)
-    return sum(min(count, large.count(element)) for element, count in small.items())
+    entries = large._entries  # keys are already elements; count() would re-validate each one
+    return sum(min(count, entries.get(element, 0)) for element, count in small.items())
 
 
 def dice(x: Multiset, y: Multiset) -> float:
@@ -122,7 +123,8 @@ def cosine(x: Multiset, y: Multiset) -> float:
     if x.cardinality() == 0 or y.cardinality() == 0:
         raise UndefinedSimilarityError("cosine with an empty multiset is undefined")
     small, large = (x, y) if x.distinct_count() <= y.distinct_count() else (y, x)
-    dot = sum(count * large.count(element) for element, count in small.items())
+    entries = large._entries
+    dot = sum(count * entries.get(element, 0) for element, count in small.items())
     norm_sq_x = sum(count * count for _, count in x.items())
     norm_sq_y = sum(count * count for _, count in y.items())
     return dot / _exact_sqrt(norm_sq_x * norm_sq_y)

@@ -68,6 +68,23 @@ def _probe_positions(digests: tuple[np.ndarray, ...], hash_count: int, size: int
     return ((h1[None, :] + steps * h2[None, :]) % np.uint64(size)).astype(np.int64).ravel()
 
 
+def _count_rows(digests: tuple[np.ndarray, ...], owners: np.ndarray, counts: np.ndarray,
+                rows: int, width: int, hash_count: int) -> tuple[np.ndarray, bool]:
+    """The one bulk accumulator: a rows x width uint32 counter table and its saturation flag.
+
+    Entry i (its `_row_digests` under its row's seed) adds counts[i] at each
+    of its hash_count probes in row owners[i]. Counts from `_multiset_arrays`
+    keep the int64 sums exact. Indices are flat because np.add.at with a 2-D
+    index and broadcast values is not reliable across numpy versions.
+    """
+    accumulated = np.zeros(rows * width, dtype=np.int64)
+    if len(counts):
+        if hash_count > 1:
+            owners, counts = np.concatenate([owners] * hash_count), np.concatenate([counts] * hash_count)
+        np.add.at(accumulated, owners * width + _probe_positions(digests, hash_count, width), counts)
+    return _clip_saturating(accumulated.reshape(rows, width))
+
+
 class BloomFilter:
     """Probabilistic set membership over an n-bit vector.
 
@@ -189,47 +206,13 @@ class CounterTable:
         """
         sketch = cls(*args, **kwargs)
         elements, counts = _multiset_arrays(multiset)
-        sketch._accumulate([_row_digests(s, elements, sketch.hash_count) for s in sketch.row_seeds], counts)
+        rows = [_row_digests(row_seed, elements, sketch.hash_count) for row_seed in sketch.row_seeds]
+        sketch.table, sketch.saturated = _count_rows(
+            tuple(np.concatenate(parts) for parts in zip(*rows)), np.arange(sketch.depth).repeat(len(counts)),
+            np.concatenate([counts] * sketch.depth), sketch.depth, sketch.width, sketch.hash_count,
+        )
         sketch.total_insertions = multiset.cardinality()
         return sketch
-
-    @classmethod
-    def from_row_digests(
-        cls,
-        row_digests: list[tuple[np.ndarray, ...]],
-        counts: np.ndarray,
-        *,
-        width: int,
-        depth: int = 1,
-        hash_count: int = 1,
-        seed: int = 0,
-    ):
-        """Bulk build from precomputed digests, one `_row_digests` tuple per row.
-
-        Counts come from `_multiset_arrays`; callers that memoise digests
-        (the experiment grid) pass the same arrays for many shapes.
-        """
-        sketch = cls._shaped(width, depth, hash_count, seed)
-        sketch._accumulate(row_digests, counts)
-        return sketch
-
-    def _accumulate(self, row_digests: list[tuple[np.ndarray, ...]], counts: np.ndarray) -> None:
-        """The one bulk accumulator: add each count at all its probes, then saturate.
-
-        Positions are flattened and counts tiled to match, because
-        np.add.at with a 2-D index and broadcast values is not reliable
-        across numpy versions.
-        """
-        if len(row_digests) != self.depth:
-            raise ValueError(f"expected {self.depth} digest rows, got {len(row_digests)}")
-        if not len(counts):
-            return
-        accumulated = np.zeros((self.depth, self.width), dtype=np.int64)
-        tiled = np.tile(counts, self.hash_count) if self.hash_count > 1 else counts
-        for row, digests in enumerate(row_digests):
-            np.add.at(accumulated[row], _probe_positions(digests, self.hash_count, self.width), tiled)
-        self.table, self.saturated = _clip_saturating(accumulated)
-        self.total_insertions = int(counts.sum())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -224,6 +224,21 @@ class TestGridAndThreshold:
         assert "pairs failed" not in clean_err
         assert "1 of 2 pairs failed" in failed_err
 
+    def test_grid_logs_failed_pairs(self, tmp_path, capsys, monkeypatch):
+        ok = Multiset({"a": 2, "b": 1})
+        grids = []
+        for corpus in ([("ok", ok, ok)], [("ok", ok, ok), ("bad", Multiset(), Multiset())]):
+            monkeypatch.setattr(datasets, "load_corpus", lambda path, corpus=corpus: corpus)
+            out = tmp_path / f"grid{len(grids)}.csv"
+            code, out_text, err = run(capsys, "grid", "--corpus", "unused", "--out", str(out),
+                                      "--dims", "16,32", "--depths", "1,2")
+            assert code == 0 and out_text == ""
+            grids.append((out.read_bytes(), err))
+        (clean_csv, clean_err), (failed_csv, failed_err) = grids
+        assert failed_csv == clean_csv
+        assert "pairs failed" not in clean_err
+        assert "1 of 2 pairs failed (first: bad: Dice of two empty multisets is undefined)" in failed_err
+
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "grid", "--corpus", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "g.csv"))

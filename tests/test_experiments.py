@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import pytest
 
@@ -8,6 +9,12 @@ from sketchsim import (
     GridSpec,
     Multiset,
     SketchParams,
+    cbf_cosine,
+    cbf_dice,
+    cms_cosine,
+    cms_dice,
+    cosine,
+    dice,
     rmse,
     run_grid,
     run_pairwise,
@@ -16,10 +23,25 @@ from sketchsim import (
     write_grid_csv,
     write_threshold_csv,
 )
+from sketchsim.experiments import _BuildCache, _run_pairwise
+from sketchsim.sketches import COUNTER_TYPES
 
 
 def _result(pair_id, truth, estimate):
     return ComparisonResult(pair_id, truth, estimate, estimate - truth)
+
+
+def _reference_run(corpus, params, metric):
+    """run_pairwise built pair by pair from from_multiset and the public scorers."""
+    shape = (params.hash_count,) if params.kind == "cbf" else (params.depth,)
+    score = {"dice": {"cbf": cbf_dice, "cms": cms_dice}, "cosine": {"cbf": cbf_cosine, "cms": cms_cosine}}
+    truth_fn = {"dice": dice, "cosine": cosine}[metric]
+    results = []
+    for pair_id, x, y in corpus:
+        p, q = (COUNTER_TYPES[params.kind].from_multiset(m, params.width, *shape, params.seed) for m in (x, y))
+        truth, estimate = truth_fn(x, y), score[metric][params.kind](p, q)
+        results.append(ComparisonResult(pair_id, truth, estimate, estimate - truth))
+    return sorted(results, key=lambda r: (r.truth, r.pair_id))
 
 
 class TestRunPairwise:
@@ -76,6 +98,24 @@ class TestRunPairwise:
         assert run.results[0].truth == cosine(x, y)
 
 
+def test_build_cache_reused_across_profiles_and_shapes():
+    """One cache whose vocabulary grows between builds gives every from_multiset sketch."""
+    x = Multiset({"a": 3, "b": 1})
+    y = Multiset({"b": 2, "c": 5, "d": 1})
+    z = Multiset({"e": 2**33, "a": 1})
+    cache = _BuildCache(3)
+    for multiset, kind, width, shape in [(x, "cbf", 8, 1), (y, "cbf", 8, 1), (y, "cms", 5, 3), (z, "cbf", 16, 3),
+                                         (x, "cms", 4, 2), (z, "cms", 4, 2)]:
+        params = SketchParams(kind, width, seed=3, **({"hash_count": shape} if kind == "cbf" else {"depth": shape}))
+        built = cache.build(multiset, params)
+        reference = COUNTER_TYPES[kind].from_multiset(multiset, width, shape, 3)
+        assert built == reference
+        assert (built.saturated, built.total_insertions) == (reference.saturated, reference.total_insertions)
+    # a second corpus on the same cache scores only its own profiles
+    run = _run_pairwise([("zx", z, x)], SketchParams("cms", 4, depth=2, seed=3), "dice", cache)
+    assert run.results == _reference_run([("zx", z, x)], SketchParams("cms", 4, depth=2, seed=3), "dice")
+
+
 class TestRmse:
     def test_all_zero(self):
         assert rmse([_result("a", 1.0, 1.0)] * 3) == 0.0
@@ -94,12 +134,35 @@ class TestRmse:
 
 
 class TestRunGrid:
-    def test_single_cell_equals_pairwise_rmse(self, sd_corpus):
-        sample = sd_corpus[::100]
-        grid = GridSpec("cbf", dims=[128], depths=[2], seed=4)
-        cells = run_grid(sample, grid)
-        run = run_pairwise(sample, SketchParams("cbf", 128, hash_count=2, seed=4), "dice")
-        assert cells == {(128, 2): rmse(run.results)}
+    @pytest.mark.parametrize("metric", ["dice", "cosine"])
+    @pytest.mark.parametrize("kind", ["cbf", "cms"])
+    def test_cells_equal_per_pair_reference(self, sd_corpus, kind, metric):
+        shared = Multiset({"hot": 2**32 + 5, "cold": 3, "warm": 1})  # one cell saturates
+        corpus = list(sd_corpus[::100]) + [
+            ("same-object", shared, shared),
+            ("shared-a", shared, sd_corpus[3][2]),
+            ("shared-b", sd_corpus[5][2], shared),
+        ]
+        grid = GridSpec(kind, dims=[1, 16, 128], depths=[1, 2, 3], metric=metric, seed=4)
+        cells = run_grid(corpus, grid)
+        expected = {}
+        for dim in grid.dims:
+            for depth in grid.depths:
+                params = grid.params_for(dim, depth)
+                reference = _reference_run(corpus, params, metric)
+                run = run_pairwise(corpus, params, metric)
+                assert run.results == reference and not run.failures
+                expected[(dim, depth)] = rmse(reference)
+        assert cells == expected
+
+    def test_grid_memory_is_bounded(self, sd_corpus):
+        tracemalloc.start()
+        try:
+            run_grid(sd_corpus, GridSpec("cms", dims=[800], depths=[10]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     def test_deterministic(self, sd_corpus):
         sample = sd_corpus[::100]
@@ -114,8 +177,17 @@ class TestRunGrid:
 
     def test_all_failing_cell_is_none(self):
         corpus = [("bad", Multiset(), Multiset())]
-        cells = run_grid(corpus, GridSpec("cbf", dims=[16], depths=[1]))
-        assert cells == {(16, 1): None}
+        cells = run_grid(corpus, GridSpec("cbf", dims=[16, 32], depths=[1, 2]))
+        assert cells == {(16, 1): None, (16, 2): None, (32, 1): None, (32, 2): None}
+
+    def test_failures_reported_once(self):
+        ok = Multiset({"a": 1})
+        corpus = [("ok", ok, ok), ("bad", Multiset(), ok), ("worse", Multiset(), Multiset())]
+        failures = []
+        cells = run_grid(corpus, GridSpec("cbf", dims=[8, 16], depths=[1, 2], metric="cosine"), failures)
+        assert set(cells.values()) == {0.0}
+        assert failures == run_pairwise(corpus, SketchParams("cbf", 8), "cosine").failures
+        assert [f.pair_id for f in failures] == ["bad", "worse"]
 
 
 class TestThresholdReport:

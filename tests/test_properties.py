@@ -3,7 +3,8 @@
 They pin the invariants every counting-sketch build and scorer must keep:
 a one-hash CBF is a one-row CMS, all build paths agree with sequential
 inserts (saturation included), envelopes round-trip, decode fails only
-with typed errors, and sketch Dice never undershoots the exact Dice.
+with typed errors, sketch Dice never undershoots the exact Dice, and
+the bulk hash paths give the scalar digests.
 Examples are derandomised, so every run checks the same inputs.
 """
 
@@ -28,9 +29,11 @@ from sketchsim import (
     cms_dice,
     decode,
     dice,
+    digest_pair,
     encode,
 )
 from sketchsim.experiments import _BuildCache
+from sketchsim.hashing import digest1_bulk, digest_pairs_bulk
 from sketchsim.sketches import COUNTER_TYPES
 from sketchsim.wire import HEADER_SIZE, MAGIC
 
@@ -131,3 +134,11 @@ def test_sketch_dice_never_below_exact(x, y, width, probe_count, seed):
     # 1: 1}, y = {0: 1, 1: 1, 2: 7}, width 1, depth 3 gives
     # 0.3636363636363636 against 0.36363636363636365.
     assert cms_dice(r, s) >= truth - 2 * math.ulp(truth)
+
+
+@PROPERTY
+@given(st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=40), seeds)
+def test_bulk_hashing_matches_scalar(elements, seed):
+    h1, h2 = digest_pairs_bulk(seed, elements)
+    assert list(zip(h1.tolist(), h2.tolist())) == [digest_pair(seed, element) for element in elements]
+    assert digest1_bulk(seed, elements).tolist() == h1.tolist()
