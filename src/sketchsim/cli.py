@@ -124,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("b", type=Path)
     p.add_argument("--user-a", help="user id to pick from a multi-profile TSV")
     p.add_argument("--user-b", help="user id to pick from b")
-    p.add_argument("--metric", choices=("dice", "cosine"), default="dice")
+    p.add_argument("--metric", choices=list(metrics.METRICS), default="dice")
     p.add_argument("--truth", action="store_true", help="also print the exact score (profile inputs only)")
     _add_sketch_flags(p)
     p.set_defaults(run=_cmd_compare)
@@ -137,7 +137,7 @@ def build_parser() -> _Parser:
                    help="comma-separated lengths/widths")
     p.add_argument("--depths", type=_int_list, default=list(experiments.DEFAULT_DEPTHS),
                    help="comma-separated hash counts (cbf) or row counts (cms)")
-    p.add_argument("--metric", choices=("dice", "cosine"), default="dice")
+    p.add_argument("--metric", choices=list(metrics.METRICS), default="dice")
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(run=_cmd_grid)
 
@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", type=Path, required=True, help="corpus manifest.json")
     p.add_argument("--out", type=Path, required=True, help="report CSV output")
     p.add_argument("--threshold", type=_threshold, default=DEFAULT_THRESHOLD)
-    p.add_argument("--metric", choices=("dice", "cosine"), default="dice")
+    p.add_argument("--metric", choices=list(metrics.METRICS), default="dice")
     _add_sketch_flags(p)
     p.set_defaults(run=_cmd_threshold)
 
@@ -207,7 +207,7 @@ def _is_envelope(path: Path) -> bool:
 def _cmd_sketch(parser, args) -> int:
     params = _sketch_params(parser, args)
     profile = _load_profile(args.profile, args.user)
-    sketch = experiments._BuildCache(params.seed).build(profile, params)
+    sketch = params.sketch(profile)
     if sketch.saturated:
         _log("warning: at least one counter saturated")
     data = wire.encode(sketch)
@@ -228,19 +228,16 @@ def _cmd_compare(parser, args) -> int:
         witness = metrics.check_witnesses(metrics.witness_of(a), metrics.witness_of(b))
         if witness.kind == "bf":
             raise ValueError("plain Bloom filter envelopes carry no counts to compare")
-        estimate = experiments._ESTIMATE_FNS[(witness.kind, args.metric)](a, b)
-        print(f"estimate\t{estimate!r}")
+        print(f"estimate\t{metrics.score(args.metric, a, b)!r}")
         return EXIT_OK
     params = _sketch_params(parser, args)
     left = _load_profile(args.a, args.user_a)
     right = _load_profile(args.b, args.user_b)
-    cache = experiments._BuildCache(params.seed)
-    estimate = experiments._ESTIMATE_FNS[(params.kind, args.metric)](
-        cache.build(left, params), cache.build(right, params)
-    )
+    estimate = metrics.score(args.metric, params.sketch(left), params.sketch(right))
     print(f"estimate\t{estimate!r}")
     if args.truth:
-        truth = experiments._TRUTH_FNS[args.metric](left, right)
+        oracle, _, _ = metrics.METRICS[args.metric]
+        truth = oracle(left, right)
         print(f"truth\t{truth!r}")
         print(f"error\t{estimate - truth!r}")
     return EXIT_OK

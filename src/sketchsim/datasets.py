@@ -17,6 +17,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
@@ -214,7 +215,12 @@ def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
             magic = raw.read(2)
         opener = gzip.open if magic == b"\x1f\x8b" else open
         with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
-            yield from handle
+            read = 0
+            try:
+                for read, line in enumerate(handle, 1):
+                    yield line
+            except (EOFError, zlib.error) as exc:  # a truncated or corrupt gzip stream
+                raise TripletParseError(read + 1, f"compressed stream is damaged: {exc}") from None
     else:
         yield from source
 
@@ -350,13 +356,22 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as handle:
         manifest = json.load(handle)
-    if manifest.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(f"unsupported corpus manifest schema: {manifest.get('schema')!r}")
-    profiles = read_profiles(manifest_path.parent / manifest["profiles_file"])
+    if _field(manifest, "schema", str, "corpus manifest") != MANIFEST_SCHEMA:
+        raise ValueError(f"unsupported corpus manifest schema: {manifest['schema']!r}")
+    profiles = read_profiles(manifest_path.parent / _field(manifest, "profiles_file", str, "corpus manifest"))
     pairs = []
-    for entry in manifest["pairs"]:
+    for number, entry in enumerate(_field(manifest, "pairs", list, "corpus manifest")):
+        pair_id, a, b = (_field(entry, name, str, f"manifest pair {number}") for name in ("pair_id", "a", "b"))
         try:
-            pairs.append((entry["pair_id"], profiles[entry["a"]], profiles[entry["b"]]))
+            pairs.append((pair_id, profiles[a], profiles[b]))
         except KeyError as missing:
-            raise ValueError(f"manifest pair {entry['pair_id']!r} references unknown profile {missing}") from None
+            raise ValueError(f"manifest pair {pair_id!r} references unknown profile {missing}") from None
     return pairs
+
+
+def _field(record: object, name: str, kind: type, where: str):
+    """record[name] if record is a JSON object holding a `kind` there, else a ValueError naming the field."""
+    value = record.get(name) if isinstance(record, dict) else None
+    if not isinstance(value, kind):
+        raise ValueError(f"{where} needs a {kind.__name__} field {name!r}, got {value!r}")
+    return value

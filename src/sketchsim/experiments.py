@@ -4,14 +4,15 @@ A run builds both sketches of every corpus pair with identical
 parameters and seed, evaluates the chosen metric, and attaches the exact
 oracle score as ground truth. Grids repeat that over a parameter lattice
 and reduce each cell to an RMSE. Everything is deterministic for a fixed
-corpus and seed. A run holds its corpus in columns (`_BuildCache`), so a
-sweep digests each distinct element once per row seed, asks the oracle
-about each pair once, builds each sketch row of all profiles in one pass
-and scores all pairs from that row with the `metrics` row reducers.
+corpus and seed. A run holds its corpus in columns (`_Columns`, built
+once per run from that run's corpus), so a sweep digests each distinct
+element once per row seed, asks the oracle about each pair once, builds
+each sketch row of all profiles in one pass and scores all pairs from
+that row.
 
-`_ESTIMATE_FNS` and `_TRUTH_FNS` are the package's only metric dispatch
-tables and `_BuildCache.build` its only SketchParams -> sketch dispatch;
-the CLI uses all three.
+Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
+row sums, row reducer), which the named scorers and the CLI read too. A
+single sketch is built by `SketchParams.sketch`, that is `from_multiset`.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import metrics
 from .hashing import derive_row_seed
-from .multiset import Multiset, UndefinedSimilarityError, cosine, dice
+from .multiset import Multiset, UndefinedSimilarityError
 from .sketches import COUNTER_TYPES, CounterTable, _count_rows, _multiset_arrays, _row_digests
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
@@ -60,6 +61,11 @@ class SketchParams:
         if self.kind == "cms" and self.hash_count != 1:
             raise ValueError("a CMS has one hash function per row; use depth for d")
 
+    def sketch(self, multiset: Multiset) -> CounterTable:
+        """This configuration's sketch of a multiset, built by `from_multiset`."""
+        # both constructors take (width, k or d, seed), and one of depth and hash count is 1
+        return COUNTER_TYPES[self.kind].from_multiset(multiset, self.width, self.depth * self.hash_count, self.seed)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -78,8 +84,8 @@ class GridSpec:
             raise ValueError("dims and depths must be non-empty")
         if any(v < 1 for v in self.dims) or any(v < 1 for v in self.depths):
             raise ValueError("all grid dimensions must be >= 1")
-        if self.metric not in ("dice", "cosine"):
-            raise ValueError(f"metric must be 'dice' or 'cosine', got {self.metric!r}")
+        if self.metric not in metrics.METRICS:
+            raise ValueError(f"metric must be {' or '.join(map(repr, metrics.METRICS))}, got {self.metric!r}")
 
     def params_for(self, dim: int, depth: int) -> SketchParams:
         if self.kind == "cbf":
@@ -128,97 +134,65 @@ _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bou
 _DIGEST_CHUNK = 2**13  # vocabulary elements per digest call; bounds the memory hashing takes
 
 
-class _BuildCache:
-    """Per-run columnar corpus, shared by every cell of a run.
+class _Columns:
+    """A run's corpus in columns, built once from that corpus and never grown.
 
     Each distinct profile object is interned once, as CSR-style arrays:
     the ids of its elements in one bytes -> id vocabulary and its counts
-    clipped by `_multiset_arrays`. Digests are memoised per row seed over
-    the vocabulary and exact truths per pair and metric. `_rows` builds a
-    sketch row of many profiles at once; `build` is the one-profile case.
+    clipped by `_multiset_arrays`; `left` and `right` hold the profile
+    numbers of each pair's sides. Digests are memoised per row seed over
+    the vocabulary and exact truths per pair and metric.
     """
 
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._index: dict[int, int] = {}  # id(profile) -> profile number
-        self._profiles: list[Multiset] = []  # keeps every interned profile alive, so ids stay unique
-        self._vocabulary: dict[bytes, int] = {}
-        self._element = self._count = np.zeros(0, dtype=np.int64)
-        self._offsets = [0]  # profile p owns entries offsets[p]:offsets[p + 1]
+    def __init__(self, corpus: Corpus):
+        self.pair_ids = [pair_id for pair_id, _, _ in corpus]
+        sides = [profile for _, x, y in corpus for profile in (x, y)]
+        index: dict[int, int] = {}  # id(profile) -> profile number, first seen first
+        numbers = [index.setdefault(id(profile), len(index)) for profile in sides]
+        self.left, self.right = np.array(numbers[0::2]), np.array(numbers[1::2])
+        self.profiles = list({id(profile): profile for profile in sides}.values())
+        arrays = [_multiset_arrays(profile) for profile in self.profiles]
+        lengths = [len(counts) for _, counts in arrays]
+        vocabulary: dict[bytes, int] = {}
+        ids = (vocabulary.setdefault(e, len(vocabulary)) for elements, _ in arrays for e in elements)
+        self._element = np.fromiter(ids, np.int64, sum(lengths))
+        self._count = np.concatenate([counts for _, counts in arrays])
+        self._offsets = list(accumulate(lengths, initial=0))  # profile p owns entries offsets[p]:offsets[p + 1]
+        self._vocabulary = list(vocabulary)
         self._digests: dict[int, tuple[np.ndarray, ...]] = {}  # row seed -> (h1,) or (h1, h2) per element id
         self._truths: dict[tuple[str, int, int], float] = {}  # (metric, left, right) -> exact score
-
-    def _intern(self, multisets: Iterable[Multiset]) -> list[int]:
-        """The profile number of each multiset, interning the ones not seen before."""
-        numbers, new = [], []
-        for multiset in multisets:
-            if id(multiset) not in self._index:
-                self._index[id(multiset)] = len(self._profiles)
-                self._profiles.append(multiset)
-                new.append(_multiset_arrays(multiset))
-            numbers.append(self._index[id(multiset)])
-        if new:
-            vocabulary = self._vocabulary
-            ids = (vocabulary.setdefault(e, len(vocabulary)) for elements, _ in new for e in elements)
-            lengths = [len(counts) for _, counts in new]
-            self._element = np.concatenate([self._element, np.fromiter(ids, np.int64, sum(lengths))])
-            self._count = np.concatenate([self._count, *(counts for _, counts in new)])
-            self._offsets += list(accumulate(lengths, initial=self._offsets[-1]))[1:]
-        return numbers
 
     def _vocabulary_digests(self, row_seed: int, hash_count: int) -> tuple[np.ndarray, ...]:
         """`_row_digests` of every vocabulary element under a row seed."""
         digests = self._digests.get(row_seed)
-        if not digests or len(digests[0]) < len(self._vocabulary) or len(digests) < min(hash_count, 2):
-            elements = list(self._vocabulary)
-            parts = [_row_digests(row_seed, elements[i : i + _DIGEST_CHUNK], hash_count)
-                     for i in range(0, len(elements), _DIGEST_CHUNK)]
+        if not digests or len(digests) < min(hash_count, 2):
+            parts = [_row_digests(row_seed, self._vocabulary[i : i + _DIGEST_CHUNK], hash_count)
+                     for i in range(0, len(self._vocabulary), _DIGEST_CHUNK)]
             digests = self._digests[row_seed] = tuple(np.concatenate(column) for column in zip(*parts))
         return digests
 
     def _truth(self, metric: str, left: int, right: int) -> float:
-        """The exact score of a pair of interned profiles, from one oracle call (an undefined one raises each time)."""
+        """The exact score of a pair of profiles, from one oracle call (an undefined one raises each time)."""
         key = (metric, left, right)
         if key not in self._truths:
-            self._truths[key] = _TRUTH_FNS[metric](self._profiles[left], self._profiles[right])
+            oracle, _, _ = metrics.METRICS[metric]
+            self._truths[key] = oracle(self.profiles[left], self.profiles[right])
         return self._truths[key]
 
-    def _rows(self, profiles: range, params: SketchParams) -> Iterator[tuple[np.ndarray, bool]]:
-        """Each sketch row of the profiles in turn, in one (profiles x width) uint32 buffer, and its saturation."""
-        offsets = self._offsets
-        longest = int(np.diff(offsets[profiles.start : profiles.stop + 1]).max())
-        step = max(1, _CHUNK_CELLS // (params.width + params.hash_count * longest))
-        table = np.empty((len(profiles), params.width), dtype=np.uint32)
+    def _rows(self, params: SketchParams) -> Iterator[np.ndarray]:
+        """Each sketch row of every profile in turn, in one reused (profiles x width) uint32 buffer."""
+        offsets, profiles = self._offsets, len(self.profiles)
+        step = max(1, _CHUNK_CELLS // (params.width + params.hash_count * int(np.diff(offsets).max())))
+        table = np.empty((profiles, params.width), dtype=np.uint32)
         for row in range(params.depth):
-            digests = self._vocabulary_digests(derive_row_seed(self.seed, row), params.hash_count)
-            saturated = False
-            for first in range(profiles.start, profiles.stop, step):
-                last = min(first + step, profiles.stop)
+            digests = self._vocabulary_digests(derive_row_seed(params.seed, row), params.hash_count)
+            for first in range(0, profiles, step):
+                last = min(first + step, profiles)
                 entries = slice(offsets[first], offsets[last])
                 owners = np.repeat(np.arange(last - first), np.diff(offsets[first : last + 1]))
-                part, part_saturated = _count_rows(tuple(d[self._element[entries]] for d in digests), owners,
+                table[first:last], _ = _count_rows(tuple(d[self._element[entries]] for d in digests), owners,
                                                    self._count[entries], last - first, params.width, params.hash_count)
-                table[first - profiles.start : last - profiles.start] = part
-                saturated = saturated or part_saturated
-            yield table, saturated
-
-    def build(self, multiset: Multiset, params: SketchParams) -> CounterTable:
-        sketch = COUNTER_TYPES[params.kind]._shaped(params.width, params.depth, params.hash_count, self.seed)
-        (number,) = self._intern([multiset])
-        for row, (table, saturated) in enumerate(self._rows(range(number, number + 1), params)):
-            sketch.table[row] = table[0]
-            sketch.saturated = sketch.saturated or saturated
-        sketch.total_insertions = multiset.cardinality()
-        return sketch
-
-
-_TRUTH_FNS: dict[str, Callable[[Multiset, Multiset], float]] = {"dice": dice, "cosine": cosine}
-_ESTIMATE_FNS = {
-    ("cbf", "dice"): metrics.cbf_dice,
-    ("cbf", "cosine"): metrics.cbf_cosine,
-    ("cms", "dice"): metrics.cms_dice,
-    ("cms", "cosine"): metrics.cms_cosine,
-}
+            yield table
 
 
 def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> PairwiseRun:
@@ -231,26 +205,24 @@ def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> 
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    return _run_pairwise(corpus, params, metric, _BuildCache(params.seed))
+    return _run_pairwise(_Columns(corpus), params, metric)
 
 
-def _run_pairwise(corpus: Corpus, params: SketchParams, metric: str, cache: _BuildCache) -> PairwiseRun:
-    if metric not in _TRUTH_FNS:
+def _run_pairwise(columns: _Columns, params: SketchParams, metric: str) -> PairwiseRun:
+    if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
-    sums, score = metrics._ROW_SCORERS[metric]
-    numbers = cache._intern(profile for _, x, y in corpus for profile in (x, y))
-    lowest = min(numbers)  # rows cover profiles lowest..max(numbers), which is all of a run's own cache
-    left, right = np.array(numbers[0::2]) - lowest, np.array(numbers[1::2]) - lowest
+    _, sums, score = metrics.METRICS[metric]
+    left, right = columns.left, columns.right
     step = max(1, _CHUNK_CELLS // params.width)
     row_sums = []  # per sketch row, the metric's row sums of every pair
-    for table, _ in cache._rows(range(lowest, max(numbers) + 1), params):
-        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(corpus), step)]
+    for table in columns._rows(params):
+        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
         row_sums.append([list(chain.from_iterable(parts)) for parts in zip(*chunks)])
     pair_sums = zip(*(zip(*rows) for rows in zip(*row_sums)))  # per pair, each sum over the sketch rows
     results, failures = [], []
-    for (pair_id, _, _), x, y, pair in zip(corpus, numbers[0::2], numbers[1::2], pair_sums):
+    for pair_id, x, y, pair in zip(columns.pair_ids, left.tolist(), right.tolist(), pair_sums):
         try:
-            truth = cache._truth(metric, x, y)
+            truth = columns._truth(metric, x, y)
             estimate = score(*pair)
         except UndefinedSimilarityError as exc:
             failures.append(PairFailure(pair_id, str(exc)))
@@ -280,11 +252,11 @@ def run_grid(
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    cache = _BuildCache(grid.seed)
+    columns = _Columns(corpus)
     cells: dict[tuple[int, int], float | None] = {}
     for dim in grid.dims:
         for depth in grid.depths:
-            run = _run_pairwise(corpus, grid.params_for(dim, depth), grid.metric, cache)
+            run = _run_pairwise(columns, grid.params_for(dim, depth), grid.metric)
             cells[(dim, depth)] = rmse(run.results) if run.results else None
     if failures is not None:
         failures.extend(run.failures)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .multiset import UndefinedSimilarityError
+from .multiset import UndefinedSimilarityError, cosine, dice
 from .sketches import BloomFilter, CounterTable, CountMinSketch, CountingBloomFilter
 
 
@@ -119,14 +119,16 @@ def _cosine_score(dots, norms_sq_p, norms_sq_q) -> float:
     return math.fsum(values) / len(values)
 
 
-# metric -> (row sums of paired table rows, row mean over those sums); the grid engine uses them too
-_ROW_SCORERS = {"dice": (_dice_sums, _dice_score), "cosine": (_cosine_sums, _cosine_score)}
+# The one metric table: metric -> (exact oracle, row sums of paired table rows, row mean over those
+# sums); the named scorers, the grid engine and the CLI all read it.
+METRICS = {"dice": (dice, _dice_sums, _dice_score), "cosine": (cosine, _cosine_sums, _cosine_score)}
 
 
-def _score(metric: str, p: CounterTable, q: CounterTable, expected_type: type) -> float:
-    _require_comparable(p, q, expected_type)
-    sums, score = _ROW_SCORERS[metric]
-    return score(*sums(p.table, q.table))
+def score(metric: str, p: CounterTable, q: CounterTable, sketch_type: type = CounterTable) -> float:
+    """The sketch estimate of `metric` for two comparable counter tables of `sketch_type`."""
+    _require_comparable(p, q, sketch_type)
+    _, sums, row_mean = METRICS[metric]
+    return row_mean(*sums(p.table, q.table))
 
 
 def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
@@ -136,19 +138,19 @@ def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
     cross sum of both full counter vectors; with k hash functions it
     equals k * (|X| + |Y|), so the score keeps the Dice scale.
     """
-    return _score("dice", p, q, CountingBloomFilter)
+    return score("dice", p, q, CountingBloomFilter)
 
 
 def cms_dice(r: CountMinSketch, s: CountMinSketch) -> float:
     """Dice coefficient of two CMSs: mean of the per-row CBF Dice values."""
-    return _score("dice", r, s, CountMinSketch)
+    return score("dice", r, s, CountMinSketch)
 
 
 def cbf_cosine(p: CountingBloomFilter, q: CountingBloomFilter) -> float:
     """Cosine similarity of two CBF counter vectors."""
-    return _score("cosine", p, q, CountingBloomFilter)
+    return score("cosine", p, q, CountingBloomFilter)
 
 
 def cms_cosine(r: CountMinSketch, s: CountMinSketch) -> float:
     """Cosine similarity of two CMSs: mean of the per-row cosine values."""
-    return _score("cosine", r, s, CountMinSketch)
+    return score("cosine", r, s, CountMinSketch)

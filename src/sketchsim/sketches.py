@@ -168,13 +168,6 @@ class CounterTable:
         self.total_insertions = 0
         self.saturated = False  # True once any cell has been clamped at COUNTER_MAX
 
-    @classmethod
-    def _shaped(cls, width: int, depth: int, hash_count: int, seed: int):
-        """An empty sketch of this class, given the general table shape."""
-        sketch = cls.__new__(cls)
-        CounterTable.__init__(sketch, width, depth, hash_count, seed)
-        return sketch
-
     def _cells(self, element: bytes | str) -> list[tuple[int, int]]:
         """(row, column) of every probe of an element."""
         return [

@@ -141,7 +141,8 @@ def decode(data: bytes) -> Sketch:
         unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
         sketch.bits = unpacked[: witness.width].astype(bool)
         return sketch
-    sketch = COUNTER_TYPES[witness.kind]._shaped(witness.width, witness.depth, witness.hash_count, witness.seed)
+    # both constructors take (width, k or d, seed), and one of depth and hash count is 1
+    sketch = COUNTER_TYPES[witness.kind](witness.width, witness.depth * witness.hash_count, witness.seed)
     sketch.table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(witness.depth, witness.width)
     sketch.total_insertions = int(sketch.table[0].sum(dtype=np.uint64)) // witness.hash_count
     sketch.saturated = bool((sketch.table == COUNTER_MAX).any())

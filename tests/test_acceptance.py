@@ -30,7 +30,7 @@ from sketchsim import (
     run_pairwise,
     threshold_report,
 )
-from sketchsim.experiments import DEFAULT_DEPTHS, DEFAULT_DIMS, _BuildCache, _run_pairwise
+from sketchsim.experiments import DEFAULT_DEPTHS, DEFAULT_DIMS, _Columns, _run_pairwise
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
 SKETCH_SEED = 0
@@ -71,14 +71,14 @@ def test_c02_overestimation_across_default_grid(sd_corpus, real_like_corpus):
     corpus = list(sd_corpus) + list(real_like_corpus)
     worst = 0.0
     for kind in ("cbf", "cms"):
-        cache = _BuildCache(SKETCH_SEED)
+        columns = _Columns(corpus)
         for dim in DEFAULT_DIMS:
             for depth in DEFAULT_DEPTHS:
                 if kind == "cbf":
                     params = SketchParams("cbf", dim, hash_count=depth, seed=SKETCH_SEED)
                 else:
                     params = SketchParams("cms", dim, depth=depth, seed=SKETCH_SEED)
-                run = _run_pairwise(corpus, params, "dice", cache)
+                run = _run_pairwise(columns, params, "dice")
                 assert not run.failures
                 cell_min = min(r.error for r in run.results)
                 worst = min(worst, cell_min)

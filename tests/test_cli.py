@@ -1,14 +1,24 @@
+import gzip
 import json
 from pathlib import Path
 
 import pytest
 
 from sketchsim import (
+    BloomFilter,
+    CountingBloomFilter,
+    CountMinSketch,
     Multiset,
     SyntheticPair,
+    cbf_cosine,
+    cbf_dice,
+    cms_cosine,
+    cms_dice,
+    cosine,
     datasets,
     decode,
     dice,
+    encode,
     read_profiles,
     write_corpus,
     write_profiles,
@@ -92,6 +102,20 @@ class TestIngest:
         assert "line 2" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_is_data_error(self, tmp_path, capsys, damage):
+        data = bytearray(gzip.compress(FIXTURE.read_bytes()))
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        else:
+            data[200:260] = bytes(b ^ 0xFF for b in data[200:260])
+        bad = tmp_path / "bad.tsv.gz"
+        bad.write_bytes(bytes(data))
+        code, _, err = run(capsys, "ingest", str(bad), "--out", str(tmp_path / "x.tsv"))
+        assert code == 1
+        assert err.startswith("sketchsim: error: line ") and "compressed stream is damaged" in err
+        assert "Traceback" not in err
+
 
 class TestSketchAndCompare:
     @pytest.fixture
@@ -166,6 +190,52 @@ class TestSketchAndCompare:
         assert code == 64
 
 
+class TestLibraryPaths:
+    """`sketch` and `compare` print exactly what the public library gives."""
+
+    SCORERS = {("cbf", "dice"): cbf_dice, ("cbf", "cosine"): cbf_cosine,
+               ("cms", "dice"): cms_dice, ("cms", "cosine"): cms_cosine}
+
+    @pytest.fixture
+    def profiles(self, tmp_path):
+        left = Multiset({"hot": 2**32 + 5, "cold": 3, "warm": 1})  # saturates a counter
+        right = Multiset({"hot": 7, "cold": 2, "new": 5})
+        paths = [tmp_path / "left.tsv", tmp_path / "right.tsv"]
+        for path, profile in zip(paths, (left, right)):
+            write_profiles(path, {path.stem: profile})
+        return (left, right), paths
+
+    @pytest.mark.parametrize("metric", ["dice", "cosine"])
+    @pytest.mark.parametrize("kind, sketch_type, flag", [("cbf", CountingBloomFilter, "--hashes"),
+                                                         ("cms", CountMinSketch, "--depth")])
+    def test_sketch_and_compare_match_library(self, tmp_path, capsys, profiles, kind, sketch_type, flag, metric):
+        (left, right), paths = profiles
+        shape = 3 if kind == "cbf" else 4
+        sketch_args = ("--kind", kind, flag, str(shape), "--length", "32", "--seed", "5")
+        sketches, envelopes = [], []
+        for profile, path in zip((left, right), paths):
+            out = tmp_path / f"{path.stem}.env"
+            code, _, err = run(capsys, "sketch", str(path), "--out", str(out), *sketch_args)
+            sketches.append(sketch_type.from_multiset(profile, 32, shape, 5))
+            assert code == 0
+            assert out.read_bytes() == encode(sketches[-1])
+            assert ("warning: at least one counter saturated" in err) == (profile is left)
+            envelopes.append(str(out))
+        estimate = self.SCORERS[kind, metric](*sketches)
+        assert run(capsys, "compare", *envelopes, "--metric", metric)[:2] == (0, f"estimate\t{estimate!r}\n")
+        truth = {"dice": dice, "cosine": cosine}[metric](left, right)
+        code, out, _ = run(capsys, "compare", *map(str, paths), *sketch_args, "--metric", metric, "--truth")
+        assert (code, out) == (0, f"estimate\t{estimate!r}\ntruth\t{truth!r}\nerror\t{estimate - truth!r}\n")
+
+    def test_bloom_filter_envelopes_rejected(self, tmp_path, capsys, profiles):
+        (left, _), _ = profiles
+        envelope = tmp_path / "bf.env"
+        envelope.write_bytes(encode(BloomFilter.from_multiset(left, 32, 2, 5)))
+        code, out, err = run(capsys, "compare", str(envelope), str(envelope))
+        assert (code, out) == (1, "")
+        assert err.startswith("sketchsim: error:") and "carry no counts" in err
+
+
 class TestGridAndThreshold:
     @pytest.fixture
     def corpus(self, tmp_path, capsys):
@@ -238,6 +308,25 @@ class TestGridAndThreshold:
         assert failed_csv == clean_csv
         assert "pairs failed" not in clean_err
         assert "1 of 2 pairs failed (first: bad: Dice of two empty multisets is undefined)" in failed_err
+
+    @pytest.mark.parametrize("manifest, field", [
+        ([], "'schema'"),
+        ({"pairs": []}, "'profiles_file'"),
+        ({"profiles_file": "profiles.tsv"}, "'pairs'"),
+        ({"profiles_file": "profiles.tsv", "pairs": [{"a": "u1", "b": "u1"}]}, "'pair_id'"),
+        ({"profiles_file": 7, "pairs": []}, "'profiles_file'"),
+        ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": ["u1"], "b": "u1"}]}, "'a'"),
+    ], ids=["not-an-object", "no-profiles-file", "no-pairs", "no-pair-id", "profiles-file-int", "a-list"])
+    def test_malformed_manifest_is_data_error(self, tmp_path, capsys, manifest, field):
+        write_profiles(tmp_path / "profiles.tsv", {"u1": Multiset({"s": 1})})
+        if isinstance(manifest, dict):
+            manifest = {"schema": datasets.MANIFEST_SCHEMA, **manifest}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "grid", "--corpus", str(path), "--out", str(tmp_path / "g.csv"))
+        assert code == 1
+        assert err.startswith("sketchsim: error:") and field in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "grid", "--corpus", str(tmp_path / "nope.json"),

@@ -2,6 +2,7 @@ import io
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from sketchsim import (
@@ -23,7 +24,7 @@ from sketchsim import (
     write_grid_csv,
     write_threshold_csv,
 )
-from sketchsim.experiments import _BuildCache, _run_pairwise
+from sketchsim.experiments import _Columns
 from sketchsim.sketches import COUNTER_TYPES
 
 
@@ -98,22 +99,19 @@ class TestRunPairwise:
         assert run.results[0].truth == cosine(x, y)
 
 
-def test_build_cache_reused_across_profiles_and_shapes():
-    """One cache whose vocabulary grows between builds gives every from_multiset sketch."""
+def test_engine_rows_equal_from_multiset():
+    """One run's columns give every profile, under every shape, the table of from_multiset."""
     x = Multiset({"a": 3, "b": 1})
     y = Multiset({"b": 2, "c": 5, "d": 1})
-    z = Multiset({"e": 2**33, "a": 1})
-    cache = _BuildCache(3)
-    for multiset, kind, width, shape in [(x, "cbf", 8, 1), (y, "cbf", 8, 1), (y, "cms", 5, 3), (z, "cbf", 16, 3),
-                                         (x, "cms", 4, 2), (z, "cms", 4, 2)]:
+    z = Multiset({"e": 2**33, "a": 1})  # saturates
+    columns = _Columns([("xy", x, y), ("zx", z, x)])
+    assert [id(p) for p in columns.profiles] == [id(x), id(y), id(z)]
+    assert (columns.left.tolist(), columns.right.tolist()) == ([0, 2], [1, 0])
+    for kind, width, shape in [("cbf", 8, 1), ("cms", 5, 3), ("cbf", 16, 3), ("cms", 4, 2), ("cbf", 8, 2)]:
         params = SketchParams(kind, width, seed=3, **({"hash_count": shape} if kind == "cbf" else {"depth": shape}))
-        built = cache.build(multiset, params)
-        reference = COUNTER_TYPES[kind].from_multiset(multiset, width, shape, 3)
-        assert built == reference
-        assert (built.saturated, built.total_insertions) == (reference.saturated, reference.total_insertions)
-    # a second corpus on the same cache scores only its own profiles
-    run = _run_pairwise([("zx", z, x)], SketchParams("cms", 4, depth=2, seed=3), "dice", cache)
-    assert run.results == _reference_run([("zx", z, x)], SketchParams("cms", 4, depth=2, seed=3), "dice")
+        rows = np.stack([table.copy() for table in columns._rows(params)], axis=1)  # profile x row x width
+        for profile, table in zip(columns.profiles, rows):
+            assert np.array_equal(table, COUNTER_TYPES[kind].from_multiset(profile, width, shape, 3).table)
 
 
 class TestRmse:

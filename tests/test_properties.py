@@ -32,7 +32,7 @@ from sketchsim import (
     digest_pair,
     encode,
 )
-from sketchsim.experiments import _BuildCache
+from sketchsim.experiments import _Columns
 from sketchsim.hashing import digest1_bulk, digest_pairs_bulk
 from sketchsim.sketches import COUNTER_TYPES
 from sketchsim.wire import HEADER_SIZE, MAGIC
@@ -52,14 +52,15 @@ def multisets(counts=small_counts):
 
 
 def _sketches(kind, multiset, width, probe_count, seed):
-    """The same sketch by from_multiset, by _BuildCache.build and by sequential insert."""
+    """The same sketch by from_multiset, as the grid engine's rows and by sequential insert."""
     sketch_type = COUNTER_TYPES[kind]  # both constructors take (width, k or d, seed)
     shape = {"hash_count": probe_count} if kind == "cbf" else {"depth": probe_count}
-    cached = _BuildCache(seed).build(multiset, SketchParams(kind, width, seed=seed, **shape))
+    columns = _Columns([("p", multiset, multiset)])  # one pair, one profile
+    rows = np.array([table[0].copy() for table in columns._rows(SketchParams(kind, width, seed=seed, **shape))])
     manual = sketch_type(width, probe_count, seed)
     for element, count in multiset.items():
         manual.insert(element, count)
-    return sketch_type.from_multiset(multiset, width, probe_count, seed), cached, manual
+    return sketch_type.from_multiset(multiset, width, probe_count, seed), rows, manual
 
 
 @PROPERTY
@@ -76,11 +77,11 @@ def test_one_hash_cbf_is_one_row_cms(x, y, width, seed):
 @PROPERTY
 @given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
 def test_build_paths_agree_with_sequential_insert(kind, multiset, width, probe_count, seed):
-    bulk, cached, manual = _sketches(kind, multiset, width, probe_count, seed)
-    for built in (bulk, cached):
-        assert np.array_equal(built.table, manual.table)
-        assert built.saturated == manual.saturated
-        assert built.total_insertions == manual.total_insertions == multiset.cardinality()
+    bulk, rows, manual = _sketches(kind, multiset, width, probe_count, seed)
+    assert np.array_equal(rows, manual.table)
+    assert np.array_equal(bulk.table, manual.table)
+    assert bulk.saturated == manual.saturated
+    assert bulk.total_insertions == manual.total_insertions == multiset.cardinality()
 
 
 @PROPERTY

@@ -13,7 +13,7 @@ from sketchsim import (
     SketchParams,
     cms_to_cbf,
 )
-from sketchsim.experiments import _BuildCache
+from sketchsim.experiments import _Columns
 
 
 def _random_multiset(rng, max_distinct=40, max_count=9):
@@ -236,8 +236,8 @@ def test_bulk_build_saturation_matches_incremental(kind, depth, length, count):
     for element, times in m.items():
         manual.insert(element, times)
     assert manual.saturated or count == COUNTER_MAX
-    cached = _BuildCache(0).build(m, params)
-    for built in (bulk, cached):
-        assert built == manual
-        assert built.saturated == manual.saturated
-        assert built.total_insertions == manual.total_insertions == m.cardinality()
+    rows = np.array([table[0].copy() for table in _Columns([("p", m, m)])._rows(params)])
+    assert np.array_equal(rows, manual.table)  # the grid engine's rows of a one-profile corpus
+    assert bulk == manual
+    assert bulk.saturated == manual.saturated
+    assert bulk.total_insertions == manual.total_insertions == m.cardinality()

@@ -1,11 +1,14 @@
 import hashlib
+import os
 import random
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sketchsim
 from sketchsim import (
     BadMagicError,
     BloomFilter,
@@ -100,8 +103,11 @@ class TestRoundTrip:
             "data = encode(CountingBloomFilter.from_multiset(m, 128, 1, seed=42))\n"
             "sys.stdout.write(hashlib.sha256(data).hexdigest())\n"
         )
+        # the child imports the same sketchsim as this process, also when it is not installed
+        package_root = str(Path(sketchsim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
         digest = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, check=True
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
         ).stdout
         m = Multiset({"song-a": 3, "song-b": 1, "song-c": 9})
         local = hashlib.sha256(encode(CountingBloomFilter.from_multiset(m, 128, 1, seed=42))).hexdigest()
