@@ -29,7 +29,6 @@ from .sketches import (
     cms_to_cbf,
 )
 from .metrics import (
-    CompatibilityWitness,
     IncompatibleSketchError,
     cbf_cosine,
     cbf_dice,
@@ -40,7 +39,6 @@ from .metrics import (
 )
 from .datasets import (
     GenerationError,
-    ListeningRecord,
     SyntheticPair,
     TripletParseError,
     build_user_profiles,
@@ -58,14 +56,12 @@ from .experiments import (
     ComparisonResult,
     GridSpec,
     PairFailure,
-    PairwiseRun,
     SketchParams,
     ThresholdReport,
     rmse,
     run_grid,
     run_pairwise,
     threshold_report,
-    write_comparisons_csv,
     write_grid_csv,
     write_threshold_csv,
 )
@@ -78,7 +74,6 @@ from .wire import (
     decode,
     decode_header,
     encode,
-    envelope_size,
 )
 
 __version__ = "0.1.0"

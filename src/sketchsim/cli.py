@@ -171,9 +171,9 @@ def _cmd_gen(parser, args) -> int:
 
 
 def _cmd_ingest(parser, args) -> int:
-    records = datasets.ingest_triplets(args.triplets)
-    profiles = datasets.build_user_profiles(records, args.min_distinct)
-    total_users = len({r.user for r in records})
+    plays = datasets.ingest_triplets(args.triplets)
+    profiles = datasets.build_user_profiles(plays, args.min_distinct)
+    total_users = len({user for user, _ in plays})
     distinct_songs = len({song for profile in profiles.values() for song, _ in profile.items()})
     total_plays = sum(profile.cardinality() for profile in profiles.values())
     datasets.write_profiles(args.out, profiles)

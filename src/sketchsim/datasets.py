@@ -8,8 +8,10 @@ stored score is always recomputed by the exact oracle, never assumed
 from the construction.
 
 Real listening histories arrive as tab-separated ``user<TAB>song<TAB>count``
-lines (gzip accepted); profiles are one multiset per user, filtered by a
-minimum number of distinct songs.
+lines (gzip accepted; a file is decoded as UTF-8 line by line, minus one
+leading byte-order mark). One pass checks each line and sums the plays
+per (user, song); profiles group that mapping into one multiset per
+user, filtered by a minimum number of distinct songs.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import gzip
 import json
 import logging
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping
@@ -59,13 +62,6 @@ class SyntheticPair:
     other: Multiset
     target_dice: float
     exact_dice: float
-
-
-@dataclass(frozen=True)
-class ListeningRecord:
-    user: str
-    song: str
-    play_count: int
 
 
 def _random_string(rng: np.random.Generator, length: int) -> bytes:
@@ -214,24 +210,27 @@ def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
         with open(path, "rb") as raw:
             magic = raw.read(2)
         opener = gzip.open if magic == b"\x1f\x8b" else open
-        with opener(path, "rt", encoding="utf-8") as handle:  # type: ignore[operator]
+        with opener(path, "rb") as handle:  # type: ignore[operator]
             read = 0
             try:
                 for read, line in enumerate(handle, 1):
-                    yield line
+                    yield line.decode("utf-8-sig" if read == 1 else "utf-8")  # -sig drops one leading BOM
+            except UnicodeDecodeError as exc:
+                raise TripletParseError(read, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
             except (EOFError, zlib.error) as exc:  # a truncated or corrupt gzip stream
                 raise TripletParseError(read + 1, f"compressed stream is damaged: {exc}") from None
     else:
         yield from source
 
 
-def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> list[ListeningRecord]:
-    """Parse ``user<TAB>song<TAB>count`` lines into listening records.
+def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> dict[tuple[str, str], int]:
+    """Parse ``user<TAB>song<TAB>count`` lines into (user, song) -> summed plays.
 
-    Blank lines are skipped. A count is a string of ASCII digits between
-    1 and COUNT_MAX. Malformed lines raise TripletParseError with their
-    line number. Duplicate (user, song) lines are summed, keeping
-    first-seen order, and one warning per call counts them; a sum above
+    Keys keep first-seen order, so the length is the number of distinct
+    (user, song) pairs. Blank lines are skipped. A count is a string of
+    ASCII digits between 1 and COUNT_MAX. Malformed lines raise
+    TripletParseError with their line number. Duplicate (user, song)
+    lines are summed and one warning per call counts them; a sum above
     COUNT_MAX is a parse error at the line that crosses it.
     """
     merged: dict[tuple[str, str], int] = {}
@@ -269,17 +268,22 @@ def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> list[Listen
         logger.warning(
             "%d duplicate (user, song) lines; counts summed (first: %s)", duplicate_lines, ", ".join(first_duplicates)
         )
-    return [ListeningRecord(user, song, count) for (user, song), count in merged.items()]
+    return merged
 
 
-def build_user_profiles(records: Iterable[ListeningRecord], min_distinct: int = 0) -> dict[str, Multiset]:
-    """One multiset per user (song -> plays), dropping users below `min_distinct` songs."""
+def build_user_profiles(plays: Mapping[tuple[str, str], int], min_distinct: int = 0) -> dict[str, Multiset]:
+    """One multiset per user (song -> plays), dropping users below `min_distinct` songs.
+
+    `plays` is taken as `ingest_triplets` checked it; users keep first-seen order.
+    """
     if min_distinct < 0:
         raise ValueError(f"min_distinct must be >= 0, got {min_distinct}")
-    profiles: dict[str, Multiset] = {}
-    for record in records:
-        profiles.setdefault(record.user, Multiset()).insert(record.song, record.play_count)
-    return {user: profile for user, profile in profiles.items() if profile.distinct_count() >= min_distinct}
+    songs_by_user: defaultdict[str, dict[bytes, int]] = defaultdict(dict)
+    for (user, song), count in plays.items():
+        songs_by_user[user][song.encode("utf-8")] = count
+    return {
+        user: Multiset._from_checked(songs) for user, songs in songs_by_user.items() if len(songs) >= min_distinct
+    }
 
 
 def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Multiset]) -> None:

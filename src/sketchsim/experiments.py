@@ -33,7 +33,6 @@ from .sketches import COUNTER_TYPES, CounterTable, _count_rows, _multiset_arrays
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
 
-COMPARISON_COLUMNS = ["pair_id", "truth", "estimate", "error"]
 GRID_COLUMNS = ["dim", "depth", "rmse"]
 THRESHOLD_COLUMNS = ["threshold", "tp", "fp", "tn", "fn", "max_overshoot"]
 
@@ -292,12 +291,6 @@ def _write_csv(destination: str | Path | IO[str], header: list[str], rows: Itera
     writer = csv.writer(destination)
     writer.writerow(header)
     writer.writerows(rows)
-
-
-def write_comparisons_csv(destination: str | Path | IO[str], results: Sequence[ComparisonResult]) -> None:
-    """Columns: pair_id, truth, estimate, error."""
-    rows = ([r.pair_id, repr(r.truth), repr(r.estimate), repr(r.error)] for r in results)
-    _write_csv(destination, COMPARISON_COLUMNS, rows)
 
 
 def write_grid_csv(

@@ -54,6 +54,13 @@ class Multiset:
             for element, count in items:
                 self.insert(element, count)
 
+    @classmethod
+    def _from_checked(cls, entries: dict[bytes, int]) -> Multiset:
+        """Wrap `entries` as they are; the caller has checked what `insert` would."""
+        multiset = cls.__new__(cls)
+        multiset._entries, multiset._total = entries, sum(entries.values())
+        return multiset
+
     def insert(self, element: bytes | str, times: int = 1) -> None:
         """Add `times` instances of `element`."""
         key = as_element(element)

@@ -74,11 +74,6 @@ def payload_size(kind: str, width: int, depth: int = 1) -> int:
     return depth * width * 4
 
 
-def envelope_size(kind: str, width: int, depth: int = 1) -> int:
-    """Total byte size of an envelope for the given shape."""
-    return HEADER_SIZE + payload_size(kind, width, depth)
-
-
 def encode(sketch: Sketch) -> bytes:
     """Serialize a sketch; equal sketches always yield equal bytes."""
     witness = witness_of(sketch)
@@ -162,6 +157,5 @@ __all__ = [
     "decode",
     "decode_header",
     "encode",
-    "envelope_size",
     "payload_size",
 ]

@@ -1,6 +1,10 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sketchsim
 from sketchsim import companion_sharing, corpus_pairs, generate_synthetic, random_multiset
 
 # One pinned seed per corpus so every run of the suite sees identical data.
@@ -62,3 +66,10 @@ def rd_like_corpus():
         ]
     )
     return make_pair_corpus(RD_LIKE_SEED + 1, targets, prefix="rd")
+
+
+@pytest.fixture(scope="session")
+def child_env():
+    """Environment for a child Python that imports the same sketchsim as this process, installed or not."""
+    package_root = str(Path(sketchsim.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}

@@ -102,6 +102,13 @@ class TestIngest:
         assert "line 2" in err
         assert "Traceback" not in err
 
+    def test_non_utf8_byte_fails_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"u1\ts1\t2\nu1\tcaf\xe9\t1\n")
+        code, _, err = run(capsys, "ingest", str(bad), "--out", str(tmp_path / "x.tsv"))
+        assert code == 1
+        assert err.splitlines() == ["sketchsim: error: line 2: not UTF-8: byte 0xe9 (invalid continuation byte)"]
+
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
     def test_damaged_gzip_is_data_error(self, tmp_path, capsys, damage):
         data = bytearray(gzip.compress(FIXTURE.read_bytes()))

@@ -8,7 +8,6 @@ import pytest
 from sketchsim import (
     COUNT_MAX,
     GenerationError,
-    ListeningRecord,
     Multiset,
     TripletParseError,
     build_user_profiles,
@@ -91,8 +90,8 @@ class TestPairBuilders:
 
 class TestIngest:
     def test_basic_parsing(self):
-        records = ingest_triplets(io.StringIO("u1\ts9\t3\n"))
-        assert records == [ListeningRecord("u1", "s9", 3)]
+        plays = ingest_triplets(io.StringIO("u1\ts9\t3\n"))
+        assert plays == {("u1", "s9"): 3}
 
     def test_zero_count_is_parse_error_with_line(self):
         with pytest.raises(TripletParseError) as info:
@@ -121,8 +120,8 @@ class TestIngest:
     def test_duplicates_summed_with_warning(self, caplog):
         lines = "u1\ts1\t2\nu1\ts1\t3\n" + "u2\ts1\t1\n" * 5
         with caplog.at_level("WARNING"):
-            records = ingest_triplets(io.StringIO(lines))
-        assert records == [ListeningRecord("u1", "s1", 5), ListeningRecord("u2", "s1", 5)]
+            plays = ingest_triplets(io.StringIO(lines))
+        assert list(plays.items()) == [(("u1", "s1"), 5), (("u2", "s1"), 5)]
         # one summary record per call: the count and the first few offenders
         assert len(caplog.records) == 1
         message = caplog.messages[0]
@@ -139,34 +138,46 @@ class TestIngest:
         with pytest.raises(TripletParseError) as info:
             ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX}\nu1\ts2\t1\nu1\ts1\t1\n"))
         assert info.value.line_number == 3
-        assert ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX - 1}\nu1\ts1\t1\n"))[0].play_count == COUNT_MAX
+        assert ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX - 1}\nu1\ts1\t1\n"))[("u1", "s1")] == COUNT_MAX
 
     def test_gzip_transparently_decompressed(self, tmp_path):
         path = tmp_path / "triplets.tsv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write("u1\ts1\t4\n")
-        assert ingest_triplets(path) == [ListeningRecord("u1", "s1", 4)]
+        assert ingest_triplets(path) == {("u1", "s1"): 4}
+
+    @pytest.mark.parametrize("compress", [bytes, gzip.compress], ids=["plain", "gzip"])
+    def test_file_bytes_decoded_per_line(self, tmp_path, compress):
+        path = tmp_path / "triplets.tsv"
+        path.write_bytes(compress("\ufeffu1\ts1\t1\r\nué\tsöng\t2\n".encode("utf-8")))
+        assert ingest_triplets(path) == {("u1", "s1"): 1, ("ué", "söng"): 2}  # one leading BOM dropped
+        path.write_bytes(compress(b"u1\ts1\t1\n\n\xef\xbb\xbfu2\ts2\t2\nu3\ts\xff\t1\n"))
+        with pytest.raises(TripletParseError) as info:
+            ingest_triplets(path)
+        assert info.value.line_number == 4
+        assert "not UTF-8: byte 0xff" in str(info.value)
+        path.write_bytes(compress(b"u1\ts1\t1\n\xef\xbb\xbfu2\ts2\t2\n"))
+        assert list(ingest_triplets(path)) == [("u1", "s1"), ("\ufeffu2", "s2")]  # only line 1 loses a BOM
 
 
 class TestProfiles:
-    def _records(self, distinct_by_user):
-        records = []
-        for user, distinct in distinct_by_user.items():
-            records += [ListeningRecord(user, f"song{i}", 1 + i % 3) for i in range(distinct)]
-        return records
+    def _plays(self, distinct_by_user):
+        return {
+            (user, f"song{i}"): 1 + i % 3 for user, distinct in distinct_by_user.items() for i in range(distinct)
+        }
 
     def test_min_distinct_boundary(self):
-        profiles = build_user_profiles(self._records({"a49": 49, "b50": 50, "c51": 51}), min_distinct=50)
+        profiles = build_user_profiles(self._plays({"a49": 49, "b50": 50, "c51": 51}), min_distinct=50)
         assert set(profiles) == {"b50", "c51"}
         assert profiles["b50"].distinct_count() == 50
 
     def test_filtering_is_monotone(self):
-        records = self._records({f"u{i}": i for i in range(1, 40)})
-        kept_sizes = [len(build_user_profiles(records, m)) for m in range(0, 45, 5)]
+        plays = self._plays({f"u{i}": i for i in range(1, 40)})
+        kept_sizes = [len(build_user_profiles(plays, m)) for m in range(0, 45, 5)]
         assert kept_sizes == sorted(kept_sizes, reverse=True)
 
     def test_profile_counts_are_play_counts(self):
-        profiles = build_user_profiles([ListeningRecord("u", "s", 7)], min_distinct=0)
+        profiles = build_user_profiles({("u", "s"): 7}, min_distinct=0)
         assert profiles["u"].count("s") == 7
 
     def test_write_read_round_trip(self, tmp_path):

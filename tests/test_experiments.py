@@ -20,7 +20,6 @@ from sketchsim import (
     run_grid,
     run_pairwise,
     threshold_report,
-    write_comparisons_csv,
     write_grid_csv,
     write_threshold_csv,
 )
@@ -231,13 +230,6 @@ class TestErrorSimilarityCorrelation:
 
 
 class TestCsvWriters:
-    def test_comparisons_csv(self):
-        out = io.StringIO()
-        write_comparisons_csv(out, [_result("p1", 0.5, 0.625)])
-        lines = out.getvalue().splitlines()
-        assert lines[0] == "pair_id,truth,estimate,error"
-        assert lines[1].startswith("p1,0.5,0.625,")
-
     def test_grid_csv_with_missing_cell(self):
         out = io.StringIO()
         grid = GridSpec("cbf", dims=[16, 32], depths=[1])

@@ -4,12 +4,17 @@ They pin the invariants every counting-sketch build and scorer must keep:
 a one-hash CBF is a one-row CMS, all build paths agree with sequential
 inserts (saturation included), envelopes round-trip, decode fails only
 with typed errors, sketch Dice never undershoots the exact Dice, and
-the bulk hash paths give the scalar digests.
+the bulk hash paths give the scalar digests. The triplet reader sums
+duplicate lines exactly as a plain dict does, in first-seen order, and
+its profiles round-trip through the profile file.
 Examples are derandomised, so every run checks the same inputs.
 """
 
+import io
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -31,6 +36,9 @@ from sketchsim import (
     dice,
     digest_pair,
     encode,
+    ingest_triplets,
+    read_profiles,
+    write_profiles,
 )
 from sketchsim.experiments import _Columns
 from sketchsim.hashing import digest1_bulk, digest_pairs_bulk
@@ -143,3 +151,42 @@ def test_bulk_hashing_matches_scalar(elements, seed):
     h1, h2 = digest_pairs_bulk(seed, elements)
     assert list(zip(h1.tolist(), h2.tolist())) == [digest_pair(seed, element) for element in elements]
     assert digest1_bulk(seed, elements).tolist() == h1.tolist()
+
+
+# ids never hold a tab, CR or LF; U+2028 and U+0085 are line breaks to
+# str.splitlines only, so the reader must keep them inside an id
+ids = st.one_of(
+    st.sampled_from(["u1", "s1", "é", "中🎵"]),
+    st.text(st.sampled_from("aß é\u2028\x85🎵"), min_size=1, max_size=3),
+)
+endings = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"])  # the doubled ones add blank lines
+triplet_lines = st.lists(st.tuples(ids, ids, st.integers(1, 2**40), endings), max_size=30)
+
+
+def _same_profiles(got, expected):
+    assert list(got) == list(expected)  # first-seen user order
+    for user, profile in expected.items():
+        # Multiset equality compares entries only; the cardinality is cached apart from them
+        assert got[user] == profile and got[user].cardinality() == profile.cardinality()
+
+
+@PROPERTY
+@given(triplet_lines)
+def test_triplet_reader_matches_dict_sum(lines):
+    text = "".join(f"{user}\t{song}\t{count}{ending}" for user, song, count, ending in lines)
+    model: dict[tuple[str, str], int] = {}
+    for user, song, count, _ in lines:
+        model[(user, song)] = model.get((user, song), 0) + count
+    songs_by_user: dict[str, dict[str, int]] = {}
+    for (user, song), count in model.items():
+        songs_by_user.setdefault(user, {})[song] = count
+    expected = {user: Multiset(songs) for user, songs in songs_by_user.items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        triplets, profiles_file = Path(tmp) / "triplets.tsv", Path(tmp) / "profiles.tsv"
+        triplets.write_bytes(text.encode("utf-8"))
+        for source in (io.StringIO(text), triplets):
+            assert list(ingest_triplets(source).items()) == list(model.items())
+        profiles = read_profiles(triplets)
+        _same_profiles(profiles, expected)
+        write_profiles(profiles_file, profiles)
+        _same_profiles(read_profiles(profiles_file), expected)
