@@ -26,6 +26,7 @@ from .sketches import (
     BloomFilter,
     CountMinSketch,
     CountingBloomFilter,
+    SketchParams,
     cms_to_cbf,
 )
 from .metrics import (
@@ -56,7 +57,6 @@ from .experiments import (
     ComparisonResult,
     GridSpec,
     PairFailure,
-    SketchParams,
     ThresholdReport,
     rmse,
     run_grid,

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import datasets, experiments, metrics, wire
+from . import datasets, experiments, metrics, sketches, wire
 from .multiset import Multiset
 
 EXIT_OK = 0
@@ -84,14 +84,11 @@ def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=0, help="shared hash seed")
 
 
-def _sketch_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> experiments.SketchParams:
-    if args.kind == "cbf" and args.depth != 1:
-        parser.error("--depth applies to --kind cms only")
-    if args.kind == "cms" and args.hashes != 1:
-        parser.error("--hashes applies to --kind cbf only")
-    return experiments.SketchParams(
-        args.kind, args.length, depth=args.depth, hash_count=args.hashes, seed=args.seed
-    )
+def _sketch_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> sketches.SketchParams:
+    try:
+        return sketches.SketchParams(args.kind, args.length, depth=args.depth, hash_count=args.hashes, seed=args.seed)
+    except ValueError as exc:  # --depth with cbf, --hashes with cms
+        parser.error(str(exc))
 
 
 def build_parser() -> _Parser:

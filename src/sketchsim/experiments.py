@@ -12,7 +12,9 @@ that row.
 
 Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
 row sums, row reducer), which the named scorers and the CLI read too. A
-single sketch is built by `SketchParams.sketch`, that is `from_multiset`.
+run's sketch shape is a `sketches.SketchParams` of kind "cbf" or "cms"
+(a Bloom filter holds no counts to score); a single sketch is built by
+`SketchParams.sketch`, that is `from_multiset`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import metrics
 from .hashing import derive_row_seed
 from .multiset import Multiset, UndefinedSimilarityError
-from .sketches import COUNTER_TYPES, CounterTable, _count_rows, _multiset_arrays, _row_digests
+from .sketches import SketchParams, _count_rows, _multiset_arrays, _row_digests
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
 
@@ -38,32 +40,6 @@ THRESHOLD_COLUMNS = ["threshold", "tp", "fp", "tn", "fn", "max_overshoot"]
 
 DEFAULT_DIMS = [64, 128, 200, 400, 800]
 DEFAULT_DEPTHS = [1, 2, 4, 8, 10]
-
-
-@dataclass(frozen=True)
-class SketchParams:
-    """One sketch configuration: kind "cbf" (length/hash_count) or "cms" (width/depth)."""
-
-    kind: str
-    width: int
-    depth: int = 1
-    hash_count: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in ("cbf", "cms"):
-            raise ValueError(f"kind must be 'cbf' or 'cms', got {self.kind!r}")
-        if self.width < 1 or self.depth < 1 or self.hash_count < 1:
-            raise ValueError("width, depth and hash_count must all be >= 1")
-        if self.kind == "cbf" and self.depth != 1:
-            raise ValueError("a CBF has depth 1; use hash_count for k")
-        if self.kind == "cms" and self.hash_count != 1:
-            raise ValueError("a CMS has one hash function per row; use depth for d")
-
-    def sketch(self, multiset: Multiset) -> CounterTable:
-        """This configuration's sketch of a multiset, built by `from_multiset`."""
-        # both constructors take (width, k or d, seed), and one of depth and hash count is 1
-        return COUNTER_TYPES[self.kind].from_multiset(multiset, self.width, self.depth * self.hash_count, self.seed)
 
 
 @dataclass(frozen=True)
@@ -210,6 +186,8 @@ def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> 
 def _run_pairwise(columns: _Columns, params: SketchParams, metric: str) -> PairwiseRun:
     if metric not in metrics.METRICS:
         raise ValueError(f"unknown metric {metric!r}")
+    if params.kind == "bf":
+        raise ValueError("a Bloom filter holds no counts to score; use kind 'cbf' or 'cms'")
     _, sums, score = metrics.METRICS[metric]
     left, right = columns.left, columns.right
     step = max(1, _CHUNK_CELLS // params.width)

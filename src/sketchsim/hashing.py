@@ -142,10 +142,14 @@ def digest1_bulk(seed: int, elements: Sequence[bytes]) -> np.ndarray:
 def derive_row_seed(base_seed: int, row: int) -> int:
     """Seed of a Count-Min row family; row 0 is the base seed itself."""
     _check_seed(base_seed)
-    if row < 0:
-        raise ValueError(f"row must be non-negative, got {row}")
-    if row == 0:
-        return base_seed
+    if not isinstance(row, int) or row < 0:
+        raise ValueError(f"row must be a non-negative integer, got {row!r}")
+    return _row_seed(base_seed, row) if row else base_seed
+
+
+@lru_cache(maxsize=1024)
+def _row_seed(base_seed: int, row: int) -> int:
+    # checked arguments only: the cache key treats 1.0 and 1 as one key
     return fnv1a64(row.to_bytes(4, "little"), _prefix_state(base_seed, _DOMAIN_ROW))
 
 

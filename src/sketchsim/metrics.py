@@ -14,33 +14,21 @@ mass. Each row score is computed from exact integer sums with one final
 floating division, so results are deterministic across platforms. The
 row mean (math.fsum, then / depth) can land a CMS score one rounding
 below its smallest row score, and so just below the exact score.
+
+Two sketches are scored only when their shapes (`sketches.SketchParams`)
+are equal: `witness_of` reads a sketch's shape, and `check_witnesses`
+compares two, naming every field in which they differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import fields
 
 import numpy as np
 
 from .multiset import UndefinedSimilarityError, cosine, dice
-from .sketches import BloomFilter, CounterTable, CountMinSketch, CountingBloomFilter
-
-
-@dataclass(frozen=True)
-class CompatibilityWitness:
-    """Proof that two sketches are comparable.
-
-    Two sketches may be compared iff every field matches: same structure
-    kind, same dimensions, same hash family seed and counter width.
-    """
-
-    kind: str
-    width: int
-    depth: int
-    hash_count: int
-    seed: int
-    counter_width: int
+from .sketches import BloomFilter, CounterTable, CountMinSketch, CountingBloomFilter, SketchParams
 
 
 class IncompatibleSketchError(ValueError):
@@ -51,27 +39,27 @@ class IncompatibleSketchError(ValueError):
         super().__init__("incompatible sketches, differing fields: " + ", ".join(mismatched_fields))
 
 
-def witness_of(sketch: BloomFilter | CounterTable) -> CompatibilityWitness:
-    """The compatibility header of a sketch."""
-    if isinstance(sketch, BloomFilter):
-        return CompatibilityWitness("bf", sketch.length, 1, sketch.hash_count, sketch.seed, 1)
-    if isinstance(sketch, CounterTable):
-        return CompatibilityWitness(sketch.kind, sketch.width, sketch.depth, sketch.hash_count, sketch.seed, 32)
-    raise TypeError(f"not a sketch: {type(sketch).__name__}")
+def witness_of(sketch: BloomFilter | CounterTable) -> SketchParams:
+    """The shape of a sketch, which is what its envelope header carries."""
+    if not isinstance(sketch, (BloomFilter, CounterTable)):
+        raise TypeError(f"not a sketch: {type(sketch).__name__}")
+    return sketch.params
 
 
-def check_witnesses(a: CompatibilityWitness, b: CompatibilityWitness) -> CompatibilityWitness:
-    """Return the shared witness, or raise naming every differing field."""
-    mismatched = [f.name for f in fields(CompatibilityWitness) if getattr(a, f.name) != getattr(b, f.name)]
-    if mismatched:
-        raise IncompatibleSketchError(mismatched)
+def check_witnesses(a: SketchParams, b: SketchParams) -> SketchParams:
+    """Return the shared shape; two sketches compare iff their shapes are equal.
+
+    Unequal shapes raise, naming every field in which they differ.
+    """
+    if a != b:
+        raise IncompatibleSketchError([f.name for f in fields(SketchParams) if getattr(a, f.name) != getattr(b, f.name)])
     return a
 
 
 def _require_comparable(p, q, expected_type: type) -> None:
     if not isinstance(p, expected_type) or not isinstance(q, expected_type):
         raise TypeError(f"expected two {expected_type.__name__} instances")
-    check_witnesses(witness_of(p), witness_of(q))
+    check_witnesses(p.params, q.params)
 
 
 def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:

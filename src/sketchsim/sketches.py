@@ -1,4 +1,11 @@
-"""Bloom Filter, and the counter table behind the CBF and the Count-Min Sketch.
+"""Sketch shapes, the Bloom Filter, and the counter table behind the CBF and the Count-Min Sketch.
+
+Every sketch has a shape, `SketchParams`: kind, width, depth, hash count
+and seed. Two sketches are comparable iff their shapes are equal, and an
+envelope header carries exactly these fields. `SketchParams` is the only
+code that checks the shape rules (a "bf" or "cbf" is one row probed k
+times, a "cms" is d rows probed once each), and `SKETCH_KINDS` is the
+only kind -> class table; every constructor validates through it.
 
 All structures share the seeded hash family from `hashing`. The two
 counting sketches are one structure, `CounterTable`: a depth x width
@@ -17,12 +24,42 @@ cell cannot abort a profile exchange.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from .hashing import HashFamily, derive_row_seed, digest1_bulk, digest_pairs_bulk
+from .hashing import HashFamily, _check_seed, derive_row_seed, digest1_bulk, digest_pairs_bulk
 from .multiset import Multiset
 
 COUNTER_MAX = 2**32 - 1
+
+
+@dataclass(frozen=True)
+class SketchParams:
+    """One sketch shape: kind "bf" or "cbf" (width = length n, hash_count = k) or "cms" (width, depth = d)."""
+
+    kind: str
+    width: int
+    depth: int = 1
+    hash_count: int = 1
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.kind not in SKETCH_KINDS:
+            raise ValueError(f"kind must be one of {', '.join(map(repr, SKETCH_KINDS))}, got {self.kind!r}")
+        if self.width < 1 or self.depth < 1 or self.hash_count < 1:
+            raise ValueError("width, depth and hash_count must all be >= 1")
+        _check_seed(self.seed)
+        if self.kind == "cms" and self.hash_count != 1:
+            raise ValueError(f"a cms probes each row once: hash_count must be 1, got {self.hash_count}")
+        if self.kind != "cms" and self.depth != 1:
+            raise ValueError(f"a {self.kind} is one row: depth must be 1, got {self.depth}")
+
+    def sketch(self, multiset: Multiset | None = None) -> BloomFilter | CounterTable:
+        """This shape's sketch of a multiset, built by `from_multiset`, or an empty one."""
+        # every constructor takes (width, k or d, seed), and one of depth and hash count is 1
+        sketch_type, args = SKETCH_KINDS[self.kind], (self.width, self.depth * self.hash_count, self.seed)
+        return sketch_type(*args) if multiset is None else sketch_type.from_multiset(multiset, *args)
 
 
 def _check_times(times: int) -> int:
@@ -96,20 +133,13 @@ class BloomFilter:
     kind = "bf"
 
     def __init__(self, length: int, hash_count: int = 1, seed: int = 0):
+        self.params = SketchParams(self.kind, length, 1, hash_count, seed)
         self.family = HashFamily(seed=seed, hash_count=hash_count, size=length)
         self.bits = np.zeros(length, dtype=bool)
 
-    @property
-    def length(self) -> int:
-        return self.family.size
-
-    @property
-    def hash_count(self) -> int:
-        return self.family.hash_count
-
-    @property
-    def seed(self) -> int:
-        return self.family.seed
+    length = property(lambda self: self.params.width)
+    hash_count = property(lambda self: self.params.hash_count)
+    seed = property(lambda self: self.params.seed)
 
     def insert(self, element: bytes | str) -> None:
         self.bits[self.family.positions(element)] = True
@@ -134,7 +164,7 @@ class BloomFilter:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BloomFilter):
             return NotImplemented
-        return self.family == other.family and np.array_equal(self.bits, other.bits)
+        return self.params == other.params and np.array_equal(self.bits, other.bits)
 
     def __repr__(self) -> str:
         return f"BloomFilter(length={self.length}, hash_count={self.hash_count}, seed={self.seed})"
@@ -156,17 +186,16 @@ class CounterTable:
     kind = ""
 
     def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
-        for name, value in (("width", width), ("depth", depth), ("hash_count", hash_count)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-        self.width = width
-        self.depth = depth
-        self.hash_count = hash_count
-        self.seed = seed
+        self.params = SketchParams(self.kind, width, depth, hash_count, seed)
         self.row_seeds = [derive_row_seed(seed, row) for row in range(depth)]
         self.table = np.zeros((depth, width), dtype=np.uint32)
         self.total_insertions = 0
         self.saturated = False  # True once any cell has been clamped at COUNTER_MAX
+
+    width = property(lambda self: self.params.width)
+    depth = property(lambda self: self.params.depth)
+    hash_count = property(lambda self: self.params.hash_count)
+    seed = property(lambda self: self.params.seed)
 
     def _cells(self, element: bytes | str) -> list[tuple[int, int]]:
         """(row, column) of every probe of an element."""
@@ -210,11 +239,7 @@ class CounterTable:
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
-        return (
-            (self.width, self.depth, self.hash_count, self.seed)
-            == (other.width, other.depth, other.hash_count, other.seed)
-            and np.array_equal(self.table, other.table)
-        )
+        return self.params == other.params and np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:
         return (
@@ -250,7 +275,7 @@ class CountMinSketch(CounterTable):
         super().__init__(width, depth, 1, seed)
 
 
-COUNTER_TYPES = {"cbf": CountingBloomFilter, "cms": CountMinSketch}
+SKETCH_KINDS = {sketch_type.kind: sketch_type for sketch_type in (BloomFilter, CountingBloomFilter, CountMinSketch)}
 
 
 def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:

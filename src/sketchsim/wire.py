@@ -11,8 +11,12 @@ is normative and bit-exact (all integers little-endian):
     10      4     depth d (uint32; 1 for BF and CBF)
     14      4     hash count k (uint32; 1 for CMS)
     18      8     hash seed (uint64)
-    26      1     counter width code: 0 = 1-bit packed, 2 = 32-bit LE
+    26      1     counter width code: 0 = 1-bit packed (BF), 2 = 32-bit LE (CBF, CMS)
     27      -     payload: d * w counters, row-major
+
+A header decodes to the sketch's shape, a `sketches.SketchParams`: its
+constructor is the one check of the shape fields, and the counter width
+code must be the one of the kind.
 
 BF payloads pack each row of bits LSB-first into ceil(n/8) bytes (bit i
 lives in byte i//8 at bit i%8). Counter payloads are uint32 LE. The
@@ -31,8 +35,8 @@ import struct
 
 import numpy as np
 
-from .metrics import CompatibilityWitness, IncompatibleSketchError, witness_of
-from .sketches import COUNTER_MAX, COUNTER_TYPES, BloomFilter, CounterTable
+from .metrics import witness_of
+from .sketches import COUNTER_MAX, BloomFilter, CounterTable, SketchParams
 
 MAGIC = b"SKSM"
 VERSION = 1
@@ -41,8 +45,7 @@ HEADER_SIZE = _HEADER.size  # 27
 
 _KIND_CODES = {"bf": 0, "cbf": 1, "cms": 2}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
-_WIDTH_CODES = {1: 0, 32: 2}
-_WIDTH_BITS = {code: bits for bits, code in _WIDTH_CODES.items()}
+_COUNTER_CODES = {"bf": 0, "cbf": 2, "cms": 2}  # kind -> counter width code
 
 
 class WireFormatError(ValueError):
@@ -68,25 +71,11 @@ class HeaderConsistencyError(WireFormatError):
 Sketch = BloomFilter | CounterTable
 
 
-def payload_size(kind: str, width: int, depth: int = 1) -> int:
-    if kind == "bf":
-        return depth * ((width + 7) // 8)
-    return depth * width * 4
-
-
 def encode(sketch: Sketch) -> bytes:
     """Serialize a sketch; equal sketches always yield equal bytes."""
-    witness = witness_of(sketch)
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        _KIND_CODES[witness.kind],
-        witness.width,
-        witness.depth,
-        witness.hash_count,
-        witness.seed,
-        _WIDTH_CODES[witness.counter_width],
-    )
+    params = witness_of(sketch)
+    header = _HEADER.pack(MAGIC, VERSION, _KIND_CODES[params.kind], params.width, params.depth,
+                          params.hash_count, params.seed, _COUNTER_CODES[params.kind])
     if isinstance(sketch, BloomFilter):
         payload = np.packbits(sketch.bits, bitorder="little").tobytes()
     else:
@@ -94,52 +83,43 @@ def encode(sketch: Sketch) -> bytes:
     return header + payload
 
 
-def decode_header(data: bytes) -> CompatibilityWitness:
-    """Parse and validate the 27-byte header into a compatibility witness."""
+def decode_header(data: bytes) -> SketchParams:
+    """Parse and validate the 27-byte header into the sketch's shape."""
     if len(data) < 4:
         raise TruncatedPayloadError(f"expected at least 4 bytes of header, got {len(data)}")
     if data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
     if len(data) < HEADER_SIZE:
         raise TruncatedPayloadError(f"expected {HEADER_SIZE}-byte header, got {len(data)}")
-    _, version, kind_code, width, depth, hash_count, seed, width_code = _HEADER.unpack_from(data)
+    _, version, kind_code, width, depth, hash_count, seed, counter_code = _HEADER.unpack_from(data)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported envelope version {version}")
     kind = _KIND_NAMES.get(kind_code)
     if kind is None:
         raise HeaderConsistencyError(f"unknown sketch kind code {kind_code}")
-    counter_width = _WIDTH_BITS.get(width_code)
-    if counter_width is None:
-        raise HeaderConsistencyError(f"unknown counter width code {width_code}")
-    if width < 1 or depth < 1 or hash_count < 1:
-        raise HeaderConsistencyError("width, depth and hash count must all be >= 1")
-    if kind in ("bf", "cbf") and depth != 1:
-        raise HeaderConsistencyError(f"{kind} envelopes must have depth 1, got {depth}")
-    if kind == "cms" and hash_count != 1:
-        raise HeaderConsistencyError(f"cms envelopes must have hash count 1, got {hash_count}")
-    if kind == "bf" and counter_width != 1:
-        raise HeaderConsistencyError("bf envelopes must use the 1-bit counter code")
-    if kind in ("cbf", "cms") and counter_width != 32:
-        raise HeaderConsistencyError(f"{kind} envelopes must use the 32-bit counter code")
-    return CompatibilityWitness(kind, width, depth, hash_count, seed, counter_width)
+    if counter_code != _COUNTER_CODES[kind]:
+        raise HeaderConsistencyError(f"{kind} envelopes use counter width code {_COUNTER_CODES[kind]}, got {counter_code}")
+    try:
+        return SketchParams(kind, width, depth, hash_count, seed)
+    except ValueError as exc:
+        raise HeaderConsistencyError(str(exc)) from exc
 
 
 def decode(data: bytes) -> Sketch:
     """Parse an envelope back into a sketch, validating layout throughout."""
-    witness = decode_header(data)
+    params = decode_header(data)
     payload = data[HEADER_SIZE:]
-    expected = payload_size(witness.kind, witness.width, witness.depth)
+    packed = params.kind == "bf"
+    expected = (params.width + 7) // 8 if packed else params.depth * params.width * 4
     if len(payload) != expected:
         raise TruncatedPayloadError(f"expected {expected} payload bytes, got {len(payload)}")
-    if witness.kind == "bf":
-        sketch = BloomFilter(witness.width, witness.hash_count, witness.seed)
+    sketch = params.sketch()
+    if packed:
         unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        sketch.bits = unpacked[: witness.width].astype(bool)
+        sketch.bits = unpacked[: params.width].astype(bool)
         return sketch
-    # both constructors take (width, k or d, seed), and one of depth and hash count is 1
-    sketch = COUNTER_TYPES[witness.kind](witness.width, witness.depth * witness.hash_count, witness.seed)
-    sketch.table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(witness.depth, witness.width)
-    sketch.total_insertions = int(sketch.table[0].sum(dtype=np.uint64)) // witness.hash_count
+    sketch.table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(params.depth, params.width)
+    sketch.total_insertions = int(sketch.table[0].sum(dtype=np.uint64)) // params.hash_count
     sketch.saturated = bool((sketch.table == COUNTER_MAX).any())
     return sketch
 
@@ -147,7 +127,6 @@ def decode(data: bytes) -> Sketch:
 __all__ = [
     "BadMagicError",
     "HeaderConsistencyError",
-    "IncompatibleSketchError",
     "TruncatedPayloadError",
     "UnsupportedVersionError",
     "WireFormatError",
@@ -157,5 +136,4 @@ __all__ = [
     "decode",
     "decode_header",
     "encode",
-    "payload_size",
 ]

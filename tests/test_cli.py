@@ -196,6 +196,14 @@ class TestSketchAndCompare:
         code, _, _ = run(capsys, "compare", str(profile), str(profile), "--depth", "3")
         assert code == 64
 
+    def test_hashes_with_cms_is_usage_error(self, capsys, profile, tmp_path):
+        out = tmp_path / "x"
+        code, _, err = run(capsys, "sketch", str(profile), "--out", str(out), "--kind", "cms", "--hashes", "2")
+        assert code == 64
+        assert err.count("usage:") == 1 and "Traceback" not in err
+        assert err.splitlines()[-1] == "sketchsim: error: a cms probes each row once: hash_count must be 1, got 2"
+        assert not out.exists()
+
 
 class TestLibraryPaths:
     """`sketch` and `compare` print exactly what the public library gives."""

@@ -24,7 +24,7 @@ from sketchsim import (
     write_threshold_csv,
 )
 from sketchsim.experiments import _Columns
-from sketchsim.sketches import COUNTER_TYPES
+from sketchsim.sketches import SKETCH_KINDS
 
 
 def _result(pair_id, truth, estimate):
@@ -38,7 +38,7 @@ def _reference_run(corpus, params, metric):
     truth_fn = {"dice": dice, "cosine": cosine}[metric]
     results = []
     for pair_id, x, y in corpus:
-        p, q = (COUNTER_TYPES[params.kind].from_multiset(m, params.width, *shape, params.seed) for m in (x, y))
+        p, q = (SKETCH_KINDS[params.kind].from_multiset(m, params.width, *shape, params.seed) for m in (x, y))
         truth, estimate = truth_fn(x, y), score[metric][params.kind](p, q)
         results.append(ComparisonResult(pair_id, truth, estimate, estimate - truth))
     return sorted(results, key=lambda r: (r.truth, r.pair_id))
@@ -110,7 +110,7 @@ def test_engine_rows_equal_from_multiset():
         params = SketchParams(kind, width, seed=3, **({"hash_count": shape} if kind == "cbf" else {"depth": shape}))
         rows = np.stack([table.copy() for table in columns._rows(params)], axis=1)  # profile x row x width
         for profile, table in zip(columns.profiles, rows):
-            assert np.array_equal(table, COUNTER_TYPES[kind].from_multiset(profile, width, shape, 3).table)
+            assert np.array_equal(table, SKETCH_KINDS[kind].from_multiset(profile, width, shape, 3).table)
 
 
 class TestRmse:
@@ -250,8 +250,11 @@ class TestCsvWriters:
 
 
 def test_sketch_params_validation():
+    # a Bloom filter is a valid sketch shape, but it holds no counts to score
     with pytest.raises(ValueError):
-        SketchParams("bf", 16)
+        run_pairwise([("p", Multiset({"a": 1}), Multiset({"a": 1}))], SketchParams("bf", 16), "dice")
+    with pytest.raises(ValueError):
+        GridSpec("bf")
     with pytest.raises(ValueError):
         SketchParams("cbf", 16, depth=2)
     with pytest.raises(ValueError):

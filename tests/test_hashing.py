@@ -102,6 +102,15 @@ def test_row_seed_derivation():
     assert derive_row_seed(98, 3) != derive_row_seed(99, 3)
 
 
+def test_row_seed_cache_keeps_validation():
+    # row seeds are memoised; a cache keyed by (1, 3) must not answer for 1.0 == 1
+    derive_row_seed(1, 3)
+    with pytest.raises(ValueError):
+        derive_row_seed(1.0, 3)
+    with pytest.raises(ValueError):
+        derive_row_seed(1, 3.0)
+
+
 def test_find_collision_free_seed():
     elements = [f"item{i}".encode() for i in range(16)]
     seed = find_collision_free_seed(elements, size=2048, hash_count=2)

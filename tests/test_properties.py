@@ -6,7 +6,8 @@ inserts (saturation included), envelopes round-trip, decode fails only
 with typed errors, sketch Dice never undershoots the exact Dice, and
 the bulk hash paths give the scalar digests. The triplet reader sums
 duplicate lines exactly as a plain dict does, in first-seen order, and
-its profiles round-trip through the profile file.
+its profiles round-trip through the profile file. A header decodes to
+exactly the shapes `SketchParams` accepts, with the counter code of its kind.
 Examples are derandomised, so every run checks the same inputs.
 """
 
@@ -17,6 +18,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +27,7 @@ from sketchsim import (
     COUNTER_MAX,
     CountMinSketch,
     CountingBloomFilter,
+    HeaderConsistencyError,
     Multiset,
     SketchParams,
     WireFormatError,
@@ -33,16 +36,18 @@ from sketchsim import (
     cms_cosine,
     cms_dice,
     decode,
+    decode_header,
     dice,
     digest_pair,
     encode,
     ingest_triplets,
     read_profiles,
+    witness_of,
     write_profiles,
 )
 from sketchsim.experiments import _Columns
 from sketchsim.hashing import digest1_bulk, digest_pairs_bulk
-from sketchsim.sketches import COUNTER_TYPES
+from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
 
 PROPERTY = settings(deadline=None, max_examples=100, derandomize=True)
@@ -61,7 +66,7 @@ def multisets(counts=small_counts):
 
 def _sketches(kind, multiset, width, probe_count, seed):
     """The same sketch by from_multiset, as the grid engine's rows and by sequential insert."""
-    sketch_type = COUNTER_TYPES[kind]  # both constructors take (width, k or d, seed)
+    sketch_type = SKETCH_KINDS[kind]  # every constructor takes (width, k or d, seed)
     shape = {"hash_count": probe_count} if kind == "cbf" else {"depth": probe_count}
     columns = _Columns([("p", multiset, multiset)])  # one pair, one profile
     rows = np.array([table[0].copy() for table in columns._rows(SketchParams(kind, width, seed=seed, **shape))])
@@ -95,7 +100,7 @@ def test_build_paths_agree_with_sequential_insert(kind, multiset, width, probe_c
 @PROPERTY
 @given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
 def test_envelope_round_trip(kind, multiset, width, probe_count, seed):
-    sketch = COUNTER_TYPES[kind].from_multiset(multiset, width, probe_count, seed)
+    sketch = SKETCH_KINDS[kind].from_multiset(multiset, width, probe_count, seed)
     decoded = decode(encode(sketch))
     assert decoded == sketch
     # the envelope carries no flag: decode marks any cell at the maximum
@@ -129,6 +134,42 @@ def test_decode_raises_only_wire_format_errors(data):
         decode(data)
     except WireFormatError:
         pass
+
+
+WIRE_KINDS = {0: "bf", 1: "cbf", 2: "cms"}  # the header's kind codes
+COUNTER_CODES = {"bf": 0, "cbf": 2, "cms": 2}  # 1-bit packed bits, or 32-bit counters
+
+
+def _valid_fields(codes, width, probe_count, seed):
+    kind_code, counter_code = codes
+    depth, hash_count = (probe_count, 1) if kind_code == 2 else (1, probe_count)
+    return kind_code, counter_code, width, depth, hash_count, seed
+
+
+# header fields of any kind and counter code, sizes 0 included; half are valid shapes
+header_fields = st.one_of(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 9), st.integers(0, 4), st.integers(0, 4), seeds),
+    st.builds(_valid_fields, st.sampled_from([(0, 0), (1, 2), (2, 2)]), widths, probes, seeds),
+)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(header_fields, multisets())
+def test_header_decodes_exactly_the_valid_shapes(fields, multiset):
+    kind_code, counter_code, width, depth, hash_count, seed = fields
+    header = struct.pack("<4sBBIIIQB", MAGIC, 1, kind_code, width, depth, hash_count, seed, counter_code)
+    kind = WIRE_KINDS.get(kind_code)
+    try:
+        params = SketchParams(kind, width, depth, hash_count, seed)
+    except ValueError:
+        params = None
+    if params is None or COUNTER_CODES[kind] != counter_code:
+        with pytest.raises(HeaderConsistencyError):
+            decode_header(header)
+        return
+    assert decode_header(header) == params
+    envelope = encode(params.sketch(multiset))
+    assert decode_header(envelope) == witness_of(decode(envelope)) == params
 
 
 @PROPERTY

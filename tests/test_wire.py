@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 import struct
@@ -14,6 +15,7 @@ from sketchsim import (
     HeaderConsistencyError,
     IncompatibleSketchError,
     Multiset,
+    SketchParams,
     TruncatedPayloadError,
     UnsupportedVersionError,
     check_witnesses,
@@ -191,3 +193,19 @@ class TestCompatibility:
         with pytest.raises(IncompatibleSketchError) as info:
             check_witnesses(a, b)
         assert "kind" in info.value.mismatched_fields
+
+    @pytest.mark.parametrize("base, field, value", [
+        (SketchParams("cbf", 64, hash_count=2, seed=9), "kind", "bf"),  # the counter width follows from the kind
+        (SketchParams("cbf", 64, hash_count=2, seed=9), "width", 65),
+        (SketchParams("cms", 64, depth=2, seed=9), "depth", 3),
+        (SketchParams("cbf", 64, hash_count=2, seed=9), "hash_count", 3),
+        (SketchParams("cms", 64, depth=2, seed=9), "seed", 10),
+    ])
+    def test_exactly_the_differing_field_named(self, base, field, value):
+        other = dataclasses.replace(base, **{field: value})
+        m = Multiset({"a": 2, "b": 1})
+        a, b = base.sketch(m), other.sketch(m)
+        for shapes in ((witness_of(a), witness_of(b)), (decode_header(encode(a)), decode_header(encode(b)))):
+            with pytest.raises(IncompatibleSketchError) as info:
+                check_witnesses(*shapes)
+            assert info.value.mismatched_fields == [field]
