@@ -15,7 +15,6 @@ from .multiset import (
     intersection_cardinality,
 )
 from .hashing import (
-    HashFamily,
     derive_row_seed,
     digest_pair,
     find_collision_free_seed,

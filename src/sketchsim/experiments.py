@@ -29,9 +29,9 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import metrics
-from .hashing import derive_row_seed
+from .hashing import _row_digests, derive_row_seed
 from .multiset import Multiset, UndefinedSimilarityError
-from .sketches import SketchParams, _count_rows, _multiset_arrays, _row_digests
+from .sketches import SketchParams, _count_rows, _multiset_arrays
 
 Corpus = Sequence[tuple[str, Multiset, Multiset]]
 

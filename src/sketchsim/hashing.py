@@ -29,6 +29,12 @@ the base seed and the row index:
 Row 0 keeps the base seed itself so a one-row Count-Min sketch is
 cell-for-cell identical to a one-hash Counting Bloom Filter built from
 the same seed.
+
+`digest_pair` is the scalar reference digest; `digest_pairs_bulk` and
+`digest1_bulk` give the same values for many elements at once.
+`_row_digests` picks the digests a row needs and `_probe_positions` is
+the only implementation of the index formula: every sketch operation,
+on one element or on a whole multiset, takes its cells from it.
 """
 
 from __future__ import annotations
@@ -153,40 +159,24 @@ def _row_seed(base_seed: int, row: int) -> int:
     return fnv1a64(row.to_bytes(4, "little"), _prefix_state(base_seed, _DOMAIN_ROW))
 
 
-class HashFamily:
-    """k position-generating hash functions over a fixed table size.
+def _row_digests(seed: int, elements: Sequence[bytes], hash_count: int) -> tuple[np.ndarray, ...]:
+    """The digests a row with this seed needs: (h1,) for one probe, else (h1, h2)."""
+    if hash_count == 1:
+        return (digest1_bulk(seed, elements),)
+    return digest_pairs_bulk(seed, elements)
 
-    Fully determined by (seed, hash_count, size); carries no state, so
-    instances are safe for unrestricted concurrent use.
+
+def _probe_positions(digests: tuple[np.ndarray, ...], hash_count: int, size: int) -> np.ndarray:
+    """Flat indices of every probe, probe-major: (h1 + i * h2) mod size for i < hash_count.
+
+    The only implementation of the index formula; uint64 arithmetic wraps
+    mod 2^64 as the formula requires.
     """
-
-    __slots__ = ("seed", "hash_count", "size")
-
-    def __init__(self, seed: int = 0, hash_count: int = 1, size: int = 1):
-        self.seed = _check_seed(seed)
-        if hash_count < 1:
-            raise ValueError(f"hash_count must be >= 1, got {hash_count}")
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self.hash_count = hash_count
-        self.size = size
-
-    def positions(self, element: bytes | str) -> list[int]:
-        """The k table indices of an element, each in [0, size)."""
-        h1, h2 = digest_pair(self.seed, element)
-        return [((h1 + i * h2) & _MASK64) % self.size for i in range(self.hash_count)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HashFamily):
-            return NotImplemented
-        return (
-            self.seed == other.seed
-            and self.hash_count == other.hash_count
-            and self.size == other.size
-        )
-
-    def __repr__(self) -> str:
-        return f"HashFamily(seed={self.seed}, hash_count={self.hash_count}, size={self.size})"
+    if hash_count == 1:
+        return (digests[0] % np.uint64(size)).astype(np.int64)
+    h1, h2 = digests
+    steps = np.arange(hash_count, dtype=np.uint64)[:, None]
+    return ((h1[None, :] + steps * h2[None, :]) % np.uint64(size)).astype(np.int64).ravel()
 
 
 def find_collision_free_seed(
@@ -203,21 +193,16 @@ def find_collision_free_seed(
     functions on one cell) is allowed; only cross-element sharing is
     ruled out.
     """
-    keys = [as_element(e) for e in elements]
+    if size < 1 or hash_count < 1:
+        raise ValueError(f"size and hash_count must be >= 1, got {size} and {hash_count}")
+    keys = list(dict.fromkeys(as_element(e) for e in elements))  # a repeated element only meets itself
+    owners = np.tile(np.arange(len(keys)), hash_count)  # the element of each probe, probe-major
     for seed in range(start_seed, start_seed + max_tries):
-        family = HashFamily(seed=seed, hash_count=hash_count, size=size)
-        owner: dict[int, bytes] = {}
-        ok = True
-        for key in keys:
-            for position in set(family.positions(key)):
-                if owner.setdefault(position, key) != key:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        cells = _probe_positions(_row_digests(seed, keys, hash_count), hash_count, size)
+        claims = np.unique(cells * len(keys) + owners)  # distinct (cell, element) pairs
+        if len(np.unique(claims // max(len(keys), 1))) == len(claims):
             return seed
     raise RuntimeError(
         f"no collision-free seed found in {max_tries} tries "
-        f"(size={size}, hash_count={hash_count}, {len(keys)} elements)"
+        f"(size={size}, hash_count={hash_count}, {len(keys)} distinct elements)"
     )

@@ -7,9 +7,12 @@ code that checks the shape rules (a "bf" or "cbf" is one row probed k
 times, a "cms" is d rows probed once each), and `SKETCH_KINDS` is the
 only kind -> class table; every constructor validates through it.
 
-All structures share the seeded hash family from `hashing`. The two
-counting sketches are one structure, `CounterTable`: a depth x width
-matrix of 32-bit counters in which row r hashes with
+Every structure takes its cells from `hashing._probe_positions`, the
+one implementation of the index formula, whether it places one element
+(`insert`, `estimate_count`, `contains`) or a whole multiset
+(`from_multiset` and the grid engine's rows). The two counting
+sketches are one structure, `CounterTable`: a depth x width matrix of
+32-bit counters in which row r hashes with
 `derive_row_seed(seed, r)` and probes each element `hash_count` times.
 A Counting Bloom Filter is the one-row case (one row probed k times, its
 `counters` being `table[0]`); a Count-Min Sketch is the one-probe case
@@ -19,7 +22,8 @@ Count-Min sketch column-wise yields a CBF (`cms_to_cbf`).
 
 Counters saturate: a cell that would overflow sticks at COUNTER_MAX and
 raises the sketch's `saturated` flag instead of erroring, so one hot
-cell cannot abort a profile exchange.
+cell cannot abort a profile exchange. `_clip_saturating` is the only
+clamp; every build, insert and projection goes through it.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import HashFamily, _check_seed, derive_row_seed, digest1_bulk, digest_pairs_bulk
+from .hashing import _check_seed, _probe_positions, _row_digests, derive_row_seed, digest_pair
 from .multiset import Multiset
 
 COUNTER_MAX = 2**32 - 1
+_FIELD_MAX = 2**32 - 1  # width, depth and hash_count travel as uint32 header fields
 
 
 @dataclass(frozen=True)
@@ -47,19 +52,18 @@ class SketchParams:
     def __post_init__(self):
         if self.kind not in SKETCH_KINDS:
             raise ValueError(f"kind must be one of {', '.join(map(repr, SKETCH_KINDS))}, got {self.kind!r}")
-        if self.width < 1 or self.depth < 1 or self.hash_count < 1:
-            raise ValueError("width, depth and hash_count must all be >= 1")
+        if not all(1 <= size <= _FIELD_MAX for size in (self.width, self.depth, self.hash_count)):
+            raise ValueError(f"width, depth and hash_count must all be in [1, {_FIELD_MAX}]")
         _check_seed(self.seed)
         if self.kind == "cms" and self.hash_count != 1:
             raise ValueError(f"a cms probes each row once: hash_count must be 1, got {self.hash_count}")
         if self.kind != "cms" and self.depth != 1:
             raise ValueError(f"a {self.kind} is one row: depth must be 1, got {self.depth}")
 
-    def sketch(self, multiset: Multiset | None = None) -> BloomFilter | CounterTable:
-        """This shape's sketch of a multiset, built by `from_multiset`, or an empty one."""
+    def sketch(self, multiset: Multiset) -> BloomFilter | CounterTable:
+        """This shape's sketch of a multiset, built by `from_multiset`."""
         # every constructor takes (width, k or d, seed), and one of depth and hash count is 1
-        sketch_type, args = SKETCH_KINDS[self.kind], (self.width, self.depth * self.hash_count, self.seed)
-        return sketch_type(*args) if multiset is None else sketch_type.from_multiset(multiset, *args)
+        return SKETCH_KINDS[self.kind].from_multiset(multiset, self.width, self.depth * self.hash_count, self.seed)
 
 
 def _check_times(times: int) -> int:
@@ -83,26 +87,25 @@ def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
 
 
 def _clip_saturating(accumulated: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Exact int64 counter sums as uint32 cells, each past COUNTER_MAX stuck at it, and whether any was."""
     saturated = bool(accumulated.max(initial=0) > COUNTER_MAX)
     if saturated:
         accumulated = np.minimum(accumulated, COUNTER_MAX)
     return accumulated.astype(np.uint32), saturated
 
 
-def _row_digests(seed: int, elements: list[bytes], hash_count: int) -> tuple[np.ndarray, ...]:
-    """The digests a row with this seed needs: (h1,) for one probe, else (h1, h2)."""
-    if hash_count == 1:
-        return (digest1_bulk(seed, elements),)
-    return digest_pairs_bulk(seed, elements)
+def _element_cells(params: SketchParams, element: bytes | str) -> np.ndarray:
+    """Flat (row * width + column) index of every probe of one element in a sketch of this shape.
 
-
-def _probe_positions(digests: tuple[np.ndarray, ...], hash_count: int, size: int) -> np.ndarray:
-    """Flat indices of every probe, probe-major: (h1 + i * h2) mod size for i < hash_count."""
-    if hash_count == 1:
-        return (digests[0] % np.uint64(size)).astype(np.int64)
-    h1, h2 = digests
-    steps = np.arange(hash_count, dtype=np.uint64)[:, None]
-    return ((h1[None, :] + steps * h2[None, :]) % np.uint64(size)).astype(np.int64).ravel()
+    The element's `digest_pair` under each row seed goes through
+    `_probe_positions` as uint64 arrays, so these are the cells a bulk
+    build gives the element.
+    """
+    digests = [digest_pair(derive_row_seed(params.seed, row), element) for row in range(params.depth)]
+    h1, h2 = np.array(digests, dtype=np.uint64).T
+    # probe-major, as _probe_positions lists them: probe i of row r is entry i * depth + r
+    rows = np.arange(params.depth * params.hash_count) % params.depth
+    return rows * params.width + _probe_positions((h1, h2), params.hash_count, params.width)
 
 
 def _count_rows(digests: tuple[np.ndarray, ...], owners: np.ndarray, counts: np.ndarray,
@@ -134,7 +137,6 @@ class BloomFilter:
 
     def __init__(self, length: int, hash_count: int = 1, seed: int = 0):
         self.params = SketchParams(self.kind, length, 1, hash_count, seed)
-        self.family = HashFamily(seed=seed, hash_count=hash_count, size=length)
         self.bits = np.zeros(length, dtype=bool)
 
     length = property(lambda self: self.params.width)
@@ -142,11 +144,11 @@ class BloomFilter:
     seed = property(lambda self: self.params.seed)
 
     def insert(self, element: bytes | str) -> None:
-        self.bits[self.family.positions(element)] = True
+        self.bits[_element_cells(self.params, element)] = True
 
     def contains(self, element: bytes | str) -> bool:
         """False means definitely never inserted; True means inserted or collision."""
-        return bool(self.bits[self.family.positions(element)].all())
+        return bool(self.bits[_element_cells(self.params, element)].all())
 
     def __contains__(self, element: bytes | str) -> bool:
         return self.contains(element)
@@ -187,7 +189,6 @@ class CounterTable:
 
     def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
         self.params = SketchParams(self.kind, width, depth, hash_count, seed)
-        self.row_seeds = [derive_row_seed(seed, row) for row in range(depth)]
         self.table = np.zeros((depth, width), dtype=np.uint32)
         self.total_insertions = 0
         self.saturated = False  # True once any cell has been clamped at COUNTER_MAX
@@ -197,27 +198,19 @@ class CounterTable:
     hash_count = property(lambda self: self.params.hash_count)
     seed = property(lambda self: self.params.seed)
 
-    def _cells(self, element: bytes | str) -> list[tuple[int, int]]:
-        """(row, column) of every probe of an element."""
-        return [
-            (row, column)
-            for row, row_seed in enumerate(self.row_seeds)
-            for column in HashFamily(row_seed, self.hash_count, self.width).positions(element)
-        ]
-
     def insert(self, element: bytes | str, times: int = 1) -> None:
+        """Add `times` at each probe of the element; a cell two probes hit gains it twice."""
         _check_times(times)
-        for cell in self._cells(element):
-            current = int(self.table[cell]) + times
-            if current > COUNTER_MAX:
-                current = COUNTER_MAX
-                self.saturated = True
-            self.table[cell] = current
+        cells, hits = np.unique(_element_cells(self.params, element), return_counts=True)
+        # times past COUNTER_MAX + 1 saturate alike, and the clip keeps the int64 sum exact
+        counters, saturated = _clip_saturating(self.table.take(cells) + hits * min(times, COUNTER_MAX + 1))
+        self.table.put(cells, counters)
+        self.saturated |= saturated
         self.total_insertions += times
 
     def estimate_count(self, element: bytes | str) -> int:
         """Upper-bound estimate: minimum counter across the element's probed cells."""
-        return min(int(self.table[cell]) for cell in self._cells(element))
+        return int(self.table.take(_element_cells(self.params, element)).min())
 
     @classmethod
     def from_multiset(cls, multiset: Multiset, *args, **kwargs):
@@ -228,7 +221,8 @@ class CounterTable:
         """
         sketch = cls(*args, **kwargs)
         elements, counts = _multiset_arrays(multiset)
-        rows = [_row_digests(row_seed, elements, sketch.hash_count) for row_seed in sketch.row_seeds]
+        seeds = [derive_row_seed(sketch.seed, row) for row in range(sketch.depth)]
+        rows = [_row_digests(seed, elements, sketch.hash_count) for seed in seeds]
         sketch.table, sketch.saturated = _count_rows(
             tuple(np.concatenate(parts) for parts in zip(*rows)), np.arange(sketch.depth).repeat(len(counts)),
             np.concatenate([counts] * sketch.depth), sketch.depth, sketch.width, sketch.hash_count,
@@ -278,6 +272,17 @@ class CountMinSketch(CounterTable):
 SKETCH_KINDS = {sketch_type.kind: sketch_type for sketch_type in (BloomFilter, CountingBloomFilter, CountMinSketch)}
 
 
+def _from_state(params: SketchParams, **state) -> BloomFilter | CounterTable:
+    """A sketch of a checked shape holding `state` as is, with no zero table to overwrite.
+
+    The state of a BF is its `bits`; that of a counter table is its
+    `table`, `total_insertions` and `saturated`.
+    """
+    sketch = object.__new__(SKETCH_KINDS[params.kind])
+    vars(sketch).update(params=params, **state)
+    return sketch
+
+
 def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
     """Column-wise row sum of a Count-Min sketch, as a CBF.
 
@@ -287,8 +292,6 @@ def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
     it, so point queries against it answer for the projection, not for
     a natively built CBF.
     """
-    projected = CountingBloomFilter(sketch.width, hash_count=sketch.depth, seed=sketch.seed)
-    projected.table, overflowed = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
-    projected.saturated = overflowed or sketch.saturated
-    projected.total_insertions = sketch.total_insertions
-    return projected
+    table, overflowed = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
+    return _from_state(SketchParams("cbf", sketch.width, 1, sketch.depth, sketch.seed), table=table,
+                       total_insertions=sketch.total_insertions, saturated=overflowed or sketch.saturated)

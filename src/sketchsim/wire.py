@@ -36,7 +36,7 @@ import struct
 import numpy as np
 
 from .metrics import witness_of
-from .sketches import COUNTER_MAX, BloomFilter, CounterTable, SketchParams
+from .sketches import COUNTER_MAX, BloomFilter, CounterTable, SketchParams, _from_state
 
 MAGIC = b"SKSM"
 VERSION = 1
@@ -113,15 +113,12 @@ def decode(data: bytes) -> Sketch:
     expected = (params.width + 7) // 8 if packed else params.depth * params.width * 4
     if len(payload) != expected:
         raise TruncatedPayloadError(f"expected {expected} payload bytes, got {len(payload)}")
-    sketch = params.sketch()
     if packed:
         unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
-        sketch.bits = unpacked[: params.width].astype(bool)
-        return sketch
-    sketch.table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(params.depth, params.width)
-    sketch.total_insertions = int(sketch.table[0].sum(dtype=np.uint64)) // params.hash_count
-    sketch.saturated = bool((sketch.table == COUNTER_MAX).any())
-    return sketch
+        return _from_state(params, bits=unpacked[: params.width].astype(bool))
+    table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(params.depth, params.width)
+    return _from_state(params, table=table, total_insertions=int(table[0].sum(dtype=np.uint64)) // params.hash_count,
+                       saturated=bool((table == COUNTER_MAX).any()))
 
 
 __all__ = [

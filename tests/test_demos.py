@@ -1,4 +1,8 @@
-"""Each demo script runs to completion against the package under test."""
+"""Each demo script runs to completion and prints exactly its recorded output.
+
+The recorded stdout lives in tests/data/demos/<demo>.txt; a change that
+alters any printed byte (an estimate, a score, an envelope size) fails here.
+"""
 
 import subprocess
 import sys
@@ -7,6 +11,7 @@ from pathlib import Path
 import pytest
 
 DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+RECORDED = Path(__file__).parent / "data" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -15,4 +20,4 @@ def test_demo_runs(demo, tmp_path, child_env):
         [sys.executable, str(demo)], capture_output=True, text=True, cwd=tmp_path, env=child_env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip()
+    assert done.stdout == (RECORDED / f"{demo.stem}.txt").read_text()

@@ -259,8 +259,9 @@ def test_sketch_params_validation():
         SketchParams("cbf", 16, depth=2)
     with pytest.raises(ValueError):
         SketchParams("cms", 16, hash_count=2)
-    with pytest.raises(ValueError):
-        SketchParams("cbf", 0)
+    for fields in [{"width": 0}, {"hash_count": 0}, {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}]:
+        with pytest.raises(ValueError):
+            SketchParams("cbf", **{"width": 16, **fields})
 
 
 def test_grid_spec_validation():

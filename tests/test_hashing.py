@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from sketchsim import HashFamily, derive_row_seed, digest_pair, find_collision_free_seed, fnv1a64
-from sketchsim.hashing import digest1_bulk, digest_pairs_bulk, fnv1a64_bulk
+from sketchsim import derive_row_seed, digest_pair, find_collision_free_seed, fnv1a64
+from sketchsim.hashing import _probe_positions, _row_digests, digest1_bulk, digest_pairs_bulk, fnv1a64_bulk
 
 
 # Published FNV-1a 64-bit vectors (reference test suite of the FNV spec).
@@ -41,57 +41,56 @@ def test_h2_is_always_odd():
         assert h2 % 2 == 1
 
 
+def _positions(seed, hash_count, size, elements):
+    """Every element's probe cells, one column per element, from one bulk call."""
+    return _probe_positions(_row_digests(seed, elements, hash_count), hash_count, size).reshape(hash_count, -1)
+
+
 def test_positions_shape_and_range():
-    family = HashFamily(seed=0, hash_count=1, size=7)
-    assert len(family.positions(b"e")) == 1
-    family = HashFamily(seed=3, hash_count=5, size=13)
-    positions = family.positions("element")
-    assert len(positions) == 5
-    assert all(0 <= p < 13 for p in positions)
+    assert _positions(0, 1, 7, [b"e"]).shape == (1, 1)
+    positions = _positions(3, 5, 13, [b"element", b"other", b"x"])
+    assert positions.shape == (5, 3)
+    assert positions.min() >= 0 and positions.max() < 13
 
 
 def test_positions_deterministic_across_calls_and_instances():
-    a = HashFamily(seed=42, hash_count=3, size=101)
-    b = HashFamily(seed=42, hash_count=3, size=101)
     rng = random.Random(7)
-    for _ in range(10_000):
-        element = bytes(rng.choices(range(33, 127), k=10))
-        first = a.positions(element)
-        assert first == a.positions(element)
-        assert first == b.positions(element)
+    elements = [bytes(rng.choices(range(33, 127), k=10)) for _ in range(10_000)]
+    first = _positions(42, 3, 101, elements)
+    assert np.array_equal(first, _positions(42, 3, 101, list(elements)))
+    # an element's cells do not depend on the elements digested with it
+    order = rng.sample(range(len(elements)), len(elements))
+    assert np.array_equal(first[:, order], _positions(42, 3, 101, [elements[i] for i in order]))
 
 
 def test_families_with_different_seeds_disagree_somewhere():
-    a = HashFamily(seed=1, hash_count=2, size=1 << 20)
-    b = HashFamily(seed=2, hash_count=2, size=1 << 20)
-    assert any(a.positions(f"e{i}") != b.positions(f"e{i}") for i in range(50))
+    elements = [f"e{i}".encode() for i in range(50)]
+    assert not np.array_equal(_positions(1, 2, 1 << 20, elements), _positions(2, 2, 1 << 20, elements))
 
 
 def test_empirical_uniformity():
     # 10^5 random 10-char strings into 128 buckets: every bucket within
     # +/- 15% of the mean. A sanity check, not a proof of independence.
-    family = HashFamily(seed=0, hash_count=1, size=128)
     rng = random.Random(2718)
-    counts = np.zeros(128, dtype=int)
-    for _ in range(100_000):
-        element = bytes(rng.choices(range(33, 127), k=10))
-        counts[family.positions(element)[0]] += 1
+    elements = [bytes(rng.choices(range(33, 127), k=10)) for _ in range(100_000)]
+    counts = np.bincount(_positions(0, 1, 128, elements)[0], minlength=128)
     mean = 100_000 / 128
     assert counts.min() >= mean * 0.85, counts.min()
     assert counts.max() <= mean * 1.15, counts.max()
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        HashFamily(seed=-1)
-    with pytest.raises(ValueError):
-        HashFamily(seed=2**64)
-    with pytest.raises(ValueError):
-        HashFamily(hash_count=0)
-    with pytest.raises(ValueError):
-        HashFamily(size=0)
+    # the shape checks (seed, size, hash count) are SketchParams' own: see test_sketch_params_validation
+    for seed in (-1, 2**64, 1.0):
+        with pytest.raises(ValueError):
+            digest_pair(seed, b"a")
+        with pytest.raises(ValueError):
+            _row_digests(seed, [b"a"], 2)
     with pytest.raises(ValueError):
         digest_pair(0, b"")
+    for size, hash_count in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError):
+            find_collision_free_seed([b"a"], size=size, hash_count=hash_count)
 
 
 def test_row_seed_derivation():
@@ -113,12 +112,9 @@ def test_row_seed_cache_keeps_validation():
 
 def test_find_collision_free_seed():
     elements = [f"item{i}".encode() for i in range(16)]
-    seed = find_collision_free_seed(elements, size=2048, hash_count=2)
-    family = HashFamily(seed=seed, hash_count=2, size=2048)
-    owner = {}
-    for element in elements:
-        for position in set(family.positions(element)):
-            assert owner.setdefault(position, element) == element
+    seed = find_collision_free_seed(elements + elements[:3], size=2048, hash_count=2)  # repeats are allowed
+    cells = [set(column) for column in _positions(seed, 2, 2048, elements).T.tolist()]
+    assert sum(map(len, cells)) == len(set().union(*cells))  # no cell holds two elements
 
 
 def test_find_collision_free_seed_gives_up():

@@ -4,7 +4,8 @@ They pin the invariants every counting-sketch build and scorer must keep:
 a one-hash CBF is a one-row CMS, all build paths agree with sequential
 inserts (saturation included), envelopes round-trip, decode fails only
 with typed errors, sketch Dice never undershoots the exact Dice, and
-the bulk hash paths give the scalar digests. The triplet reader sums
+the bulk hash paths give the scalar digests, and `_probe_positions` gives
+the index formula computed in Python ints. The triplet reader sums
 duplicate lines exactly as a plain dict does, in first-seen order, and
 its profiles round-trip through the profile file. A header decodes to
 exactly the shapes `SketchParams` accepts, with the counter code of its kind.
@@ -46,7 +47,7 @@ from sketchsim import (
     write_profiles,
 )
 from sketchsim.experiments import _Columns
-from sketchsim.hashing import digest1_bulk, digest_pairs_bulk
+from sketchsim.hashing import _probe_positions, _row_digests, digest1_bulk, digest_pairs_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
 
@@ -186,12 +187,20 @@ def test_sketch_dice_never_below_exact(x, y, width, probe_count, seed):
     assert cms_dice(r, s) >= truth - 2 * math.ulp(truth)
 
 
+# sizes 1, small non-powers of two, powers of two and the largest the header carries
+sizes = st.one_of(st.just(1), st.integers(2, 1000), st.sampled_from([2**10, 2**31, 2**32 - 1]))
+
+
 @PROPERTY
-@given(st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=40), seeds)
-def test_bulk_hashing_matches_scalar(elements, seed):
+@given(st.lists(st.binary(min_size=1, max_size=24), min_size=1, max_size=40), seeds, st.integers(1, 8), sizes)
+def test_bulk_hashing_matches_scalar(elements, seed, hash_count, size):
     h1, h2 = digest_pairs_bulk(seed, elements)
-    assert list(zip(h1.tolist(), h2.tolist())) == [digest_pair(seed, element) for element in elements]
+    pairs = [digest_pair(seed, element) for element in elements]
+    assert list(zip(h1.tolist(), h2.tolist())) == pairs
     assert digest1_bulk(seed, elements).tolist() == h1.tolist()
+    # the normative index formula, in Python ints, against its one implementation
+    expected = [((first + i * step) % 2**64) % size for i in range(hash_count) for first, step in pairs]
+    assert _probe_positions(_row_digests(seed, elements, hash_count), hash_count, size).tolist() == expected
 
 
 # ids never hold a tab, CR or LF; U+2028 and U+0085 are line breaks to

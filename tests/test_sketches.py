@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from sketchsim import (
     BloomFilter,
     CountMinSketch,
     CountingBloomFilter,
-    HashFamily,
     Multiset,
     SketchParams,
     cms_to_cbf,
+    encode,
 )
 from sketchsim.experiments import _Columns
+from sketchsim.hashing import _probe_positions, _row_digests
 
 
 def _random_multiset(rng, max_distinct=40, max_count=9):
@@ -93,16 +95,10 @@ class TestCountingBloomFilter:
 
     def test_forced_collision_adds_counts(self):
         # search a pair of elements sharing their single cell in a 4-cell table
-        family = HashFamily(seed=0, hash_count=1, size=4)
         rng = random.Random(0)
-        buckets = {}
-        a = b = None
-        while a is None:
-            e = rng.randbytes(6)
-            p = family.positions(e)[0]
-            if p in buckets and buckets[p] != e:
-                a, b = buckets[p], e
-            buckets.setdefault(p, e)
+        elements = [rng.randbytes(6) for _ in range(5)]  # 5 distinct elements in 4 cells: two share one
+        cells = _probe_positions(_row_digests(0, elements, 1), 1, 4).tolist()
+        a, b = next((x, y) for (x, p), (y, q) in combinations(zip(elements, cells), 2) if p == q)
         cbf = CountingBloomFilter(4, hash_count=1, seed=0)
         cbf.insert(a, 2)
         cbf.insert(b, 3)
@@ -217,6 +213,17 @@ def test_validation():
         BloomFilter(0)
     with pytest.raises(ValueError):
         CountingBloomFilter(4, hash_count=0)
+
+
+def test_sketch_params_fit_the_header():
+    # width, depth and hash count travel as uint32 header fields; checking a shape builds no table
+    assert SketchParams("cms", 2**32 - 1, depth=2**32 - 1).width == 2**32 - 1
+    assert SketchParams("cbf", 2**32 - 1, hash_count=2**32 - 1).hash_count == 2**32 - 1
+    for kind, fields in [("cms", {"width": 2**40}), ("cms", {"depth": 2**32}), ("cbf", {"hash_count": 2**32})]:
+        with pytest.raises(ValueError):
+            SketchParams(kind, **{"width": 8, **fields})
+    with pytest.raises(ValueError):  # not struct.error from the header packing
+        encode(CountingBloomFilter(8, 2**32))
 
 
 @pytest.mark.parametrize("count", [COUNTER_MAX, COUNTER_MAX + 1, 2**62, 2**63, 2**64 - 1])
