@@ -2,8 +2,9 @@
 
 Two devices each turn a local multiset (say, song -> play count) into a
 Counting Bloom Filter or Count-Min Sketch, exchange one envelope each,
-and score their similarity from counter vectors alone. Estimates equal
-or overestimate the exact Dice / cosine score, never undershoot it.
+and score their similarity from counter vectors alone. A Dice estimate
+equals or overestimates the exact Dice score, never undershoots it; a
+cosine estimate carries no such one-sided guarantee.
 """
 
 from .multiset import (

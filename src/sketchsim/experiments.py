@@ -6,9 +6,10 @@ oracle score as ground truth. Grids repeat that over a parameter lattice
 and reduce each cell to an RMSE. Everything is deterministic for a fixed
 corpus and seed. A run holds its corpus in columns (`_Columns`, built
 once per run from that run's corpus), so a sweep digests each distinct
-element once per row seed, asks the oracle about each pair once, builds
-each sketch row of all profiles in one pass and scores all pairs from
-that row.
+element once per row seed (a cell's missing row seeds together, in one
+`digest_rows` call per vocabulary chunk), asks the oracle about each
+pair once, builds each sketch row of all profiles in one pass and
+scores all pairs from that row.
 
 Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
 row sums, row reducer), which the named scorers and the CLI read too. A
@@ -29,7 +30,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import metrics
-from .hashing import _row_digests, derive_row_seed
+from .hashing import digest_rows
 from .multiset import Multiset, UndefinedSimilarityError
 from .sketches import SketchParams, _count_rows, _multiset_arrays
 
@@ -57,10 +58,11 @@ class GridSpec:
             raise ValueError(f"kind must be 'cbf' or 'cms', got {self.kind!r}")
         if not self.dims or not self.depths:
             raise ValueError("dims and depths must be non-empty")
-        if any(v < 1 for v in self.dims) or any(v < 1 for v in self.depths):
-            raise ValueError("all grid dimensions must be >= 1")
         if self.metric not in metrics.METRICS:
             raise ValueError(f"metric must be {' or '.join(map(repr, metrics.METRICS))}, got {self.metric!r}")
+        for dim in self.dims:  # every cell is a valid shape, checked before any corpus work
+            for depth in self.depths:
+                self.params_for(dim, depth)
 
     def params_for(self, dim: int, depth: int) -> SketchParams:
         if self.kind == "cbf":
@@ -106,7 +108,7 @@ class ThresholdReport:
 
 
 _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bounds a cell's working memory
-_DIGEST_CHUNK = 2**13  # vocabulary elements per digest call; bounds the memory hashing takes
+_DIGEST_CHUNK = 2**13  # vocabulary elements per digest call (over all missing row seeds); bounds hashing memory
 
 
 class _Columns:
@@ -134,17 +136,20 @@ class _Columns:
         self._count = np.concatenate([counts for _, counts in arrays])
         self._offsets = list(accumulate(lengths, initial=0))  # profile p owns entries offsets[p]:offsets[p + 1]
         self._vocabulary = list(vocabulary)
-        self._digests: dict[int, tuple[np.ndarray, ...]] = {}  # row seed -> (h1,) or (h1, h2) per element id
+        self._digests: dict[int, np.ndarray] = {}  # row seed -> [h1] or [h1, h2] rows, one column per element id
         self._truths: dict[tuple[str, int, int], float] = {}  # (metric, left, right) -> exact score
 
-    def _vocabulary_digests(self, row_seed: int, hash_count: int) -> tuple[np.ndarray, ...]:
-        """`_row_digests` of every vocabulary element under a row seed."""
-        digests = self._digests.get(row_seed)
-        if not digests or len(digests) < min(hash_count, 2):
-            parts = [_row_digests(row_seed, self._vocabulary[i : i + _DIGEST_CHUNK], hash_count)
-                     for i in range(0, len(self._vocabulary), _DIGEST_CHUNK)]
-            digests = self._digests[row_seed] = tuple(np.concatenate(column) for column in zip(*parts))
-        return digests
+    def _vocabulary_digests(self, params: SketchParams) -> list[np.ndarray]:
+        """Each row's `digest_rows` over the vocabulary, memoised per row seed; missing seeds are digested together."""
+        kinds = min(params.hash_count, 2)  # h1 alone, or h1 and h2
+        missing = [seed for seed in params.row_seeds if len(self._digests.get(seed, ())) < kinds]
+        if missing:
+            digests = np.empty((kinds, len(missing), len(self._vocabulary)), dtype=np.uint64)
+            for first in range(0, len(self._vocabulary), _DIGEST_CHUNK):
+                chunk = self._vocabulary[first : first + _DIGEST_CHUNK]
+                digests[:, :, first : first + len(chunk)] = digest_rows(missing, params.hash_count, chunk)
+            self._digests.update(zip(missing, digests.swapaxes(0, 1)))
+        return [self._digests[seed] for seed in params.row_seeds]
 
     def _truth(self, metric: str, left: int, right: int) -> float:
         """The exact score of a pair of profiles, from one oracle call (an undefined one raises each time)."""
@@ -159,13 +164,12 @@ class _Columns:
         offsets, profiles = self._offsets, len(self.profiles)
         step = max(1, _CHUNK_CELLS // (params.width + params.hash_count * int(np.diff(offsets).max())))
         table = np.empty((profiles, params.width), dtype=np.uint32)
-        for row in range(params.depth):
-            digests = self._vocabulary_digests(derive_row_seed(params.seed, row), params.hash_count)
+        for digests in self._vocabulary_digests(params):
             for first in range(0, profiles, step):
                 last = min(first + step, profiles)
                 entries = slice(offsets[first], offsets[last])
                 owners = np.repeat(np.arange(last - first), np.diff(offsets[first : last + 1]))
-                table[first:last], _ = _count_rows(tuple(d[self._element[entries]] for d in digests), owners,
+                table[first:last], _ = _count_rows(digests.take(self._element[entries], axis=1), owners,
                                                    self._count[entries], last - first, params.width, params.hash_count)
             yield table
 

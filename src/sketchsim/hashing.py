@@ -30,11 +30,12 @@ Row 0 keeps the base seed itself so a one-row Count-Min sketch is
 cell-for-cell identical to a one-hash Counting Bloom Filter built from
 the same seed.
 
-`digest_pair` is the scalar reference digest; `digest_pairs_bulk` and
-`digest1_bulk` give the same values for many elements at once.
-`_row_digests` picks the digests a row needs and `_probe_positions` is
-the only implementation of the index formula: every sketch operation,
-on one element or on a whole multiset, takes its cells from it.
+`digest_pair` is the scalar reference digest; `digest_rows` gives the
+same values for many elements under many row seeds in one pass over the
+bytes, as `fnv1a64_bulk` runs every prefix state at once.
+`_probe_positions` is the only implementation of the index formula:
+every sketch operation, on one element or on a whole multiset, takes
+its cells from it.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def mix64(value: int) -> int:
 
 
 def _mix64_bulk(values: np.ndarray) -> np.ndarray:
+    """mix64 of every entry of a uint64 array, in place; returns the array."""
     shift = np.uint64(33)
-    values = values.copy()
     values ^= values >> shift
     values *= np.uint64(0xFF51AFD7ED558CCD)
     values ^= values >> shift
@@ -86,28 +87,26 @@ def _mix64_bulk(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def fnv1a64_bulk(datas: Sequence[bytes], state: int = FNV_OFFSET) -> np.ndarray:
-    """FNV-1a digests of many byte strings at once (uint64 array).
+def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
+    """A (len(states), len(datas)) uint64 array whose entry [s, i] is fnv1a64(datas[i], states[s]).
 
-    Bit-identical to calling fnv1a64 on each entry; inputs are grouped
-    by length so each group vectorizes into one pass per byte position.
+    Inputs are grouped by length so each group vectorizes into one pass
+    per byte position over every state at once.
     """
-    out = np.empty(len(datas), dtype=np.uint64)
+    out = np.empty((len(states), len(datas)), dtype=np.uint64)
     by_length: dict[int, list[int]] = {}
     for i, data in enumerate(datas):
         by_length.setdefault(len(data), []).append(i)
     prime = np.uint64(FNV_PRIME)
+    start = np.array(states, dtype=np.uint64)[:, None]
     for length, indices in by_length.items():
-        idx = np.array(indices)
-        h = np.full(len(indices), state, dtype=np.uint64)
+        h = start.repeat(len(indices), axis=1)
         if length:
-            block = np.frombuffer(
-                b"".join(datas[i] for i in indices), dtype=np.uint8
-            ).reshape(len(indices), length)
+            block = np.frombuffer(b"".join(datas[i] for i in indices), dtype=np.uint8).reshape(len(indices), length)
             for j in range(length):
-                h ^= block[:, j].astype(np.uint64)
+                h ^= block[:, j]
                 h *= prime  # uint64 wraparound, matching the scalar masking
-        out[idx] = h
+        out[:, indices] = h
     return out
 
 
@@ -131,20 +130,6 @@ def digest_pair(seed: int, element: bytes | str) -> tuple[int, int]:
     return h1, h2
 
 
-def digest_pairs_bulk(seed: int, elements: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """(h1, h2) arrays for many elements; matches digest_pair entrywise."""
-    _check_seed(seed)
-    h1 = _mix64_bulk(fnv1a64_bulk(elements, _prefix_state(seed, _DOMAIN_H1)))
-    h2 = _mix64_bulk(fnv1a64_bulk(elements, _prefix_state(seed, _DOMAIN_H2))) | np.uint64(1)
-    return h1, h2
-
-
-def digest1_bulk(seed: int, elements: Sequence[bytes]) -> np.ndarray:
-    """h1 array only, for single-function (k=1) families such as CMS rows."""
-    _check_seed(seed)
-    return _mix64_bulk(fnv1a64_bulk(elements, _prefix_state(seed, _DOMAIN_H1)))
-
-
 def derive_row_seed(base_seed: int, row: int) -> int:
     """Seed of a Count-Min row family; row 0 is the base seed itself."""
     _check_seed(base_seed)
@@ -159,24 +144,30 @@ def _row_seed(base_seed: int, row: int) -> int:
     return fnv1a64(row.to_bytes(4, "little"), _prefix_state(base_seed, _DOMAIN_ROW))
 
 
-def _row_digests(seed: int, elements: Sequence[bytes], hash_count: int) -> tuple[np.ndarray, ...]:
-    """The digests a row with this seed needs: (h1,) for one probe, else (h1, h2)."""
-    if hash_count == 1:
-        return (digest1_bulk(seed, elements),)
-    return digest_pairs_bulk(seed, elements)
+def digest_rows(row_seeds: Sequence[int], hash_count: int, elements: Sequence[bytes]) -> tuple[np.ndarray, ...]:
+    """The digests rows with these seeds need, from one pass over the element bytes.
+
+    (h1,) for one probe per row, else (h1, h2), each a (len(row_seeds),
+    len(elements)) uint64 array whose entry [r, i] is that digest of
+    digest_pair(row_seeds[r], elements[i]).
+    """
+    domains = (_DOMAIN_H1,) if hash_count == 1 else (_DOMAIN_H1, _DOMAIN_H2)
+    states = [_prefix_state(_check_seed(seed), domain) for domain in domains for seed in row_seeds]
+    digests = _mix64_bulk(fnv1a64_bulk(elements, states)).reshape(len(domains), len(row_seeds), len(elements))
+    digests[1:] |= np.uint64(1)  # h2 is odd
+    return tuple(digests)
 
 
-def _probe_positions(digests: tuple[np.ndarray, ...], hash_count: int, size: int) -> np.ndarray:
-    """Flat indices of every probe, probe-major: (h1 + i * h2) mod size for i < hash_count.
+def _probe_positions(digests: Sequence[np.ndarray], hash_count: int, size: int) -> np.ndarray:
+    """The cell of every probe, shape (hash_count, *h1.shape): entry [i, ...] is (h1 + i * h2) mod size.
 
     The only implementation of the index formula; uint64 arithmetic wraps
     mod 2^64 as the formula requires.
     """
-    if hash_count == 1:
-        return (digests[0] % np.uint64(size)).astype(np.int64)
-    h1, h2 = digests
-    steps = np.arange(hash_count, dtype=np.uint64)[:, None]
-    return ((h1[None, :] + steps * h2[None, :]) % np.uint64(size)).astype(np.int64).ravel()
+    h1 = digests[0]
+    if hash_count > 1:
+        h1 = h1 + np.multiply.outer(np.arange(hash_count, dtype=np.uint64), digests[1])
+    return (h1 % np.uint64(size)).astype(np.int64).reshape(hash_count, *digests[0].shape)
 
 
 def find_collision_free_seed(
@@ -196,9 +187,9 @@ def find_collision_free_seed(
     if size < 1 or hash_count < 1:
         raise ValueError(f"size and hash_count must be >= 1, got {size} and {hash_count}")
     keys = list(dict.fromkeys(as_element(e) for e in elements))  # a repeated element only meets itself
-    owners = np.tile(np.arange(len(keys)), hash_count)  # the element of each probe, probe-major
+    owners = np.arange(len(keys))  # the element of each probe column
     for seed in range(start_seed, start_seed + max_tries):
-        cells = _probe_positions(_row_digests(seed, keys, hash_count), hash_count, size)
+        cells = _probe_positions(digest_rows([seed], hash_count, keys), hash_count, size)
         claims = np.unique(cells * len(keys) + owners)  # distinct (cell, element) pairs
         if len(np.unique(claims // max(len(keys), 1))) == len(claims):
             return seed

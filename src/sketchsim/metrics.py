@@ -7,13 +7,14 @@ scored by one row scorer per metric: the metric of each pair of rows,
 averaged over the rows. A CBF is one row, so its score is that row's;
 a CMS score is the mean of its per-row CBF scores.
 
-Every metric is exact or an overestimate, never an underestimate: a
-collision can only add mass to a cell, and min(a+c, b+d) >= min(a,b) +
+The Dice estimate is exact or an overestimate, never an underestimate:
+a collision can only add mass to a cell, and min(a+c, b+d) >= min(a,b) +
 min(c,d), so the positionwise-minimum numerator never loses intersection
-mass. Each row score is computed from exact integer sums with one final
-floating division, so results are deterministic across platforms. The
-row mean (math.fsum, then / depth) can land a CMS score one rounding
-below its smallest row score, and so just below the exact score.
+mass. The row mean is clamped at the smallest row score, as
+math.fsum(rows) / depth can round one step below all of them. Cosine
+has no such guarantee: a collision can add more to the norms than to
+the dot product. Each row score is computed from exact integer sums with one final
+floating division, so results are deterministic across platforms.
 
 Two sketches are scored only when their shapes (`sketches.SketchParams`)
 are equal: `witness_of` reads a sketch's shape, and `check_witnesses`
@@ -79,7 +80,7 @@ def _dice_score(shared, mass_p, mass_q) -> float:
         if a + b == 0:
             raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
         values.append(2 * common / (a + b))
-    return math.fsum(values) / len(values)
+    return max(math.fsum(values) / len(values), min(values))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[int]:

@@ -9,8 +9,9 @@ only kind -> class table; every constructor validates through it.
 
 Every structure takes its cells from `hashing._probe_positions`, the
 one implementation of the index formula, whether it places one element
-(`insert`, `estimate_count`, `contains`) or a whole multiset
-(`from_multiset` and the grid engine's rows). The two counting
+(`insert`, `estimate_count`, `contains`, by `digest_pair`) or a whole
+multiset (`from_multiset` and the grid engine's rows, by one `digest_rows`
+call over every row seed of the shape). The two counting
 sketches are one structure, `CounterTable`: a depth x width matrix of
 32-bit counters in which row r hashes with
 `derive_row_seed(seed, r)` and probes each element `hash_count` times.
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import _check_seed, _probe_positions, _row_digests, derive_row_seed, digest_pair
+from .hashing import _check_seed, _probe_positions, derive_row_seed, digest_pair, digest_rows
 from .multiset import Multiset
 
 COUNTER_MAX = 2**32 - 1
@@ -52,13 +53,18 @@ class SketchParams:
     def __post_init__(self):
         if self.kind not in SKETCH_KINDS:
             raise ValueError(f"kind must be one of {', '.join(map(repr, SKETCH_KINDS))}, got {self.kind!r}")
-        if not all(1 <= size <= _FIELD_MAX for size in (self.width, self.depth, self.hash_count)):
-            raise ValueError(f"width, depth and hash_count must all be in [1, {_FIELD_MAX}]")
+        if not all(type(size) is int and 1 <= size <= _FIELD_MAX for size in (self.width, self.depth, self.hash_count)):
+            raise ValueError(f"width, depth and hash_count must all be ints in [1, {_FIELD_MAX}]")
         _check_seed(self.seed)
         if self.kind == "cms" and self.hash_count != 1:
             raise ValueError(f"a cms probes each row once: hash_count must be 1, got {self.hash_count}")
         if self.kind != "cms" and self.depth != 1:
             raise ValueError(f"a {self.kind} is one row: depth must be 1, got {self.depth}")
+
+    @property
+    def row_seeds(self) -> tuple[int, ...]:
+        """The seed each row hashes with: derive_row_seed(seed, r) for r < depth."""
+        return tuple(derive_row_seed(self.seed, row) for row in range(self.depth))
 
     def sketch(self, multiset: Multiset) -> BloomFilter | CounterTable:
         """This shape's sketch of a multiset, built by `from_multiset`."""
@@ -99,29 +105,26 @@ def _element_cells(params: SketchParams, element: bytes | str) -> np.ndarray:
 
     The element's `digest_pair` under each row seed goes through
     `_probe_positions` as uint64 arrays, so these are the cells a bulk
-    build gives the element.
+    build gives the element; entry [i, r] is probe i of row r.
     """
-    digests = [digest_pair(derive_row_seed(params.seed, row), element) for row in range(params.depth)]
-    h1, h2 = np.array(digests, dtype=np.uint64).T
-    # probe-major, as _probe_positions lists them: probe i of row r is entry i * depth + r
-    rows = np.arange(params.depth * params.hash_count) % params.depth
-    return rows * params.width + _probe_positions((h1, h2), params.hash_count, params.width)
+    h1, h2 = np.array([digest_pair(seed, element) for seed in params.row_seeds], dtype=np.uint64).T
+    return np.arange(params.depth) * params.width + _probe_positions((h1, h2), params.hash_count, params.width)
 
 
 def _count_rows(digests: tuple[np.ndarray, ...], owners: np.ndarray, counts: np.ndarray,
                 rows: int, width: int, hash_count: int) -> tuple[np.ndarray, bool]:
     """The one bulk accumulator: a rows x width uint32 counter table and its saturation flag.
 
-    Entry i (its `_row_digests` under its row's seed) adds counts[i] at each
-    of its hash_count probes in row owners[i]. Counts from `_multiset_arrays`
-    keep the int64 sums exact. Indices are flat because np.add.at with a 2-D
-    index and broadcast values is not reliable across numpy versions.
+    Each entry of the digest arrays (`digest_rows` under its row's seed)
+    adds its count at each of its hash_count probes in its owner row;
+    `owners` and `counts` broadcast against the digest arrays. Counts from
+    `_multiset_arrays` keep the int64 sums exact. Indices are flat because
+    np.add.at with a 2-D index and broadcast values is not reliable across
+    numpy versions.
     """
     accumulated = np.zeros(rows * width, dtype=np.int64)
-    if len(counts):
-        if hash_count > 1:
-            owners, counts = np.concatenate([owners] * hash_count), np.concatenate([counts] * hash_count)
-        np.add.at(accumulated, owners * width + _probe_positions(digests, hash_count, width), counts)
+    cells = owners * width + _probe_positions(digests, hash_count, width)
+    np.add.at(accumulated, cells.ravel(), np.broadcast_to(counts, cells.shape).ravel())
     return _clip_saturating(accumulated.reshape(rows, width))
 
 
@@ -157,10 +160,8 @@ class BloomFilter:
     def from_multiset(cls, multiset: Multiset, length: int, hash_count: int = 1, seed: int = 0) -> "BloomFilter":
         """Membership sketch of a multiset's distinct elements (counts ignored)."""
         sketch = cls(length, hash_count, seed)
-        elements = list(multiset.elements())
-        if elements:
-            digests = _row_digests(seed, elements, hash_count)
-            sketch.bits[_probe_positions(digests, hash_count, length)] = True
+        digests = digest_rows(sketch.params.row_seeds, hash_count, list(multiset.elements()))
+        sketch.bits[_probe_positions(digests, hash_count, length)] = True
         return sketch
 
     def __eq__(self, other: object) -> bool:
@@ -221,12 +222,9 @@ class CounterTable:
         """
         sketch = cls(*args, **kwargs)
         elements, counts = _multiset_arrays(multiset)
-        seeds = [derive_row_seed(sketch.seed, row) for row in range(sketch.depth)]
-        rows = [_row_digests(seed, elements, sketch.hash_count) for seed in seeds]
-        sketch.table, sketch.saturated = _count_rows(
-            tuple(np.concatenate(parts) for parts in zip(*rows)), np.arange(sketch.depth).repeat(len(counts)),
-            np.concatenate([counts] * sketch.depth), sketch.depth, sketch.width, sketch.hash_count,
-        )
+        digests = digest_rows(sketch.params.row_seeds, sketch.hash_count, elements)  # each (depth, elements)
+        sketch.table, sketch.saturated = _count_rows(digests, np.arange(sketch.depth)[:, None], counts,
+                                                     sketch.depth, sketch.width, sketch.hash_count)
         sketch.total_insertions = multiset.cardinality()
         return sketch
 

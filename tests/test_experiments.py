@@ -262,6 +262,11 @@ def test_sketch_params_validation():
     for fields in [{"width": 0}, {"hash_count": 0}, {"seed": -1}, {"seed": 2**64}, {"seed": 1.0}]:
         with pytest.raises(ValueError):
             SketchParams("cbf", **{"width": 16, **fields})
+    # sizes must be ints: a float or bool width, depth or hash count would fail later inside numpy
+    for args in [("cbf", 128.5), ("cbf", 128.0), ("cms", 64, 2.0), ("cbf", True), ("cbf", 16, 1, 2.0),
+                 ("cbf", 16, 1, True), ("cms", np.int64(64), 2)]:
+        with pytest.raises(ValueError):
+            SketchParams(*args)
 
 
 def test_grid_spec_validation():
@@ -271,3 +276,7 @@ def test_grid_spec_validation():
         GridSpec("cbf", dims=[16], depths=[0])
     with pytest.raises(ValueError):
         GridSpec("cbf", dims=[16], depths=[1], metric="other")
+    # every cell is checked as a sketch shape at construction, before any corpus work
+    for dims, depths in [([2**40], [1]), ([64.5], [1]), ([16], [2.0]), ([True], [1]), ([16, 0], [1])]:
+        with pytest.raises(ValueError):
+            GridSpec("cms", dims=dims, depths=depths)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sketchsim import derive_row_seed, digest_pair, find_collision_free_seed, fnv1a64
-from sketchsim.hashing import _probe_positions, _row_digests, digest1_bulk, digest_pairs_bulk, fnv1a64_bulk
+from sketchsim.hashing import FNV_OFFSET, _probe_positions, digest_rows, fnv1a64_bulk
 
 
 # Published FNV-1a 64-bit vectors (reference test suite of the FNV spec).
@@ -23,15 +23,30 @@ def test_fnv1a64_reference_vectors():
 
 def test_bulk_digests_match_scalar():
     rng = random.Random(99)
-    datas = [rng.randbytes(rng.randint(1, 40)) for _ in range(2000)]
-    bulk = fnv1a64_bulk(datas)
-    assert all(int(b) == fnv1a64(d) for b, d in zip(bulk, datas))
+    datas = [rng.randbytes(rng.randint(0, 40)) for _ in range(2000)]
+    states = [FNV_OFFSET, 0, 2**64 - 1, rng.getrandbits(64)]
+    bulk = fnv1a64_bulk(datas, states)
+    assert bulk.shape == (len(states), len(datas))
+    assert bulk.tolist() == [[fnv1a64(data, state) for data in datas] for state in states]
 
-    h1, h2 = digest_pairs_bulk(1234, datas)
-    for i, data in enumerate(datas):
-        s1, s2 = digest_pair(1234, data)
-        assert (int(h1[i]), int(h2[i])) == (s1, s2)
-    assert np.array_equal(digest1_bulk(1234, datas), h1)
+    elements = [data for data in datas[:300] if data]
+    for depth, hash_count in ((1, 1), (1, 2), (4, 1), (3, 5), (10, 8)):
+        row_seeds = [derive_row_seed(1234, row) for row in range(depth)]
+        digests = digest_rows(row_seeds, hash_count, elements)
+        assert len(digests) == min(hash_count, 2)
+        assert all(d.shape == (depth, len(elements)) for d in digests)
+        for r, seed in enumerate(row_seeds):
+            pairs = [digest_pair(seed, element) for element in elements]
+            assert digests[0][r].tolist() == [h1 for h1, _ in pairs]
+            if hash_count > 1:
+                assert digests[1][r].tolist() == [h2 for _, h2 in pairs]
+
+
+def test_bulk_digests_of_no_elements():
+    assert fnv1a64_bulk([], [FNV_OFFSET, 1]).shape == (2, 0)
+    h1, h2 = digest_rows([0, 1, 2], 3, [])
+    assert h1.shape == h2.shape == (3, 0)
+    assert _probe_positions((h1, h2), 3, 16).shape == (3, 3, 0)
 
 
 def test_h2_is_always_odd():
@@ -43,7 +58,7 @@ def test_h2_is_always_odd():
 
 def _positions(seed, hash_count, size, elements):
     """Every element's probe cells, one column per element, from one bulk call."""
-    return _probe_positions(_row_digests(seed, elements, hash_count), hash_count, size).reshape(hash_count, -1)
+    return _probe_positions(digest_rows([seed], hash_count, elements), hash_count, size).reshape(hash_count, -1)
 
 
 def test_positions_shape_and_range():
@@ -85,7 +100,7 @@ def test_validation():
         with pytest.raises(ValueError):
             digest_pair(seed, b"a")
         with pytest.raises(ValueError):
-            _row_digests(seed, [b"a"], 2)
+            digest_rows([0, seed], 2, [b"a"])
     with pytest.raises(ValueError):
         digest_pair(0, b"")
     for size, hash_count in ((0, 1), (1, 0)):

@@ -187,6 +187,22 @@ class TestOverestimation:
             s = CountMinSketch.from_multiset(y, n, depth, seed=seed)
             assert cms_dice(r, s) >= truth - 1e-12
 
+    def test_cms_row_mean_never_rounds_below_exact(self):
+        # every row scores 4/11, but fsum(rows) / 3 rounds one step below it
+        x = Multiset({b"\x00": 1, b"\x01": 1})
+        y = Multiset({b"\x00": 1, b"\x01": 1, b"\x02": 7})
+        r, s = (CountMinSketch.from_multiset(m, 1, 3, seed=0) for m in (x, y))
+        assert dice(x, y) == 0.36363636363636365
+        assert cms_dice(r, s) >= 0.36363636363636365
+
+    def test_cosine_can_undershoot(self):
+        # no one-sided guarantee for cosine: a collision can add more to the norms than to the dot product
+        x = Multiset({b"\x03": 9})
+        y = Multiset({b"\x03": 7, b"\x05": 6, b"\x07": 5, b"\x00": 7, b"\x02": 9})
+        p, q = _build_pair(x, y, 5, 1, seed=13)
+        assert cbf_cosine(p, q) == pytest.approx(0.366, abs=1e-3)
+        assert cosine(x, y) == pytest.approx(0.452, abs=1e-3)
+
     def test_symmetry(self):
         rng = random.Random(44)
         for _ in range(100):

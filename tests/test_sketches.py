@@ -15,7 +15,7 @@ from sketchsim import (
     encode,
 )
 from sketchsim.experiments import _Columns
-from sketchsim.hashing import _probe_positions, _row_digests
+from sketchsim.hashing import _probe_positions, digest_rows
 
 
 def _random_multiset(rng, max_distinct=40, max_count=9):
@@ -97,7 +97,7 @@ class TestCountingBloomFilter:
         # search a pair of elements sharing their single cell in a 4-cell table
         rng = random.Random(0)
         elements = [rng.randbytes(6) for _ in range(5)]  # 5 distinct elements in 4 cells: two share one
-        cells = _probe_positions(_row_digests(0, elements, 1), 1, 4).tolist()
+        cells = _probe_positions(digest_rows([0], 1, elements), 1, 4).ravel().tolist()
         a, b = next((x, y) for (x, p), (y, q) in combinations(zip(elements, cells), 2) if p == q)
         cbf = CountingBloomFilter(4, hash_count=1, seed=0)
         cbf.insert(a, 2)
