@@ -14,7 +14,8 @@ mass. The row mean is clamped at the smallest row score, as
 math.fsum(rows) / depth can round one step below all of them. Cosine
 has no such guarantee: a collision can add more to the norms than to
 the dot product. Each row score is computed from exact integer sums with one final
-floating division, so results are deterministic across platforms.
+floating division, so results are deterministic across platforms (Dice's
+joint mass is the min-sum plus the max-sum; cosine's sums are each row pair's Gram matrix).
 
 Two sketches are scored only when their shapes (`sketches.SketchParams`)
 are equal: `witness_of` reads a sketch's shape, and `check_witnesses`
@@ -63,37 +64,39 @@ def _require_comparable(p, q, expected_type: type) -> None:
     check_witnesses(p.params, q.params)
 
 
-def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """Per-row min-sums and masses of the paired rows of two counter tables, as exact ints."""
+def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
+    """Per-row min-sums and joint masses (sum(min) + sum(max) = sum(p) + sum(q)) of two tables' rows, as exact ints."""
     shared = np.minimum(a, b).sum(axis=1, dtype=np.uint64).tolist()
-    return shared, a.sum(axis=1, dtype=np.uint64).tolist(), b.sum(axis=1, dtype=np.uint64).tolist()
+    rest = np.maximum(a, b).sum(axis=1, dtype=np.uint64).tolist()
+    return shared, [low + high for low, high in zip(shared, rest)]
 
 
-def _dice_score(shared, mass_p, mass_q) -> float:
+def _dice_score(shared, mass) -> float:
     """Mean over rows of 2 * sum_i min(p_i, q_i) / sum_i (p_i + q_i).
 
     A row pair with zero denominator (both rows empty) is an error, not
     a skipped row: silently dropping rows would bias the average.
     """
     values = []
-    for row, (common, a, b) in enumerate(zip(shared, mass_p, mass_q)):
-        if a + b == 0:
+    for row, (common, total) in enumerate(zip(shared, mass)):
+        if total == 0:
             raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
-        values.append(2 * common / (a + b))
-    return max(math.fsum(values) / len(values), min(values))
+        values.append(2 * common / total)
+    return values[0] if len(values) == 1 else max(math.fsum(values) / len(values), min(values))
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[int]:
-    """Exact integer dot product of each pair of rows of two counter tables."""
-    # int64 is exact only while products cannot reach 2^63
-    if int(a.max(initial=0)) * int(b.max(initial=0)) * a.shape[1] < 2**63:
-        return (a.astype(np.int64) * b.astype(np.int64)).sum(axis=1).tolist()
+    """Exact dot product of each pair of rows of two counter tables, in Python ints."""
     return [sum(x * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.tolist(), b.tolist())]
 
 
 def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """Per-row dot products and squared norms of the paired rows of two counter tables."""
-    return _row_dots(a, b), _row_dots(a, a), _row_dots(b, b)
+    """Per-row dot products and squared norms of two tables' rows: one int64 matmul while exact, else Python ints."""
+    rows = np.array((a, b), dtype=np.int64).swapaxes(0, 1)  # (rows, 2, width)
+    if int(rows.max(initial=0)) ** 2 * a.shape[1] >= 2**63:
+        return _row_dots(a, b), _row_dots(a, a), _row_dots(b, b)
+    norm_sq_p, dots, _, norm_sq_q = (rows @ rows.swapaxes(1, 2)).reshape(-1, 4).T.tolist()
+    return dots, norm_sq_p, norm_sq_q
 
 
 def _cosine_score(dots, norms_sq_p, norms_sq_q) -> float:

@@ -29,6 +29,7 @@ clamp; every build, insert and projection goes through it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,12 +193,23 @@ class CounterTable:
         self.params = SketchParams(self.kind, width, depth, hash_count, seed)
         self.table = np.zeros((depth, width), dtype=np.uint32)
         self.total_insertions = 0
-        self.saturated = False  # True once any cell has been clamped at COUNTER_MAX
+        self.saturated = False
 
     width = property(lambda self: self.params.width)
     depth = property(lambda self: self.params.depth)
     hash_count = property(lambda self: self.params.hash_count)
     seed = property(lambda self: self.params.seed)
+
+    # set by builds, inserts and projections; derived on first read from a bare (decoded) table
+    @functools.cached_property
+    def total_insertions(self) -> int:
+        """Insertions counted with multiplicity: the first row's sum // hash_count, exact absent saturation."""
+        return int(self.table[0].sum(dtype=np.uint64)) // self.hash_count
+
+    @functools.cached_property
+    def saturated(self) -> bool:
+        """True once any cell has been clamped at COUNTER_MAX (derived: any cell sits at it)."""
+        return bool((self.table == COUNTER_MAX).any())
 
     def insert(self, element: bytes | str, times: int = 1) -> None:
         """Add `times` at each probe of the element; a cell two probes hit gains it twice."""
@@ -205,9 +217,9 @@ class CounterTable:
         cells, hits = np.unique(_element_cells(self.params, element), return_counts=True)
         # times past COUNTER_MAX + 1 saturate alike, and the clip keeps the int64 sum exact
         counters, saturated = _clip_saturating(self.table.take(cells) + hits * min(times, COUNTER_MAX + 1))
-        self.table.put(cells, counters)
-        self.saturated |= saturated
+        self.saturated |= saturated  # read both before the put: a derived one must not see it
         self.total_insertions += times
+        self.table.put(cells, counters)
 
     def estimate_count(self, element: bytes | str) -> int:
         """Upper-bound estimate: minimum counter across the element's probed cells."""
@@ -274,7 +286,7 @@ def _from_state(params: SketchParams, **state) -> BloomFilter | CounterTable:
     """A sketch of a checked shape holding `state` as is, with no zero table to overwrite.
 
     The state of a BF is its `bits`; that of a counter table is its
-    `table`, `total_insertions` and `saturated`.
+    `table`, and `total_insertions` and `saturated` unless derived.
     """
     sketch = object.__new__(SKETCH_KINDS[params.kind])
     vars(sketch).update(params=params, **state)

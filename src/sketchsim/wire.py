@@ -23,25 +23,30 @@ lives in byte i//8 at bit i%8). Counter payloads are uint32 LE. The
 recommended one-hash CBF of length 128 therefore travels in exactly
 27 + 128*4 = 539 bytes.
 
+A BF's padding bits past n must be zero, so each sketch has one envelope.
+A valid header's shape is memoised (a malformed one raises on every call).
+
 total_insertions and the saturation flag are derived conveniences, not
-wire fields: decode reconstructs total_insertions as the sum of the
-first row // hash_count (exact absent saturation) and flags saturation
-when any cell sits at the counter maximum.
+wire fields: a decoded counter table derives total_insertions on first
+read as the sum of the first row // hash_count (exact absent
+saturation), and saturation as any cell at the counter maximum.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 
 import numpy as np
 
 from .metrics import witness_of
-from .sketches import COUNTER_MAX, BloomFilter, CounterTable, SketchParams, _from_state
+from .sketches import BloomFilter, CounterTable, SketchParams, _from_state
 
 MAGIC = b"SKSM"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBIIIQB")
 HEADER_SIZE = _HEADER.size  # 27
+_HEADER_MEMO = 256  # distinct validated headers kept by decode_header
 
 _KIND_CODES = {"bf": 0, "cbf": 1, "cms": 2}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
@@ -88,10 +93,15 @@ def decode_header(data: bytes) -> SketchParams:
     if len(data) < 4:
         raise TruncatedPayloadError(f"expected at least 4 bytes of header, got {len(data)}")
     if data[:4] != MAGIC:
-        raise BadMagicError(f"bad magic {data[:4]!r}, expected {MAGIC!r}")
+        raise BadMagicError(f"bad magic {bytes(data[:4])!r}, expected {MAGIC!r}")
     if len(data) < HEADER_SIZE:
         raise TruncatedPayloadError(f"expected {HEADER_SIZE}-byte header, got {len(data)}")
-    _, version, kind_code, width, depth, hash_count, seed, counter_code = _HEADER.unpack_from(data)
+    return _header_shape(bytes(data[:HEADER_SIZE]))
+
+
+@functools.lru_cache(maxsize=_HEADER_MEMO)  # an exception raised is never cached
+def _header_shape(header: bytes) -> SketchParams:
+    _, version, kind_code, width, depth, hash_count, seed, counter_code = _HEADER.unpack(header)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported envelope version {version}")
     kind = _KIND_NAMES.get(kind_code)
@@ -106,19 +116,19 @@ def decode_header(data: bytes) -> SketchParams:
 
 
 def decode(data: bytes) -> Sketch:
-    """Parse an envelope back into a sketch, validating layout throughout."""
+    """Parse an envelope (any bytes-like object) into a sketch that owns a copy of its cells."""
     params = decode_header(data)
-    payload = data[HEADER_SIZE:]
     packed = params.kind == "bf"
     expected = (params.width + 7) // 8 if packed else params.depth * params.width * 4
-    if len(payload) != expected:
-        raise TruncatedPayloadError(f"expected {expected} payload bytes, got {len(payload)}")
+    if len(data) - HEADER_SIZE != expected:
+        raise TruncatedPayloadError(f"expected {expected} payload bytes, got {len(data) - HEADER_SIZE}")
     if packed:
-        unpacked = np.unpackbits(np.frombuffer(payload, dtype=np.uint8), bitorder="little")
+        unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE), bitorder="little")
+        if unpacked[params.width :].any():
+            raise WireFormatError(f"padding bits past the {params.width} bits of the BF must be zero")
         return _from_state(params, bits=unpacked[: params.width].astype(bool))
-    table = np.frombuffer(payload, dtype="<u4").astype(np.uint32).reshape(params.depth, params.width)
-    return _from_state(params, table=table, total_insertions=int(table[0].sum(dtype=np.uint64)) // params.hash_count,
-                       saturated=bool((table == COUNTER_MAX).any()))
+    table = np.frombuffer(data, dtype="<u4", offset=HEADER_SIZE).astype(np.uint32)  # copies: never share the caller's buffer
+    return _from_state(params, table=table.reshape(params.depth, params.width))
 
 
 __all__ = [

@@ -250,6 +250,14 @@ class TestLibraryPaths:
         assert (code, out) == (1, "")
         assert err.startswith("sketchsim: error:") and "carry no counts" in err
 
+    def test_envelope_with_padding_bits_is_data_error(self, tmp_path, capsys):
+        envelope = tmp_path / "bf.env"
+        clean = encode(BloomFilter(5, 1, 0))
+        envelope.write_bytes(clean[:-1] + bytes([clean[-1] | 0b11100000]))
+        code, out, err = run(capsys, "compare", str(envelope), str(envelope))
+        assert (code, out) == (1, "")
+        assert err.startswith("sketchsim: error:") and "padding" in err
+
 
 class TestGridAndThreshold:
     @pytest.fixture

@@ -48,6 +48,7 @@ from sketchsim import (
     write_profiles,
 )
 from sketchsim.experiments import _Columns
+from sketchsim.metrics import _cosine_sums, _dice_sums, _row_dots
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
@@ -107,6 +108,53 @@ def test_envelope_round_trip(kind, multiset, width, probe_count, seed):
     assert decoded == sketch
     # the envelope carries no flag: decode marks any cell at the maximum
     assert decoded.saturated == bool((sketch.table == COUNTER_MAX).any())
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
+def test_decoded_fields_are_derived_lazily(kind, multiset, width, probe_count, seed):
+    sketch = SKETCH_KINDS[kind].from_multiset(multiset, width, probe_count, seed)
+    decoded = decode(encode(sketch))
+    assert "total_insertions" not in vars(decoded) and "saturated" not in vars(decoded)
+    rows = sketch.table.tolist()
+    assert decoded.total_insertions == sum(rows[0]) // sketch.hash_count
+    assert decoded.saturated == any(cell == COUNTER_MAX for row in rows for cell in row)
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), multisets(), widths, probes, seeds,
+       st.lists(st.tuples(st.binary(min_size=1, max_size=6), edge_counts), max_size=6))
+def test_decoded_and_built_sketches_insert_alike(kind, multiset, width, probe_count, seed, inserts):
+    built = SKETCH_KINDS[kind].from_multiset(multiset, width, probe_count, seed)
+    decoded = decode(encode(built))
+    for element, times in inserts:
+        built.insert(element, times)
+        decoded.insert(element, times)
+    assert np.array_equal(decoded.table, built.table)
+    assert decoded.total_insertions == built.total_insertions == multiset.cardinality() + sum(t for _, t in inserts)
+    assert decoded.saturated == built.saturated
+
+
+# counter tables of 1-4 row pairs; cells on either side of the int64 guard of _cosine_sums
+cells = st.one_of(st.integers(0, 30), st.integers(2**31 - 3, 2**31 + 3), st.integers(COUNTER_MAX - 3, COUNTER_MAX))
+table_pairs = st.tuples(st.integers(1, 4), widths).flatmap(
+    lambda shape: st.tuples(*(st.lists(st.lists(cells, min_size=shape[1], max_size=shape[1]),
+                                       min_size=shape[0], max_size=shape[0]) for _ in range(2))))
+
+
+@PROPERTY
+@given(table_pairs)
+def test_row_sums_match_python_sums(tables):
+    p, q = tables
+    a, b = (np.array(t, dtype=np.uint32) for t in tables)
+    shared, mass = _dice_sums(a, b)
+    assert shared == [sum(map(min, x, y)) for x, y in zip(p, q)]
+    assert mass == [sum(x) + sum(y) for x, y in zip(p, q)]
+    dots, norms_sq_p, norms_sq_q = _cosine_sums(a, b)
+    assert dots == [sum(map(int.__mul__, x, y)) for x, y in zip(p, q)] == _row_dots(a, b)
+    assert norms_sq_p == [sum(v * v for v in x) for x in p] == _row_dots(a, a)
+    assert norms_sq_q == [sum(v * v for v in y) for y in q] == _row_dots(b, b)
+    assert all(type(v) is int for v in shared + mass + dots + norms_sq_p + norms_sq_q)
 
 
 # plausible headers: small fields, any kind and counter code, payloads of any length

@@ -5,6 +5,7 @@ import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sketchsim import (
@@ -18,12 +19,14 @@ from sketchsim import (
     SketchParams,
     TruncatedPayloadError,
     UnsupportedVersionError,
+    WireFormatError,
     check_witnesses,
     decode,
     decode_header,
     encode,
     witness_of,
 )
+from sketchsim import wire
 from sketchsim.wire import HEADER_SIZE
 
 
@@ -171,6 +174,70 @@ class TestDecodeErrors:
         header = struct.pack("<4sBBIIIQB", b"SKSM", 1, 1, 0, 1, 1, 0, 2)
         with pytest.raises(HeaderConsistencyError):
             decode(header)
+
+
+    def test_nonzero_bf_padding_bits_rejected(self):
+        bf = BloomFilter(5, hash_count=1, seed=0)
+        bf.bits[[0, 4]] = True
+        clean = encode(bf)
+        assert clean[-1] == 0b00010001
+        for padding in (0b00100000, 0b10000000, 0b11100000):
+            dirty = clean[:-1] + bytes([clean[-1] | padding])
+            with pytest.raises(WireFormatError, match="padding"):
+                decode(dirty)
+        assert decode(clean) == bf
+
+
+# One malformed header per check decode_header makes after the magic.
+MALFORMED_HEADERS = [
+    (b"NOPE" + b"\x00" * 30, BadMagicError),
+    (struct.pack("<4sBBIIIQB", b"SKSM", 2, 1, 4, 1, 1, 0, 2), UnsupportedVersionError),
+    (struct.pack("<4sBBIIIQB", b"SKSM", 1, 9, 4, 1, 1, 0, 2), HeaderConsistencyError),
+    (struct.pack("<4sBBIIIQB", b"SKSM", 1, 1, 4, 1, 1, 0, 7), HeaderConsistencyError),
+    (struct.pack("<4sBBIIIQB", b"SKSM", 1, 1, 4, 2, 1, 0, 2), HeaderConsistencyError),
+    (struct.pack("<4sBBIIIQB", b"SKSM", 1, 1, 0, 1, 1, 0, 2), HeaderConsistencyError),
+]
+
+
+class TestHeaderMemo:
+    @pytest.mark.parametrize("header, error", MALFORMED_HEADERS)
+    def test_malformed_header_raises_on_every_call(self, header, error):
+        for _ in range(2):
+            with pytest.raises(error):
+                decode_header(header)
+            with pytest.raises(error):
+                decode(header + b"\x00" * 16)
+
+    def test_memo_stays_within_its_bound(self):
+        bound = wire._header_shape.cache_info().maxsize
+        for seed in range(bound + 10):
+            sketch = CountingBloomFilter(2, 1, seed)
+            assert decode(encode(sketch)) == sketch
+        assert wire._header_shape.cache_info().currsize <= bound
+
+    def test_bytes_like_inputs_decode_alike(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            data = encode(_random_sketch(rng))
+            expected = decode(data)
+            assert decode(bytearray(data)) == expected
+            assert decode(memoryview(data)) == expected
+            assert decode_header(memoryview(data)) == decode_header(data)
+
+    @pytest.mark.parametrize("sketch", [
+        CountingBloomFilter.from_multiset(Multiset({"a": 3, "b": 1}), 8, 2, 1),
+        CountMinSketch.from_multiset(Multiset({"a": 3, "b": 1}), 8, 3, 1),
+        BloomFilter.from_multiset(Multiset({"a": 3, "b": 1}), 13, 2, 1),
+    ])
+    def test_decoded_cells_are_a_private_writable_copy(self, sketch):
+        source = bytearray(encode(sketch))
+        decoded = decode(source)
+        cells = decoded.bits if isinstance(decoded, BloomFilter) else decoded.table
+        assert cells.flags.writeable and not np.shares_memory(cells, np.frombuffer(source, dtype=np.uint8))
+        source[HEADER_SIZE:] = bytes(len(source) - HEADER_SIZE)
+        assert decoded == sketch
+        cells[0] = 1
+        assert bytes(source[HEADER_SIZE:]) == bytes(len(source) - HEADER_SIZE)
 
 
 class TestCompatibility:
