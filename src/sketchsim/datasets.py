@@ -149,24 +149,27 @@ def companion_sharing(
     total = base.cardinality()
     if not 0 <= shared_mass <= total:
         raise ValueError(f"shared_mass must be in [0, {total}], got {shared_mass}")
-    low, high = _check_count_range(count_range)
-    items = sorted(base.items())
-    companion = Multiset()
+    return _companion(rng, sorted(base.items()), total, shared_mass, string_length, *_check_count_range(count_range))
+
+
+def _companion(rng: np.random.Generator, items: list[tuple[bytes, int]], total: int, shared_mass: int,
+               string_length: int, low: int, high: int) -> Multiset:
+    """`companion_sharing` of the base with these sorted items; each base element and fresh string enters once."""
+    entries: dict[bytes, int] = {}
     remaining = shared_mass
     for index in rng.permutation(len(items)):
         if remaining == 0:
             break
         element, count = items[index]
-        take = min(count, remaining)
-        companion.insert(element, take)
-        remaining -= take
+        entries[element] = min(count, remaining)
+        remaining -= entries[element]
     taken = {element for element, _ in items}
     padding = total - shared_mass
     while padding > 0:
         count = min(int(rng.integers(low, high + 1)), padding)
-        companion.insert(_fresh_string(rng, string_length, taken), count)
+        entries[_fresh_string(rng, string_length, taken)] = count
         padding -= count
-    return companion
+    return Multiset._from_checked(entries)
 
 
 def generate_synthetic(
@@ -189,12 +192,13 @@ def generate_synthetic(
     total = max(15 * target_unique, pair_count + 3)
     base = random_multiset(rng, target_unique, string_length, count_range=(1, 29), total=total)
     cardinality = base.cardinality()
+    items = sorted(base.items())  # once per corpus, not once per companion
     steps = pair_count - 1
     pairs = []
     for i in range(pair_count):
         target = i / steps if steps else 0.0
         shared = (i * cardinality) // steps if steps else 0
-        other = companion_sharing(rng, base, shared, string_length, count_range=(1, 29))
+        other = _companion(rng, items, cardinality, shared, string_length, 1, 29)
         pairs.append(SyntheticPair(base, other, target, dice(base, other)))
     return pairs
 

@@ -2,14 +2,14 @@
 
 A run builds both sketches of every corpus pair with identical
 parameters and seed, evaluates the chosen metric, and attaches the exact
-oracle score as ground truth. Grids repeat that over a parameter lattice
-and reduce each cell to an RMSE. Everything is deterministic for a fixed
-corpus and seed. A run holds its corpus in columns (`_Columns`, built
-once per run from that run's corpus), so a sweep digests each distinct
-element once per row seed (a cell's missing row seeds together, in one
-`digest_rows` call per vocabulary chunk), asks the oracle about each
-pair once, builds each sketch row of all profiles in one pass and
-scores all pairs from that row.
+oracle score as ground truth. Grids reduce each cell of a parameter
+lattice to an RMSE. Everything is deterministic for a fixed corpus and
+seed. A run holds its corpus in columns (`_Columns`), so it digests each
+distinct element once per row seed, asks the oracle about each pair
+once, and builds each sketch row of all profiles in one pass, probe by
+probe, scoring all pairs from it. A grid builds each width's rows once,
+up to its largest depth: CMS rows are shared across depths and CBF
+probes accumulated across hash counts.
 
 Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
 row sums, row reducer), which the named scorers and the CLI read too. A
@@ -160,18 +160,52 @@ class _Columns:
         return self._truths[key]
 
     def _rows(self, params: SketchParams) -> Iterator[np.ndarray]:
-        """Each sketch row of every profile in turn, in one reused (profiles x width) uint32 buffer."""
+        """Each sketch row of every profile in one reused (profiles x width) uint32 buffer, yielded after each probe."""
         offsets, profiles = self._offsets, len(self.profiles)
-        step = max(1, _CHUNK_CELLS // (params.width + params.hash_count * int(np.diff(offsets).max())))
+        step = max(1, _CHUNK_CELLS // (params.width + int(np.diff(offsets).max())))
         table = np.empty((profiles, params.width), dtype=np.uint32)
         for digests in self._vocabulary_digests(params):
-            for first in range(0, profiles, step):
-                last = min(first + step, profiles)
-                entries = slice(offsets[first], offsets[last])
-                owners = np.repeat(np.arange(last - first), np.diff(offsets[first : last + 1]))
-                table[first:last], _ = _count_rows(digests.take(self._element[entries], axis=1), owners,
-                                                   self._count[entries], last - first, params.width, params.hash_count)
-            yield table
+            table.fill(0)
+            for probe in range(params.hash_count):
+                for first in range(0, profiles, step):
+                    last = min(first + step, profiles)
+                    entries = slice(offsets[first], offsets[last])
+                    owners = np.repeat(np.arange(last - first), np.diff(offsets[first : last + 1]))
+                    table[first:last] = _count_rows(table[first:last], digests.take(self._element[entries], axis=1),
+                                                    owners, self._count[entries], probe + 1, probe)
+                yield table
+
+    def _pair_sums(self, table: np.ndarray, sums) -> list[list]:
+        """The metric's row sums (`sums` of `metrics.METRICS`) of every pair, from one row of every profile."""
+        left, right, step = self.left, self.right, max(1, _CHUNK_CELLS // table.shape[1])
+        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
+        return [list(chain.from_iterable(parts)) for parts in zip(*chunks)]
+
+    def _depth_sums(self, params: SketchParams, metric: str, depths: Iterable[int]) -> dict[int, list[list]]:
+        """Per depth (k of a CBF, d of a CMS, up to the shape's), the row sums of its rows, from one pass of `_rows`."""
+        _, sums, _ = metrics.METRICS[metric]
+        wanted, rows, by_depth = set(depths), [], {}
+        for depth, table in enumerate(self._rows(params), 1):
+            if params.kind == "cms":
+                rows.append(self._pair_sums(table, sums))
+                if depth in wanted:
+                    by_depth[depth] = rows[:depth]
+            elif depth in wanted:
+                by_depth[depth] = [self._pair_sums(table, sums)]
+        return by_depth
+
+    def _scored(self, metric: str, row_sums: list[list], failures: list[PairFailure]) -> Iterator[tuple[str, float, float]]:
+        """(pair id, truth, estimate) of each pair, from its row sums; a pair that raises goes to `failures`."""
+        _, _, score = metrics.METRICS[metric]
+        pair_sums = zip(*(zip(*rows) for rows in zip(*row_sums)))  # per pair, each sum over the sketch rows
+        for pair_id, x, y, pair in zip(self.pair_ids, self.left.tolist(), self.right.tolist(), pair_sums):
+            try:
+                truth = self._truth(metric, x, y)
+                estimate = score(*pair)
+            except UndefinedSimilarityError as exc:
+                failures.append(PairFailure(pair_id, str(exc)))
+                continue
+            yield pair_id, truth, estimate
 
 
 def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> PairwiseRun:
@@ -192,32 +226,23 @@ def _run_pairwise(columns: _Columns, params: SketchParams, metric: str) -> Pairw
         raise ValueError(f"unknown metric {metric!r}")
     if params.kind == "bf":
         raise ValueError("a Bloom filter holds no counts to score; use kind 'cbf' or 'cms'")
-    _, sums, score = metrics.METRICS[metric]
-    left, right = columns.left, columns.right
-    step = max(1, _CHUNK_CELLS // params.width)
-    row_sums = []  # per sketch row, the metric's row sums of every pair
-    for table in columns._rows(params):
-        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
-        row_sums.append([list(chain.from_iterable(parts)) for parts in zip(*chunks)])
-    pair_sums = zip(*(zip(*rows) for rows in zip(*row_sums)))  # per pair, each sum over the sketch rows
-    results, failures = [], []
-    for pair_id, x, y, pair in zip(columns.pair_ids, left.tolist(), right.tolist(), pair_sums):
-        try:
-            truth = columns._truth(metric, x, y)
-            estimate = score(*pair)
-        except UndefinedSimilarityError as exc:
-            failures.append(PairFailure(pair_id, str(exc)))
-            continue
-        results.append(ComparisonResult(pair_id, truth, estimate, estimate - truth))
+    failures: list[PairFailure] = []
+    (row_sums,) = columns._depth_sums(params, metric, [params.depth * params.hash_count]).values()  # one of them is 1
+    results = [ComparisonResult(*scored, scored[2] - scored[1]) for scored in columns._scored(metric, row_sums, failures)]
     results.sort(key=lambda r: (r.truth, r.pair_id))
     return PairwiseRun(results, failures)
 
 
 def rmse(results: Sequence[ComparisonResult]) -> float:
     """Root mean square of the signed errors."""
-    if not results:
+    return _rms([r.error for r in results])
+
+
+def _rms(errors: Sequence[float]) -> float:
+    """Root mean square by the exactly rounded `math.fsum`, so the order of the errors does not matter."""
+    if not errors:
         raise ValueError("rmse of an empty result list is undefined")
-    return math.sqrt(math.fsum(r.error * r.error for r in results) / len(results))
+    return math.sqrt(math.fsum(e * e for e in errors) / len(errors))
 
 
 def run_grid(
@@ -225,22 +250,27 @@ def run_grid(
 ) -> dict[tuple[int, int], float | None]:
     """RMSE per (dim, depth) cell; a cell whose run wholly fails is None.
 
-    Cells are evaluated sequentially in lattice order over one columnar
-    corpus, so hashing and the exact oracle run once per element and
-    pair. A non-empty profile puts mass in every sketch row, so a pair
-    fails in every cell or in none; when `failures` is given, the pairs
-    that failed are appended to it once.
+    Cells are evaluated in lattice order over one columnar corpus, so
+    hashing and the exact oracle run once per element and pair. Each dim
+    builds its rows once, up to the largest depth: CMS rows are shared
+    across depths, and a CBF's probes are accumulated across hash counts.
+    A cell goes straight to its RMSE (`_rms`), with no results to sort.
+    A non-empty profile puts mass in every sketch row, so a pair fails in
+    every cell or in none; when `failures` is given, the pairs that
+    failed are appended to it once.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
     columns = _Columns(corpus)
     cells: dict[tuple[int, int], float | None] = {}
     for dim in grid.dims:
-        for depth in grid.depths:
-            run = _run_pairwise(columns, grid.params_for(dim, depth), grid.metric)
-            cells[(dim, depth)] = rmse(run.results) if run.results else None
+        by_depth = columns._depth_sums(grid.params_for(dim, max(grid.depths)), grid.metric, grid.depths)
+        for depth in dict.fromkeys(grid.depths):
+            cell_failures: list[PairFailure] = []
+            errors = [est - truth for _, truth, est in columns._scored(grid.metric, by_depth[depth], cell_failures)]
+            cells[(dim, depth)] = _rms(errors) if errors else None
     if failures is not None:
-        failures.extend(run.failures)
+        failures.extend(cell_failures)
     return cells
 
 

@@ -158,16 +158,18 @@ def digest_rows(row_seeds: Sequence[int], hash_count: int, elements: Sequence[by
     return tuple(digests)
 
 
-def _probe_positions(digests: Sequence[np.ndarray], hash_count: int, size: int) -> np.ndarray:
-    """The cell of every probe, shape (hash_count, *h1.shape): entry [i, ...] is (h1 + i * h2) mod size.
+def _probe_positions(digests: Sequence[np.ndarray], hash_count: int, size: int, first: int = 0) -> np.ndarray:
+    """The cells of probes first..hash_count-1, shape (hash_count - first, *h1.shape).
+
+    Entry [j, ...] is (h1 + (first + j) * h2) mod size.
 
     The only implementation of the index formula; uint64 arithmetic wraps
     mod 2^64 as the formula requires.
     """
     h1 = digests[0]
     if hash_count > 1:
-        h1 = h1 + np.multiply.outer(np.arange(hash_count, dtype=np.uint64), digests[1])
-    return (h1 % np.uint64(size)).astype(np.int64).reshape(hash_count, *digests[0].shape)
+        h1 = h1 + np.multiply.outer(np.arange(first, hash_count, dtype=np.uint64), digests[1])
+    return (h1 % np.uint64(size)).astype(np.int64).reshape(hash_count - first, *digests[0].shape)
 
 
 def find_collision_free_seed(
@@ -187,11 +189,13 @@ def find_collision_free_seed(
     if size < 1 or hash_count < 1:
         raise ValueError(f"size and hash_count must be >= 1, got {size} and {hash_count}")
     keys = list(dict.fromkeys(as_element(e) for e in elements))  # a repeated element only meets itself
-    owners = np.arange(len(keys))  # the element of each probe column
     for seed in range(start_seed, start_seed + max_tries):
-        cells = _probe_positions(digest_rows([seed], hash_count, keys), hash_count, size)
-        claims = np.unique(cells * len(keys) + owners)  # distinct (cell, element) pairs
-        if len(np.unique(claims // max(len(keys), 1))) == len(claims):
+        claimed: set[int] = set()
+        for cells in _probe_positions(digest_rows([seed], hash_count, keys), hash_count, size)[:, 0].T.tolist():
+            if not claimed.isdisjoint(cells):
+                break  # the first cell two elements share rules the seed out
+            claimed.update(cells)
+        else:
             return seed
     raise RuntimeError(
         f"no collision-free seed found in {max_tries} tries "

@@ -21,15 +21,16 @@ A Counting Bloom Filter is the one-row case (one row probed k times, its
 for cell the one-hash CBF of the same seed, and summing the rows of a
 Count-Min sketch column-wise yields a CBF (`cms_to_cbf`).
 
-Counters saturate: a cell that would overflow sticks at COUNTER_MAX and
-raises the sketch's `saturated` flag instead of erroring, so one hot
-cell cannot abort a profile exchange. `_clip_saturating` is the only
-clamp; every build, insert and projection goes through it.
+Counters saturate: a cell that would overflow sticks at COUNTER_MAX
+instead of erroring, so one hot cell cannot abort a profile exchange;
+`_clip_saturating` is the only clamp. A sketch is `saturated` when a cell
+sits at COUNTER_MAX, so both ends of an envelope read the same flag.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +94,9 @@ def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
     return elements, np.minimum(counts, COUNTER_MAX + 1).astype(np.int64)
 
 
-def _clip_saturating(accumulated: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Exact int64 counter sums as uint32 cells, each past COUNTER_MAX stuck at it, and whether any was."""
-    saturated = bool(accumulated.max(initial=0) > COUNTER_MAX)
-    if saturated:
-        accumulated = np.minimum(accumulated, COUNTER_MAX)
-    return accumulated.astype(np.uint32), saturated
+def _clip_saturating(accumulated: np.ndarray) -> np.ndarray:
+    """Exact int64 counter sums as uint32 cells, each past COUNTER_MAX stuck at it."""
+    return np.minimum(accumulated, COUNTER_MAX).astype(np.uint32)
 
 
 def _element_cells(params: SketchParams, element: bytes | str) -> np.ndarray:
@@ -112,21 +110,21 @@ def _element_cells(params: SketchParams, element: bytes | str) -> np.ndarray:
     return np.arange(params.depth) * params.width + _probe_positions((h1, h2), params.hash_count, params.width)
 
 
-def _count_rows(digests: tuple[np.ndarray, ...], owners: np.ndarray, counts: np.ndarray,
-                rows: int, width: int, hash_count: int) -> tuple[np.ndarray, bool]:
-    """The one bulk accumulator: a rows x width uint32 counter table and its saturation flag.
+def _count_rows(table: np.ndarray, digests: tuple[np.ndarray, ...], owners: np.ndarray, counts: np.ndarray,
+                hash_count: int, first_probe: int = 0) -> np.ndarray:
+    """The one bulk accumulator: a rows x width uint32 counter table plus more counts, saturating.
 
     Each entry of the digest arrays (`digest_rows` under its row's seed)
-    adds its count at each of its hash_count probes in its owner row;
-    `owners` and `counts` broadcast against the digest arrays. Counts from
-    `_multiset_arrays` keep the int64 sums exact. Indices are flat because
-    np.add.at with a 2-D index and broadcast values is not reliable across
-    numpy versions.
+    adds its count at its probes first_probe..hash_count-1 in its owner
+    row; `owners` and `counts` broadcast against the digest arrays. Sums
+    are exact in int64 for counts from `_multiset_arrays`, and a clipped
+    table takes more as min(min(a, M) + b, M) = min(a + b, M). Indices are
+    flat: np.add.at with 2-D indices and broadcast values varies by numpy.
     """
-    accumulated = np.zeros(rows * width, dtype=np.int64)
-    cells = owners * width + _probe_positions(digests, hash_count, width)
-    np.add.at(accumulated, cells.ravel(), np.broadcast_to(counts, cells.shape).ravel())
-    return _clip_saturating(accumulated.reshape(rows, width))
+    accumulated = table.astype(np.int64)
+    cells = owners * table.shape[1] + _probe_positions(digests, hash_count, table.shape[1], first_probe)
+    np.add.at(accumulated.reshape(-1), cells.ravel(), np.broadcast_to(counts, cells.shape).ravel())
+    return _clip_saturating(accumulated)
 
 
 class BloomFilter:
@@ -193,7 +191,6 @@ class CounterTable:
         self.params = SketchParams(self.kind, width, depth, hash_count, seed)
         self.table = np.zeros((depth, width), dtype=np.uint32)
         self.total_insertions = 0
-        self.saturated = False
 
     width = property(lambda self: self.params.width)
     depth = property(lambda self: self.params.depth)
@@ -206,20 +203,19 @@ class CounterTable:
         """Insertions counted with multiplicity: the first row's sum // hash_count, exact absent saturation."""
         return int(self.table[0].sum(dtype=np.uint64)) // self.hash_count
 
-    @functools.cached_property
+    @property
     def saturated(self) -> bool:
-        """True once any cell has been clamped at COUNTER_MAX (derived: any cell sits at it)."""
+        """True when any cell sits at COUNTER_MAX, the one rule both ends of an envelope can apply."""
         return bool((self.table == COUNTER_MAX).any())
 
     def insert(self, element: bytes | str, times: int = 1) -> None:
         """Add `times` at each probe of the element; a cell two probes hit gains it twice."""
         _check_times(times)
-        cells, hits = np.unique(_element_cells(self.params, element), return_counts=True)
-        # times past COUNTER_MAX + 1 saturate alike, and the clip keeps the int64 sum exact
-        counters, saturated = _clip_saturating(self.table.take(cells) + hits * min(times, COUNTER_MAX + 1))
-        self.saturated |= saturated  # read both before the put: a derived one must not see it
+        # each distinct cell and the number of probes on it, counted in O(k) time
+        cells, probes = np.array(list(Counter(_element_cells(self.params, element).ravel().tolist()).items())).T
         self.total_insertions += times
-        self.table.put(cells, counters)
+        # times past COUNTER_MAX + 1 saturate alike, and the clip keeps the int64 sum exact
+        self.table.put(cells, _clip_saturating(self.table.take(cells) + probes * min(times, COUNTER_MAX + 1)))
 
     def estimate_count(self, element: bytes | str) -> int:
         """Upper-bound estimate: minimum counter across the element's probed cells."""
@@ -235,8 +231,7 @@ class CounterTable:
         sketch = cls(*args, **kwargs)
         elements, counts = _multiset_arrays(multiset)
         digests = digest_rows(sketch.params.row_seeds, sketch.hash_count, elements)  # each (depth, elements)
-        sketch.table, sketch.saturated = _count_rows(digests, np.arange(sketch.depth)[:, None], counts,
-                                                     sketch.depth, sketch.width, sketch.hash_count)
+        sketch.table = _count_rows(sketch.table, digests, np.arange(sketch.depth)[:, None], counts, sketch.hash_count)
         sketch.total_insertions = multiset.cardinality()
         return sketch
 
@@ -282,14 +277,10 @@ class CountMinSketch(CounterTable):
 SKETCH_KINDS = {sketch_type.kind: sketch_type for sketch_type in (BloomFilter, CountingBloomFilter, CountMinSketch)}
 
 
-def _from_state(params: SketchParams, **state) -> BloomFilter | CounterTable:
-    """A sketch of a checked shape holding `state` as is, with no zero table to overwrite.
-
-    The state of a BF is its `bits`; that of a counter table is its
-    `table`, and `total_insertions` and `saturated` unless derived.
-    """
+def _from_state(params: SketchParams, cells: np.ndarray) -> BloomFilter | CounterTable:
+    """A sketch of a checked shape holding `cells` as is (a BF's bits or a counter table), with no zeros to overwrite."""
     sketch = object.__new__(SKETCH_KINDS[params.kind])
-    vars(sketch).update(params=params, **state)
+    vars(sketch).update({"params": params, "bits" if params.kind == "bf" else "table": cells})
     return sketch
 
 
@@ -302,6 +293,7 @@ def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
     it, so point queries against it answer for the projection, not for
     a natively built CBF.
     """
-    table, overflowed = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
-    return _from_state(SketchParams("cbf", sketch.width, 1, sketch.depth, sketch.seed), table=table,
-                       total_insertions=sketch.total_insertions, saturated=overflowed or sketch.saturated)
+    table = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
+    projected = _from_state(SketchParams("cbf", sketch.width, 1, sketch.depth, sketch.seed), table)
+    projected.total_insertions = sketch.total_insertions  # the clipped column sums can undercount it
+    return projected

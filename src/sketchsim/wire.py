@@ -29,7 +29,7 @@ A valid header's shape is memoised (a malformed one raises on every call).
 total_insertions and the saturation flag are derived conveniences, not
 wire fields: a decoded counter table derives total_insertions on first
 read as the sum of the first row // hash_count (exact absent
-saturation), and saturation as any cell at the counter maximum.
+saturation), and every sketch reads saturation as any cell at the max.
 """
 
 from __future__ import annotations
@@ -126,9 +126,9 @@ def decode(data: bytes) -> Sketch:
         unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE), bitorder="little")
         if unpacked[params.width :].any():
             raise WireFormatError(f"padding bits past the {params.width} bits of the BF must be zero")
-        return _from_state(params, bits=unpacked[: params.width].astype(bool))
+        return _from_state(params, unpacked[: params.width].astype(bool))
     table = np.frombuffer(data, dtype="<u4", offset=HEADER_SIZE).astype(np.uint32)  # copies: never share the caller's buffer
-    return _from_state(params, table=table.reshape(params.depth, params.width))
+    return _from_state(params, table.reshape(params.depth, params.width))
 
 
 __all__ = [

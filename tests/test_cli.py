@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from sketchsim import (
+    COUNTER_MAX,
     BloomFilter,
     CountingBloomFilter,
     CountMinSketch,
@@ -26,6 +27,7 @@ from sketchsim import (
 from sketchsim.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
+GRID_CSVS = Path(__file__).parent / "data" / "grid"  # recorded before the grid engine shared rows across depths
 
 
 def run(capsys, *argv):
@@ -242,6 +244,15 @@ class TestLibraryPaths:
         code, out, _ = run(capsys, "compare", *map(str, paths), *sketch_args, "--metric", metric, "--truth")
         assert (code, out) == (0, f"estimate\t{estimate!r}\ntruth\t{truth!r}\nerror\t{estimate - truth!r}\n")
 
+    @pytest.mark.parametrize("count", [COUNTER_MAX - 1, COUNTER_MAX, COUNTER_MAX + 1])
+    def test_sketch_warns_exactly_when_the_receiver_sees_saturation(self, tmp_path, capsys, count):
+        path, out = tmp_path / "hot.tsv", tmp_path / "hot.env"
+        write_profiles(path, {"hot": Multiset({"song": count, "other": 2})})
+        code, _, err = run(capsys, "sketch", str(path), "--out", str(out))
+        assert code == 0
+        warned = "warning: at least one counter saturated" in err
+        assert warned == decode(out.read_bytes()).saturated == (count >= COUNTER_MAX)
+
     def test_bloom_filter_envelopes_rejected(self, tmp_path, capsys, profiles):
         (left, _), _ = profiles
         envelope = tmp_path / "bf.env"
@@ -275,6 +286,17 @@ class TestGridAndThreshold:
         lines = out.read_text().splitlines()
         assert lines[0] == "dim,depth,rmse"
         assert len(lines) == 5
+
+    @pytest.mark.parametrize("kind, metric", [("cbf", "dice"), ("cms", "dice"), ("cms", "cosine")])
+    def test_default_lattice_csv_is_pinned(self, tmp_path, capsys, kind, metric):
+        """The default 5x5 lattice over `gen --pairs 51 --unique 24 --seed 2` gives the recorded CSV byte for byte."""
+        corpus = tmp_path / "corpus"
+        assert run(capsys, "gen", "--out", str(corpus), "--pairs", "51", "--unique", "24", "--seed", "2")[0] == 0
+        out = tmp_path / "grid.csv"
+        code, _, _ = run(capsys, "grid", "--corpus", str(corpus / "manifest.json"), "--out", str(out),
+                         "--kind", kind, "--metric", metric)
+        assert code == 0
+        assert out.read_bytes() == (GRID_CSVS / f"{kind}_{metric}.csv").read_bytes()
 
     def test_grid_deterministic(self, tmp_path, capsys, corpus):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -7,6 +7,8 @@ import pytest
 
 from sketchsim import (
     ComparisonResult,
+    CountingBloomFilter,
+    CountMinSketch,
     GridSpec,
     Multiset,
     SketchParams,
@@ -99,7 +101,11 @@ class TestRunPairwise:
 
 
 def test_engine_rows_equal_from_multiset():
-    """One run's columns give every profile, under every shape, the table of from_multiset."""
+    """One run's columns give every profile, under every shape, the table of from_multiset.
+
+    A CMS is yielded row by row; a CBF of k probes after each probe, so
+    stage i is the CBF of i + 1 probes.
+    """
     x = Multiset({"a": 3, "b": 1})
     y = Multiset({"b": 2, "c": 5, "d": 1})
     z = Multiset({"e": 2**33, "a": 1})  # saturates
@@ -108,9 +114,12 @@ def test_engine_rows_equal_from_multiset():
     assert (columns.left.tolist(), columns.right.tolist()) == ([0, 2], [1, 0])
     for kind, width, shape in [("cbf", 8, 1), ("cms", 5, 3), ("cbf", 16, 3), ("cms", 4, 2), ("cbf", 8, 2)]:
         params = SketchParams(kind, width, seed=3, **({"hash_count": shape} if kind == "cbf" else {"depth": shape}))
-        rows = np.stack([table.copy() for table in columns._rows(params)], axis=1)  # profile x row x width
-        for profile, table in zip(columns.profiles, rows):
-            assert np.array_equal(table, SKETCH_KINDS[kind].from_multiset(profile, width, shape, 3).table)
+        stages = np.stack([table.copy() for table in columns._rows(params)], axis=1)  # profile x stage x width
+        for profile, tables in zip(columns.profiles, stages):
+            if kind == "cms":
+                assert np.array_equal(tables, CountMinSketch.from_multiset(profile, width, shape, 3).table)
+            for probes, table in enumerate(tables if kind == "cbf" else (), 1):
+                assert np.array_equal(table, CountingBloomFilter.from_multiset(profile, width, probes, 3).counters)
 
 
 class TestRmse:
@@ -152,14 +161,29 @@ class TestRunGrid:
                 expected[(dim, depth)] = rmse(reference)
         assert cells == expected
 
+    @pytest.mark.parametrize("depths", [[3, 1, 2], [10, 4, 4]])
+    @pytest.mark.parametrize("metric", ["dice", "cosine"])
+    @pytest.mark.parametrize("kind", ["cbf", "cms"])
+    def test_unsorted_and_repeated_depths_equal_per_cell_reference(self, sd_corpus, kind, metric, depths):
+        # rows shared across depths and probes accumulated across hash counts give every cell its own value
+        hot, warm = Multiset({"hot": 2**32 + 5, "cold": 3}), Multiset({"hot": 2**31, "warm": 1})  # saturate cells
+        corpus = list(sd_corpus[::250]) + [("hot-hot", hot, hot), ("hot-warm", hot, warm),
+                                           ("warm-sd", warm, sd_corpus[3][2])]
+        grid = GridSpec(kind, dims=[1, 16, 128], depths=depths, metric=metric, seed=4)
+        expected = {(dim, depth): rmse(_reference_run(corpus, grid.params_for(dim, depth), metric))
+                    for dim in grid.dims for depth in grid.depths}
+        cells = run_grid(corpus, grid)
+        assert cells == expected and list(cells) == list(expected)
+
     def test_grid_memory_is_bounded(self, sd_corpus):
-        tracemalloc.start()
-        try:
-            run_grid(sd_corpus, GridSpec("cms", dims=[800], depths=[10]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        for kind in ("cms", "cbf"):
+            tracemalloc.start()
+            try:
+                run_grid(sd_corpus, GridSpec(kind, dims=[800], depths=[10]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * 2**20, f"{kind} peak {peak / 2**20:.1f} MiB"
 
     def test_deterministic(self, sd_corpus):
         sample = sd_corpus[::100]

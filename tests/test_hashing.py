@@ -132,6 +132,18 @@ def test_find_collision_free_seed():
     assert sum(map(len, cells)) == len(set().union(*cells))  # no cell holds two elements
 
 
+@pytest.mark.parametrize("count, size, hash_count",
+                         [(4, 64, 1), (16, 4096, 2), (40, 1024, 1), (30, 2048, 3), (60, 2048, 2)])
+def test_find_collision_free_seed_is_the_first_seed_with_disjoint_cells(count, size, hash_count):
+    elements = [f"song{i}".encode() for i in range(count)]
+
+    def disjoint(seed):  # every element's cells checked at once, no early exit
+        cells = [set(column) for column in _positions(seed, hash_count, size, elements).T.tolist()]
+        return sum(map(len, cells)) == len(set().union(*cells))
+
+    assert find_collision_free_seed(elements, size, hash_count) == next(s for s in range(10_000) if disjoint(s))
+
+
 def test_find_collision_free_seed_gives_up():
     # 3 distinct elements cannot fit collision-free in 2 cells
     with pytest.raises(RuntimeError):

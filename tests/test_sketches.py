@@ -105,9 +105,12 @@ class TestCountingBloomFilter:
         assert cbf.estimate_count(a) == 5
 
     def test_saturation_clamps_and_flags(self):
+        # saturated means a cell sits at COUNTER_MAX, whether it got there exactly or by the clamp
         cbf = CountingBloomFilter(8, hash_count=1, seed=0)
-        cbf.insert("hot", COUNTER_MAX)
+        cbf.insert("hot", COUNTER_MAX - 1)
         assert not cbf.saturated
+        cbf.insert("hot")
+        assert cbf.saturated and cbf.estimate_count("hot") == COUNTER_MAX
         cbf.insert("hot", 2)
         assert cbf.saturated
         assert cbf.estimate_count("hot") == COUNTER_MAX
@@ -203,6 +206,14 @@ class TestProjection:
         assert projected.saturated
         assert int(projected.counters[0]) == COUNTER_MAX
 
+    def test_projection_keeps_exact_insertions_when_column_sums_clip(self):
+        cms = CountMinSketch(1, 4, seed=0)
+        cms.insert("x", 2**31)
+        assert not cms.saturated
+        projected = cms_to_cbf(cms)
+        assert projected.saturated
+        assert projected.total_insertions == cms.total_insertions == 2**31
+
 
 def test_validation():
     with pytest.raises(ValueError):
@@ -242,8 +253,9 @@ def test_bulk_build_saturation_matches_incremental(kind, depth, length, count):
         manual = CountMinSketch(length, depth)
     for element, times in m.items():
         manual.insert(element, times)
-    assert manual.saturated or count == COUNTER_MAX
-    rows = np.array([table[0].copy() for table in _Columns([("p", m, m)])._rows(params)])
+    assert manual.saturated  # every count here is at or past COUNTER_MAX
+    rows = [table[0].copy() for table in _Columns([("p", m, m)])._rows(params)]
+    rows = np.array(rows if kind == "cms" else rows[-1:])  # a CBF row is yielded after each of its probes
     assert np.array_equal(rows, manual.table)  # the grid engine's rows of a one-profile corpus
     assert bulk == manual
     assert bulk.saturated == manual.saturated

@@ -115,6 +115,11 @@ class TestRoundTrip:
         sketch = CountingBloomFilter.from_multiset(m, 64, 2, seed=1)
         assert decode(encode(sketch)).total_insertions == 7
 
+    def test_cell_at_the_maximum_reads_saturated_on_both_sides(self):
+        sketch = CountingBloomFilter(4, hash_count=1, seed=0)
+        sketch.insert("x", 2**32 - 1)  # reaches the maximum without a clamp
+        assert sketch.saturated and decode(encode(sketch)).saturated
+
     def test_decode_flags_saturated_cells(self):
         sketch = CountingBloomFilter(4, hash_count=1, seed=0)
         sketch.insert("hot", 2**32 - 1)

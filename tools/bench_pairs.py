@@ -1,0 +1,162 @@
+"""Alternating parent/change pairs of the benchmark, written as one BENCH_<label>.json.
+
+    python3 tools/bench_pairs.py --parent HEAD --label N --pairs 10 --first-seed 6 \\
+        --change "what the change does" --claim paper-grid/ops_per_s --trace paper-grid
+
+The change side is this checkout's working tree (`bench/run.py`
+benchmarks the checkout it sits in). The parent side is the committed
+tree of `--parent`, exported with `git archive` under `--workdir`: an
+export leaves the repository's `.git` untouched, where a worktree would
+register itself there and outlive an interrupted run. Pair i runs
+`python3 bench/run.py --seed <first-seed + i>` on both sides back to
+back, the parent first in even pairs and second in odd ones.
+
+The record holds the machine and versions; per workload and gated
+metric each side's runs, median and quartiles, the median change and
+the pairs the change wins (ties count for neither); each run's pass
+count and the step timings the workloads report; with --claim, whether
+the change won nine tenths of the pairs by more than the parent's
+interquartile range, with every run correct and no pair failing more
+operations than the parent; and with --trace, one traced pass per side.
+Each run lasts bench/run.py's default, the run_seconds of BENCHMARK.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def export(commit: str, workdir: Path) -> Path:
+    """A fresh copy of the committed tree of `commit`."""
+    target = workdir / f"parent-{commit[:12]}"
+    shutil.rmtree(target, ignore_errors=True)
+    target.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(target)], input=archive, check=True)
+    return target
+
+
+def bench(checkout: Path, *args: str) -> dict:
+    """The result line of `bench/run.py` in a checkout (exit 1 only marks wrong outputs, kept in the line)."""
+    done = subprocess.run([sys.executable, "bench/run.py", *args], cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    if done.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"bench/run.py {' '.join(args)} failed in {checkout}:\n{done.stderr[-4000:]}")
+    return json.loads(lines[-1])
+
+
+def report(checkout: Path, workload: str, seed: int) -> dict:
+    """The per-workload report an untraced `bench/run.py --seed` wrote in a checkout."""
+    return json.loads((checkout / ".bench_out" / f"{workload}-seed{seed}-trace0.json").read_text(encoding="utf-8"))
+
+
+def step_medians(reports: dict[str, list[dict]], workload: str, skip) -> dict:
+    """Each side's median of every figure a workload reports besides the gated metrics (step timings)."""
+    names = reports["change"][0][workload]["reported"]
+    return {name: {"unit": unit, **{side: round(statistics.median(r[workload]["reported"][name][0] for r in runs), 6)
+                                    for side, runs in reports.items()}}
+            for name, (_, unit) in names.items() if name not in skip}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "iqr": round(q3 - q1, 6)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", default="HEAD", help="parent revision (default: HEAD, the last commit)")
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repository root")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=0, help="pair i runs on --seed first-seed + i")
+    parser.add_argument("--change", default="", help="one line saying what the change does")
+    parser.add_argument("--claim", help="WORKLOAD/METRIC the change claims a gain on")
+    parser.add_argument("--trace", help="also run one traced pass of this workload per side")
+    parser.add_argument("--workdir", type=Path, default=ROOT / ".bench_pairs", help="where the parent is exported")
+    args = parser.parse_args(argv)
+    if args.pairs < 2:
+        parser.error("--pairs must be at least 2 to give quartiles")
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    gated = {m["name"]: m for m in benchmark["end_to_end"]}
+    commit = git("rev-parse", args.parent)
+    sides = {"parent": export(commit, args.workdir), "change": ROOT}
+    seeds = [args.first_seed + i for i in range(args.pairs)]
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    reports: dict[str, list[dict]] = {"parent": [], "change": []}
+    for pair, seed in enumerate(seeds):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            results[side].append(bench(sides[side], "--seed", str(seed)))
+            reports[side].append({w: report(sides[side], w, seed) for w in workloads})
+            print(f"pair {pair} seed {seed} {side}: correct={results[side][-1]['correct']}", file=sys.stderr)
+    first = reports["change"][0][workloads[0]]
+    record = {
+        "change": args.change,
+        "parent_commit": commit,
+        "command": "python3 bench/run.py --seed N",
+        "machine": {k: v for k, v in first["machine"].items() if k != "commit"},
+        "python": first["env"]["python"],
+        "numpy": first["env"]["numpy"],
+        "run_seconds": benchmark["run_seconds"],
+        "input_seeds": seeds,
+        "runs_per_side": args.pairs,
+        "pairing": f"pair i runs both sides on seed {args.first_seed} + i, back to back in separate checkouts; "
+                   "the parent runs first in even pairs and second in odd pairs",
+        "statistics": "median and quartiles (inclusive method) over the runs of each side; median_change = change "
+                      "median / parent median - 1; wins = pairs in which the change reads better (ties count for neither)",
+        "gain_claimed": dict(zip(("workload", "metric"), args.claim.split("/"))) if args.claim else False,
+        "operations": {side: {"attempted": [r["attempted"] for r in results[side]],
+                              "failed": [r["failed"] for r in results[side]],
+                              "correct": all(r["correct"] for r in results[side])} for side in results},
+        "workloads": {},
+        "passes": {w: {side: [r[w]["summary"]["passes"] for r in reports[side]] for side in reports} for w in workloads},
+        "reported_medians": {w: step_medians(reports, w, gated) for w in workloads},
+    }
+    for workload in workloads:
+        entry = record["workloads"][workload] = {}
+        for name, meta in gated.items():
+            runs = {side: [r["metrics"][f"{workload}/{name}"]["value"] for r in results[side]] for side in results}
+            better = (lambda c, p: c > p) if meta["better"] == "higher" else (lambda c, p: c < p)
+            parent, change = spread(runs["parent"]), spread(runs["change"])
+            entry[name] = {
+                "unit": meta["unit"], "better": meta["better"], "parent": parent, "change": change,
+                "median_change": round(change["median"] / parent["median"] - 1, 4),
+                "change_wins": f"{sum(map(better, runs['change'], runs['parent']))} of {args.pairs}",
+                "runs_parent": [round(v, 6) for v in runs["parent"]],
+                "runs_change": [round(v, 6) for v in runs["change"]],
+            }
+    if args.claim:
+        workload, metric = args.claim.split("/")
+        claimed = record["workloads"][workload][metric]
+        wins = int(claimed["change_wins"].split()[0])
+        gain = claimed["change"]["median"] - claimed["parent"]["median"]
+        gain = gain if claimed["better"] == "higher" else -gain
+        ops = record["operations"]
+        no_more_failed = all(c <= p for c, p in zip(ops["change"]["failed"], ops["parent"]["failed"]))
+        record["claim_holds"] = (wins >= 0.9 * args.pairs and gain > claimed["parent"]["iqr"]
+                                 and ops["parent"]["correct"] and ops["change"]["correct"] and no_more_failed)
+    if args.trace:
+        command = ("--workload", args.trace, "--trace", "1", "--seed", str(seeds[0]))
+        record["trace"] = {"command": "python3 bench/run.py " + " ".join(command)}
+        record["trace"].update({side: {k: v["value"] for k, v in bench(sides[side], *command)["metrics"].items()}
+                                for side in sides})
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
