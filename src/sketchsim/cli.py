@@ -241,8 +241,11 @@ def _cmd_compare(parser, args) -> int:
 
 
 def _cmd_grid(parser, args) -> int:
+    try:
+        grid = experiments.GridSpec(args.kind, args.dims, args.depths, metric=args.metric, seed=args.seed)
+    except ValueError as exc:  # a dim or depth past the uint32 header fields
+        parser.error(str(exc))
     corpus = datasets.load_corpus(args.corpus)
-    grid = experiments.GridSpec(args.kind, args.dims, args.depths, metric=args.metric, seed=args.seed)
     _log(f"grid: {args.kind} {len(grid.dims)}x{len(grid.depths)} cells over {len(corpus)} pairs")
     failures: list[experiments.PairFailure] = []
     cells = experiments.run_grid(corpus, grid, failures)

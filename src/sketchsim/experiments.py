@@ -4,12 +4,16 @@ A run builds both sketches of every corpus pair with identical
 parameters and seed, evaluates the chosen metric, and attaches the exact
 oracle score as ground truth. Grids reduce each cell of a parameter
 lattice to an RMSE. Everything is deterministic for a fixed corpus and
-seed. A run holds its corpus in columns (`_Columns`), so it digests each
-distinct element once per row seed, asks the oracle about each pair
-once, and builds each sketch row of all profiles in one pass, probe by
-probe, scoring all pairs from it. A grid builds each width's rows once,
-up to its largest depth: CMS rows are shared across depths and CBF
-probes accumulated across hash counts.
+seed. A run's fixed state (`_Columns`) is built once from its corpus and
+lattice: each pair's truth from one oracle call (a pair whose truth is
+undefined is a failure from then on), the scored pairs' profiles in
+columns, and each distinct element digested once under every row seed
+of the lattice's largest shape. One generator then builds each sketch
+row of all profiles in one pass, probe by probe, and scores every cell
+from it: each width's rows are built once, up to the largest depth, so
+CMS rows are shared across depths and CBF probes accumulated across
+hash counts. `run_grid` reduces each cell to its RMSE; `run_pairwise`
+is the one-cell grid of its shape.
 
 Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
 row sums, row reducer), which the named scorers and the CLI read too. A
@@ -108,22 +112,49 @@ class ThresholdReport:
 
 
 _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bounds a cell's working memory
-_DIGEST_CHUNK = 2**13  # vocabulary elements per digest call (over all missing row seeds); bounds hashing memory
+_DIGEST_CHUNK = 2**13  # vocabulary elements per digest call (over all the run's row seeds); bounds hashing memory
 
 
 class _Columns:
-    """A run's corpus in columns, built once from that corpus and never grown.
+    """One run's fixed state, built once from its corpus and lattice and never grown.
 
-    Each distinct profile object is interned once, as CSR-style arrays:
-    the ids of its elements in one bytes -> id vocabulary and its counts
-    clipped by `_multiset_arrays`; `left` and `right` hold the profile
-    numbers of each pair's sides. Digests are memoised per row seed over
-    the vocabulary and exact truths per pair and metric.
+    Each pair's exact truth comes from one oracle call. A pair whose
+    truth is undefined becomes its `PairFailure` here and is never
+    interned, so `pair_ids`, `truths`, `left` and `right` cover the
+    scored pairs only: a non-empty profile puts mass in every sketch
+    row, so a pair's estimate is undefined exactly when its truth is.
+    Each distinct profile object of those pairs is interned once, as
+    CSR-style arrays: the ids of its elements in one bytes -> id
+    vocabulary and its counts clipped by `_multiset_arrays`; `left` and
+    `right` hold the profile numbers of each pair's sides. Every row
+    seed of the lattice's largest shape is digested over the vocabulary
+    once.
     """
 
-    def __init__(self, corpus: Corpus):
-        self.pair_ids = [pair_id for pair_id, _, _ in corpus]
-        sides = [profile for _, x, y in corpus for profile in (x, y)]
+    def __init__(self, corpus: Corpus, grid: GridSpec):
+        self.grid, self.failures, scored = grid, [], []
+        oracle, _, _ = metrics.METRICS[grid.metric]
+        for pair_id, x, y in corpus:
+            try:
+                scored.append((pair_id, x, y, oracle(x, y)))
+            except UndefinedSimilarityError as exc:
+                self.failures.append(PairFailure(pair_id, str(exc)))
+        self.pair_ids = [pair_id for pair_id, _, _, _ in scored]
+        self.truths = [truth for _, _, _, truth in scored]
+        elements = self._intern([profile for _, x, y, _ in scored for profile in (x, y)])
+        largest = grid.params_for(max(grid.dims), max(grid.depths))
+        digests = np.empty((min(largest.hash_count, 2), largest.depth, len(elements)), dtype=np.uint64)
+        for first in range(0, len(elements), _DIGEST_CHUNK):
+            chunk = elements[first : first + _DIGEST_CHUNK]
+            digests[:, :, first : first + len(chunk)] = digest_rows(largest.row_seeds, largest.hash_count, chunk)
+        self._digests = digests.swapaxes(0, 1)  # per row seed, its [h1] or [h1, h2] rows, one column per element id
+
+    def _intern(self, sides: list[Multiset]) -> list[bytes]:
+        """The profile columns of every pair's sides (two per pair, in order); returns the vocabulary in id order.
+
+        A method of its own, so none of its temporaries lives through the
+        digest pass, the largest transient of a run.
+        """
         index: dict[int, int] = {}  # id(profile) -> profile number, first seen first
         numbers = [index.setdefault(id(profile), len(index)) for profile in sides]
         self.left, self.right = np.array(numbers[0::2]), np.array(numbers[1::2])
@@ -133,40 +164,23 @@ class _Columns:
         vocabulary: dict[bytes, int] = {}
         ids = (vocabulary.setdefault(e, len(vocabulary)) for elements, _ in arrays for e in elements)
         self._element = np.fromiter(ids, np.int64, sum(lengths))
-        self._count = np.concatenate([counts for _, counts in arrays])
+        self._count = np.concatenate([counts for _, counts in arrays] or [np.empty(0, np.int64)])
         self._offsets = list(accumulate(lengths, initial=0))  # profile p owns entries offsets[p]:offsets[p + 1]
-        self._vocabulary = list(vocabulary)
-        self._digests: dict[int, np.ndarray] = {}  # row seed -> [h1] or [h1, h2] rows, one column per element id
-        self._truths: dict[tuple[str, int, int], float] = {}  # (metric, left, right) -> exact score
+        return list(vocabulary)
 
-    def _vocabulary_digests(self, params: SketchParams) -> list[np.ndarray]:
-        """Each row's `digest_rows` over the vocabulary, memoised per row seed; missing seeds are digested together."""
-        kinds = min(params.hash_count, 2)  # h1 alone, or h1 and h2
-        missing = [seed for seed in params.row_seeds if len(self._digests.get(seed, ())) < kinds]
-        if missing:
-            digests = np.empty((kinds, len(missing), len(self._vocabulary)), dtype=np.uint64)
-            for first in range(0, len(self._vocabulary), _DIGEST_CHUNK):
-                chunk = self._vocabulary[first : first + _DIGEST_CHUNK]
-                digests[:, :, first : first + len(chunk)] = digest_rows(missing, params.hash_count, chunk)
-            self._digests.update(zip(missing, digests.swapaxes(0, 1)))
-        return [self._digests[seed] for seed in params.row_seeds]
+    def _rows(self, dim: int) -> Iterator[np.ndarray]:
+        """Every profile's sketch rows at width `dim`, up to the largest depth, in one reused uint32 buffer.
 
-    def _truth(self, metric: str, left: int, right: int) -> float:
-        """The exact score of a pair of profiles, from one oracle call (an undefined one raises each time)."""
-        key = (metric, left, right)
-        if key not in self._truths:
-            oracle, _, _ = metrics.METRICS[metric]
-            self._truths[key] = oracle(self.profiles[left], self.profiles[right])
-        return self._truths[key]
-
-    def _rows(self, params: SketchParams) -> Iterator[np.ndarray]:
-        """Each sketch row of every profile in one reused (profiles x width) uint32 buffer, yielded after each probe."""
+        A CMS is yielded row by row; a CBF after each probe, so stage i
+        is the CBF of i + 1 probes.
+        """
         offsets, profiles = self._offsets, len(self.profiles)
-        step = max(1, _CHUNK_CELLS // (params.width + int(np.diff(offsets).max())))
-        table = np.empty((profiles, params.width), dtype=np.uint32)
-        for digests in self._vocabulary_digests(params):
+        hash_count = self.grid.params_for(dim, max(self.grid.depths)).hash_count
+        step = max(1, _CHUNK_CELLS // (dim + int(np.diff(offsets).max(initial=0))))
+        table = np.empty((profiles, dim), dtype=np.uint32)
+        for digests in self._digests:
             table.fill(0)
-            for probe in range(params.hash_count):
+            for probe in range(hash_count):
                 for first in range(0, profiles, step):
                     last = min(first + step, profiles)
                     entries = slice(offsets[first], offsets[last])
@@ -181,56 +195,47 @@ class _Columns:
         chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
         return [list(chain.from_iterable(parts)) for parts in zip(*chunks)]
 
-    def _depth_sums(self, params: SketchParams, metric: str, depths: Iterable[int]) -> dict[int, list[list]]:
-        """Per depth (k of a CBF, d of a CMS, up to the shape's), the row sums of its rows, from one pass of `_rows`."""
-        _, sums, _ = metrics.METRICS[metric]
-        wanted, rows, by_depth = set(depths), [], {}
-        for depth, table in enumerate(self._rows(params), 1):
-            if params.kind == "cms":
-                rows.append(self._pair_sums(table, sums))
-                if depth in wanted:
-                    by_depth[depth] = rows[:depth]
-            elif depth in wanted:
-                by_depth[depth] = [self._pair_sums(table, sums)]
-        return by_depth
+    def _cells(self) -> Iterator[tuple[int, int, list[float]]]:
+        """(dim, depth, the estimate of each scored pair) of every lattice cell, in lattice order.
 
-    def _scored(self, metric: str, row_sums: list[list], failures: list[PairFailure]) -> Iterator[tuple[str, float, float]]:
-        """(pair id, truth, estimate) of each pair, from its row sums; a pair that raises goes to `failures`."""
-        _, _, score = metrics.METRICS[metric]
-        pair_sums = zip(*(zip(*rows) for rows in zip(*row_sums)))  # per pair, each sum over the sketch rows
-        for pair_id, x, y, pair in zip(self.pair_ids, self.left.tolist(), self.right.tolist(), pair_sums):
-            try:
-                truth = self._truth(metric, x, y)
-                estimate = score(*pair)
-            except UndefinedSimilarityError as exc:
-                failures.append(PairFailure(pair_id, str(exc)))
-                continue
-            yield pair_id, truth, estimate
+        Each dim builds its rows once, up to the largest depth: CMS rows
+        are shared across depths, and a CBF's probes are accumulated
+        across hash counts.
+        """
+        _, sums, score = metrics.METRICS[self.grid.metric]
+        depths = dict.fromkeys(self.grid.depths)
+        for dim in dict.fromkeys(self.grid.dims):
+            rows, by_depth = [], {}
+            for depth, table in enumerate(self._rows(dim), 1):
+                if self.grid.kind == "cms":
+                    rows.append(self._pair_sums(table, sums))
+                elif depth in depths:
+                    rows = [self._pair_sums(table, sums)]
+                if depth in depths:
+                    by_depth[depth] = list(rows)
+            del table  # this dim's buffer, not to be held while the next dim allocates its own
+            for depth in depths:
+                pair_sums = zip(*(zip(*parts) for parts in zip(*by_depth[depth])))  # per pair, each sum over its rows
+                yield dim, depth, [score(*pair) for pair in pair_sums]
 
 
 def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> PairwiseRun:
-    """Compare every corpus pair under one sketch configuration.
+    """Compare every corpus pair under one sketch configuration: the one-cell grid of `params`.
 
     Results are sorted by ground truth ascending (pair id as tiebreaker,
-    matching the sorted similarity plots); a pair whose truth or
-    estimate is undefined (UndefinedSimilarityError) is recorded as a
-    failure, not fatal.
+    matching the sorted similarity plots); a pair whose truth is
+    undefined (UndefinedSimilarityError) is recorded as a failure, not
+    fatal.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    return _run_pairwise(_Columns(corpus), params, metric)
-
-
-def _run_pairwise(columns: _Columns, params: SketchParams, metric: str) -> PairwiseRun:
-    if metric not in metrics.METRICS:
-        raise ValueError(f"unknown metric {metric!r}")
-    if params.kind == "bf":
-        raise ValueError("a Bloom filter holds no counts to score; use kind 'cbf' or 'cms'")
-    failures: list[PairFailure] = []
-    (row_sums,) = columns._depth_sums(params, metric, [params.depth * params.hash_count]).values()  # one of them is 1
-    results = [ComparisonResult(*scored, scored[2] - scored[1]) for scored in columns._scored(metric, row_sums, failures)]
+    grid = GridSpec(params.kind, [params.width], [params.depth * params.hash_count], metric, params.seed)
+    columns = _Columns(corpus, grid)
+    ((_, _, estimates),) = columns._cells()
+    results = [ComparisonResult(pair_id, truth, estimate, estimate - truth)
+               for pair_id, truth, estimate in zip(columns.pair_ids, columns.truths, estimates)]
     results.sort(key=lambda r: (r.truth, r.pair_id))
-    return PairwiseRun(results, failures)
+    return PairwiseRun(results, columns.failures)
 
 
 def rmse(results: Sequence[ComparisonResult]) -> float:
@@ -248,29 +253,21 @@ def _rms(errors: Sequence[float]) -> float:
 def run_grid(
     corpus: Corpus, grid: GridSpec, failures: list[PairFailure] | None = None
 ) -> dict[tuple[int, int], float | None]:
-    """RMSE per (dim, depth) cell; a cell whose run wholly fails is None.
+    """RMSE per (dim, depth) cell, in lattice order; a cell with no scored pair is None.
 
-    Cells are evaluated in lattice order over one columnar corpus, so
-    hashing and the exact oracle run once per element and pair. Each dim
-    builds its rows once, up to the largest depth: CMS rows are shared
-    across depths, and a CBF's probes are accumulated across hash counts.
-    A cell goes straight to its RMSE (`_rms`), with no results to sort.
-    A non-empty profile puts mass in every sketch row, so a pair fails in
-    every cell or in none; when `failures` is given, the pairs that
-    failed are appended to it once.
+    One run state (`_Columns`) serves every cell, so hashing and the
+    exact oracle run once per element and pair. A cell goes straight to
+    its RMSE (`_rms`), with no results to sort. A pair whose truth is
+    undefined fails in every cell; when `failures` is given, those pairs
+    are appended to it once.
     """
     if not corpus:
         raise ValueError("corpus must be non-empty")
-    columns = _Columns(corpus)
-    cells: dict[tuple[int, int], float | None] = {}
-    for dim in grid.dims:
-        by_depth = columns._depth_sums(grid.params_for(dim, max(grid.depths)), grid.metric, grid.depths)
-        for depth in dict.fromkeys(grid.depths):
-            cell_failures: list[PairFailure] = []
-            errors = [est - truth for _, truth, est in columns._scored(grid.metric, by_depth[depth], cell_failures)]
-            cells[(dim, depth)] = _rms(errors) if errors else None
+    columns = _Columns(corpus, grid)
+    cells = {(dim, depth): _rms([est - truth for est, truth in zip(estimates, columns.truths)]) if estimates else None
+             for dim, depth, estimates in columns._cells()}
     if failures is not None:
-        failures.extend(cell_failures)
+        failures.extend(columns.failures)
     return cells
 
 

@@ -29,7 +29,6 @@ sits at COUNTER_MAX, so both ends of an envelope read the same flag.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -178,11 +177,11 @@ class CounterTable:
     Row r hashes with derive_row_seed(seed, r) and probes each element
     hash_count times by double hashing. An insert adds its count at every
     probe, so a cell that two probes of one element hit is incremented
-    twice and every row sums to hash_count * total_insertions (absent
-    saturation). A point query returns the minimum over the element's
-    probed cells, which is always >= the true count: collisions only ever
-    add. Build one through CountingBloomFilter (one row) or CountMinSketch
-    (one probe per row).
+    twice and every row sums to hash_count times the number of insertions
+    counted with multiplicity (absent saturation). A point query returns
+    the minimum over the element's probed cells, which is always >= the
+    true count: collisions only ever add. Build one through
+    CountingBloomFilter (one row) or CountMinSketch (one probe per row).
     """
 
     kind = ""
@@ -190,18 +189,11 @@ class CounterTable:
     def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
         self.params = SketchParams(self.kind, width, depth, hash_count, seed)
         self.table = np.zeros((depth, width), dtype=np.uint32)
-        self.total_insertions = 0
 
     width = property(lambda self: self.params.width)
     depth = property(lambda self: self.params.depth)
     hash_count = property(lambda self: self.params.hash_count)
     seed = property(lambda self: self.params.seed)
-
-    # set by builds, inserts and projections; derived on first read from a bare (decoded) table
-    @functools.cached_property
-    def total_insertions(self) -> int:
-        """Insertions counted with multiplicity: the first row's sum // hash_count, exact absent saturation."""
-        return int(self.table[0].sum(dtype=np.uint64)) // self.hash_count
 
     @property
     def saturated(self) -> bool:
@@ -213,7 +205,6 @@ class CounterTable:
         _check_times(times)
         # each distinct cell and the number of probes on it, counted in O(k) time
         cells, probes = np.array(list(Counter(_element_cells(self.params, element).ravel().tolist()).items())).T
-        self.total_insertions += times
         # times past COUNTER_MAX + 1 saturate alike, and the clip keeps the int64 sum exact
         self.table.put(cells, _clip_saturating(self.table.take(cells) + probes * min(times, COUNTER_MAX + 1)))
 
@@ -232,7 +223,6 @@ class CounterTable:
         elements, counts = _multiset_arrays(multiset)
         digests = digest_rows(sketch.params.row_seeds, sketch.hash_count, elements)  # each (depth, elements)
         sketch.table = _count_rows(sketch.table, digests, np.arange(sketch.depth)[:, None], counts, sketch.hash_count)
-        sketch.total_insertions = multiset.cardinality()
         return sketch
 
     def __eq__(self, other: object) -> bool:
@@ -241,10 +231,8 @@ class CounterTable:
         return self.params == other.params and np.array_equal(self.table, other.table)
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(width={self.width}, depth={self.depth}, hash_count={self.hash_count}, "
-            f"seed={self.seed}, total_insertions={self.total_insertions})"
-        )
+        return (f"{type(self).__name__}(width={self.width}, depth={self.depth}, hash_count={self.hash_count}, "
+                f"seed={self.seed})")
 
 
 class CountingBloomFilter(CounterTable):
@@ -294,6 +282,4 @@ def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
     a natively built CBF.
     """
     table = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
-    projected = _from_state(SketchParams("cbf", sketch.width, 1, sketch.depth, sketch.seed), table)
-    projected.total_insertions = sketch.total_insertions  # the clipped column sums can undercount it
-    return projected
+    return _from_state(SketchParams("cbf", sketch.width, 1, sketch.depth, sketch.seed), table)

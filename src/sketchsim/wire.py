@@ -26,10 +26,8 @@ recommended one-hash CBF of length 128 therefore travels in exactly
 A BF's padding bits past n must be zero, so each sketch has one envelope.
 A valid header's shape is memoised (a malformed one raises on every call).
 
-total_insertions and the saturation flag are derived conveniences, not
-wire fields: a decoded counter table derives total_insertions on first
-read as the sum of the first row // hash_count (exact absent
-saturation), and every sketch reads saturation as any cell at the max.
+The saturation flag is a derived convenience, not a wire field: every
+sketch, built or decoded, reads saturation as any cell at the max.
 """
 
 from __future__ import annotations

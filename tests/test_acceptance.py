@@ -30,7 +30,7 @@ from sketchsim import (
     run_pairwise,
     threshold_report,
 )
-from sketchsim.experiments import DEFAULT_DEPTHS, DEFAULT_DIMS, _Columns, _run_pairwise
+from sketchsim.experiments import DEFAULT_DEPTHS, DEFAULT_DIMS, _Columns
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
 SKETCH_SEED = 0
@@ -71,18 +71,12 @@ def test_c02_overestimation_across_default_grid(sd_corpus, real_like_corpus):
     corpus = list(sd_corpus) + list(real_like_corpus)
     worst = 0.0
     for kind in ("cbf", "cms"):
-        columns = _Columns(corpus)
-        for dim in DEFAULT_DIMS:
-            for depth in DEFAULT_DEPTHS:
-                if kind == "cbf":
-                    params = SketchParams("cbf", dim, hash_count=depth, seed=SKETCH_SEED)
-                else:
-                    params = SketchParams("cms", dim, depth=depth, seed=SKETCH_SEED)
-                run = _run_pairwise(columns, params, "dice")
-                assert not run.failures
-                cell_min = min(r.error for r in run.results)
-                worst = min(worst, cell_min)
-                assert cell_min >= -1e-12, (kind, dim, depth, cell_min)
+        columns = _Columns(corpus, GridSpec(kind, DEFAULT_DIMS, DEFAULT_DEPTHS, "dice", SKETCH_SEED))
+        assert not columns.failures and len(columns.truths) == len(corpus)
+        for dim, depth, estimates in columns._cells():  # the engine behind run_grid and run_pairwise
+            cell_min = min(estimate - truth for estimate, truth in zip(estimates, columns.truths))
+            worst = min(worst, cell_min)
+            assert cell_min >= -1e-12, (kind, dim, depth, cell_min)
     _report("C2 overestimation", f"{len(corpus)} pairs x 25 configs x 2 structures, min error {worst:.2e}")
 
 

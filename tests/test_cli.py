@@ -354,6 +354,19 @@ class TestGridAndThreshold:
         assert "pairs failed" not in clean_err
         assert "1 of 2 pairs failed (first: bad: Dice of two empty multisets is undefined)" in failed_err
 
+    @pytest.mark.parametrize("argv", [["grid", "--dims", "4294967296"],
+                                      ["grid", "--kind", "cms", "--depths", "4294967296"],
+                                      ["threshold", "--length", "4294967296"]],
+                             ids=["grid-dims", "grid-cms-depths", "threshold-length"])
+    def test_size_past_header_field_is_usage_error(self, tmp_path, capsys, corpus, argv):
+        # a size the uint32 header fields cannot carry is a usage error on every subcommand, before any corpus work
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, *argv, "--corpus", str(corpus), "--out", str(out))
+        assert code == 64
+        assert err.count("usage:") == 1 and "Traceback" not in err
+        assert "must all be ints in [1, 4294967295]" in err.splitlines()[-1]
+        assert not out.exists()
+
     @pytest.mark.parametrize("manifest, field", [
         ([], "'schema'"),
         ({"pairs": []}, "'profiles_file'"),

@@ -109,12 +109,11 @@ def test_engine_rows_equal_from_multiset():
     x = Multiset({"a": 3, "b": 1})
     y = Multiset({"b": 2, "c": 5, "d": 1})
     z = Multiset({"e": 2**33, "a": 1})  # saturates
-    columns = _Columns([("xy", x, y), ("zx", z, x)])
-    assert [id(p) for p in columns.profiles] == [id(x), id(y), id(z)]
-    assert (columns.left.tolist(), columns.right.tolist()) == ([0, 2], [1, 0])
     for kind, width, shape in [("cbf", 8, 1), ("cms", 5, 3), ("cbf", 16, 3), ("cms", 4, 2), ("cbf", 8, 2)]:
-        params = SketchParams(kind, width, seed=3, **({"hash_count": shape} if kind == "cbf" else {"depth": shape}))
-        stages = np.stack([table.copy() for table in columns._rows(params)], axis=1)  # profile x stage x width
+        columns = _Columns([("xy", x, y), ("zx", z, x)], GridSpec(kind, [width], [shape], seed=3))
+        assert [id(p) for p in columns.profiles] == [id(x), id(y), id(z)]
+        assert (columns.left.tolist(), columns.right.tolist()) == ([0, 2], [1, 0])
+        stages = np.stack([table.copy() for table in columns._rows(width)], axis=1)  # profile x stage x width
         for profile, tables in zip(columns.profiles, stages):
             if kind == "cms":
                 assert np.array_equal(tables, CountMinSketch.from_multiset(profile, width, shape, 3).table)

@@ -4,7 +4,8 @@ They pin the invariants every counting-sketch build and scorer must keep:
 a one-hash CBF is a one-row CMS, all build paths agree with sequential
 inserts (saturation included), envelopes round-trip in cells and in the
 cell-derived saturation flag, decode fails only
-with typed errors, sketch Dice never undershoots the exact Dice, the
+with typed errors, sketch Dice never undershoots the exact Dice, a sketch
+score is undefined exactly when the exact score is, the
 bulk hash path gives the scalar digests for many start states and row
 seeds in one call, and `_probe_positions` gives the index formula
 computed in Python ints. The triplet reader sums
@@ -29,9 +30,11 @@ from sketchsim import (
     COUNTER_MAX,
     CountMinSketch,
     CountingBloomFilter,
+    GridSpec,
     HeaderConsistencyError,
     Multiset,
     SketchParams,
+    UndefinedSimilarityError,
     WireFormatError,
     cbf_cosine,
     cbf_dice,
@@ -49,7 +52,7 @@ from sketchsim import (
     write_profiles,
 )
 from sketchsim.experiments import _Columns
-from sketchsim.metrics import _cosine_sums, _dice_sums, _row_dots
+from sketchsim.metrics import METRICS, _cosine_sums, _dice_sums, _row_dots, score
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
@@ -64,16 +67,15 @@ small_counts = st.integers(1, 30)
 edge_counts = st.one_of(small_counts, st.integers(2**32 - 3, 2**32 + 3), st.integers(1, COUNT_MAX))
 
 
-def multisets(counts=small_counts):
-    return st.dictionaries(st.binary(min_size=1, max_size=6), counts, min_size=1, max_size=20).map(Multiset)
+def multisets(counts=small_counts, min_size=1):
+    return st.dictionaries(st.binary(min_size=1, max_size=6), counts, min_size=min_size, max_size=20).map(Multiset)
 
 
 def _sketches(kind, multiset, width, probe_count, seed):
     """The same sketch by from_multiset, as the grid engine's rows and by sequential insert."""
     sketch_type = SKETCH_KINDS[kind]  # every constructor takes (width, k or d, seed)
-    shape = {"hash_count": probe_count} if kind == "cbf" else {"depth": probe_count}
-    columns = _Columns([("p", multiset, multiset)])  # one pair, one profile
-    rows = [table[0].copy() for table in columns._rows(SketchParams(kind, width, seed=seed, **shape))]
+    columns = _Columns([("p", multiset, multiset)], GridSpec(kind, [width], [probe_count], seed=seed))  # one profile
+    rows = [table[0].copy() for table in columns._rows(width)]
     rows = np.array(rows if kind == "cms" else rows[-1:])  # a CBF row is yielded after each of its probes
     manual = sketch_type(width, probe_count, seed)
     for element, count in multiset.items():
@@ -99,7 +101,6 @@ def test_build_paths_agree_with_sequential_insert(kind, multiset, width, probe_c
     assert np.array_equal(rows, manual.table)
     assert np.array_equal(bulk.table, manual.table)
     assert bulk.saturated == manual.saturated
-    assert bulk.total_insertions == manual.total_insertions == multiset.cardinality()
 
 
 @PROPERTY
@@ -121,10 +122,8 @@ def test_envelope_round_trip(kind, multiset, width, probe_count, seed, inserts):
 def test_decoded_fields_are_derived_lazily(kind, multiset, width, probe_count, seed):
     sketch = SKETCH_KINDS[kind].from_multiset(multiset, width, probe_count, seed)
     decoded = decode(encode(sketch))
-    assert "total_insertions" not in vars(decoded) and "saturated" not in vars(decoded)
-    rows = sketch.table.tolist()
-    assert decoded.total_insertions == sum(rows[0]) // sketch.hash_count
-    assert decoded.saturated == any(cell == COUNTER_MAX for row in rows for cell in row)
+    assert "saturated" not in vars(decoded)
+    assert decoded.saturated == any(cell == COUNTER_MAX for row in sketch.table.tolist() for cell in row)
 
 
 @PROPERTY
@@ -137,7 +136,6 @@ def test_decoded_and_built_sketches_insert_alike(kind, multiset, width, probe_co
         built.insert(element, times)
         decoded.insert(element, times)
     assert np.array_equal(decoded.table, built.table)
-    assert decoded.total_insertions == built.total_insertions == multiset.cardinality() + sum(t for _, t in inserts)
     assert decoded.saturated == built.saturated
 
 
@@ -236,6 +234,24 @@ def test_sketch_dice_never_below_exact(x, y, width, probe_count, seed):
     r, s = (CountMinSketch.from_multiset(m, width, probe_count, seed) for m in (x, y))
     assert cbf_dice(p, q) >= truth
     assert cms_dice(r, s) >= truth
+
+
+def _undefined(function, *args) -> bool:
+    try:
+        function(*args)
+    except UndefinedSimilarityError:
+        return True
+    return False
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), st.sampled_from(list(METRICS)), multisets(edge_counts, min_size=0),
+       multisets(edge_counts, min_size=0), widths, probes, seeds)
+def test_estimate_undefined_exactly_when_truth_is(kind, metric, x, y, width, probe_count, seed):
+    # a non-empty profile puts mass in every sketch row, which is what lets the grid engine decide failures once
+    oracle, _, _ = METRICS[metric]
+    p, q = (SKETCH_KINDS[kind].from_multiset(m, width, probe_count, seed) for m in (x, y))
+    assert _undefined(score, metric, p, q) == _undefined(oracle, x, y)
 
 
 # sizes 1, small non-powers of two, powers of two and the largest the header carries

@@ -9,6 +9,7 @@ from sketchsim import (
     BloomFilter,
     CountMinSketch,
     CountingBloomFilter,
+    GridSpec,
     Multiset,
     SketchParams,
     cms_to_cbf,
@@ -67,7 +68,6 @@ class TestCountingBloomFilter:
         cbf = CountingBloomFilter(32, hash_count=1, seed=0)
         cbf.insert("a", 3)
         assert sorted(cbf.counters.tolist(), reverse=True)[:2] == [3, 0]
-        assert cbf.total_insertions == 3
 
     def test_counter_sum_is_k_times_cardinality(self):
         rng = random.Random(77)
@@ -130,7 +130,6 @@ class TestCountingBloomFilter:
     def test_build_empty_is_all_zero(self):
         cbf = CountingBloomFilter.from_multiset(Multiset(), 32, hash_count=2, seed=1)
         assert not cbf.counters.any()
-        assert cbf.total_insertions == 0
 
     def test_counting_check_64_distinct(self):
         m = Multiset({f"e{i:02d}": 1 for i in range(64)})
@@ -206,13 +205,12 @@ class TestProjection:
         assert projected.saturated
         assert int(projected.counters[0]) == COUNTER_MAX
 
-    def test_projection_keeps_exact_insertions_when_column_sums_clip(self):
+    def test_projection_saturates_when_column_sums_clip(self):
         cms = CountMinSketch(1, 4, seed=0)
         cms.insert("x", 2**31)
         assert not cms.saturated
         projected = cms_to_cbf(cms)
         assert projected.saturated
-        assert projected.total_insertions == cms.total_insertions == 2**31
 
 
 def test_validation():
@@ -244,19 +242,16 @@ def test_bulk_build_saturation_matches_incremental(kind, depth, length, count):
     # depth is k for a CBF and d for a CMS; every build path must clamp like insert
     m = Multiset({"hot": count, "hot2": 5})
     if kind == "cbf":
-        params = SketchParams("cbf", length, hash_count=depth)
         bulk = CountingBloomFilter.from_multiset(m, length, hash_count=depth)
         manual = CountingBloomFilter(length, hash_count=depth)
     else:
-        params = SketchParams("cms", length, depth=depth)
         bulk = CountMinSketch.from_multiset(m, length, depth)
         manual = CountMinSketch(length, depth)
     for element, times in m.items():
         manual.insert(element, times)
     assert manual.saturated  # every count here is at or past COUNTER_MAX
-    rows = [table[0].copy() for table in _Columns([("p", m, m)])._rows(params)]
+    rows = [table[0].copy() for table in _Columns([("p", m, m)], GridSpec(kind, [length], [depth]))._rows(length)]
     rows = np.array(rows if kind == "cms" else rows[-1:])  # a CBF row is yielded after each of its probes
     assert np.array_equal(rows, manual.table)  # the grid engine's rows of a one-profile corpus
     assert bulk == manual
     assert bulk.saturated == manual.saturated
-    assert bulk.total_insertions == manual.total_insertions == m.cardinality()

@@ -76,21 +76,23 @@ def spread(values: list[float]) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    gated = {m["name"]: m for m in benchmark["end_to_end"]}
+    # --claim and --trace take their choices from BENCHMARK.json, so a typo fails before any pair runs
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD", help="parent revision (default: HEAD, the last commit)")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json at the repository root")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=0, help="pair i runs on --seed first-seed + i")
     parser.add_argument("--change", default="", help="one line saying what the change does")
-    parser.add_argument("--claim", help="WORKLOAD/METRIC the change claims a gain on")
-    parser.add_argument("--trace", help="also run one traced pass of this workload per side")
+    parser.add_argument("--claim", choices=[f"{w}/{m}" for w in workloads for m in gated], metavar="WORKLOAD/METRIC",
+                        help="the workload and gated metric the change claims a gain on")
+    parser.add_argument("--trace", choices=workloads, help="also run one traced pass of this workload per side")
     parser.add_argument("--workdir", type=Path, default=ROOT / ".bench_pairs", help="where the parent is exported")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2 to give quartiles")
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = [w["name"] for w in benchmark["workloads"]]
-    gated = {m["name"]: m for m in benchmark["end_to_end"]}
     commit = git("rev-parse", args.parent)
     sides = {"parent": export(commit, args.workdir), "change": ROOT}
     seeds = [args.first_seed + i for i in range(args.pairs)]
