@@ -188,6 +188,8 @@ def _load_profile(path: Path, user: str | None) -> Multiset:
         if user not in profiles:
             raise ValueError(f"user {user!r} not found in {path}")
         return profiles[user]
+    if not profiles:
+        raise ValueError(f"{path} holds no profiles")
     if len(profiles) != 1:
         sample = ", ".join(list(profiles)[:5])
         raise ValueError(
@@ -214,6 +216,7 @@ def _cmd_sketch(parser, args) -> int:
 
 
 def _cmd_compare(parser, args) -> int:
+    params = _sketch_params(parser, args)  # the shape flags are checked whatever the inputs are
     envelopes = _is_envelope(args.a), _is_envelope(args.b)
     if any(envelopes) and not all(envelopes):
         raise ValueError("cannot compare an envelope with a profile; sketch the profile first")
@@ -227,13 +230,12 @@ def _cmd_compare(parser, args) -> int:
             raise ValueError("plain Bloom filter envelopes carry no counts to compare")
         print(f"estimate\t{metrics.score(args.metric, a, b)!r}")
         return EXIT_OK
-    params = _sketch_params(parser, args)
     left = _load_profile(args.a, args.user_a)
     right = _load_profile(args.b, args.user_b)
     estimate = metrics.score(args.metric, params.sketch(left), params.sketch(right))
     print(f"estimate\t{estimate!r}")
     if args.truth:
-        oracle, _, _ = metrics.METRICS[args.metric]
+        oracle, _, _, _ = metrics.METRICS[args.metric]
         truth = oracle(left, right)
         print(f"truth\t{truth!r}")
         print(f"error\t{estimate - truth!r}")

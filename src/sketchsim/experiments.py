@@ -9,17 +9,21 @@ lattice: each pair's truth from one oracle call (a pair whose truth is
 undefined is a failure from then on), the scored pairs' profiles in
 columns, and each distinct element digested once under every row seed
 of the lattice's largest shape. One generator then builds each sketch
-row of all profiles in one pass, probe by probe, and scores every cell
-from it: each width's rows are built once, up to the largest depth, so
-CMS rows are shared across depths and CBF probes accumulated across
-hash counts. `run_grid` reduces each cell to its RMSE; `run_pairwise`
-is the one-cell grid of its shape.
+row of all profiles in one pass, probe by probe (each probe's column
+computed once per vocabulary element, then gathered per profile entry),
+and scores every cell from it: each width's rows are built once, up to
+the largest depth, so CMS rows are shared across depths and CBF probes
+accumulated across hash counts. A cell is scored in arrays, all pairs at
+once: Dice's sums stay uint64 arrays (each pair's min-sum, and its mass
+from the two profiles' row totals) until the metric's cell scorer turns
+them into float64 estimates. `run_grid` reduces each cell to its RMSE;
+`run_pairwise` is the one-cell grid of its shape.
 
 Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
-row sums, row reducer), which the named scorers and the CLI read too. A
-run's sketch shape is a `sketches.SketchParams` of kind "cbf" or "cms"
-(a Bloom filter holds no counts to score); a single sketch is built by
-`SketchParams.sketch`, that is `from_multiset`.
+row sums, row reducer, cell scorer), which the named scorers and the CLI
+read too. A run's sketch shape is a `sketches.SketchParams` of kind
+"cbf" or "cms" (a Bloom filter holds no counts to score); a single
+sketch is built by `SketchParams.sketch`, that is `from_multiset`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import metrics
-from .hashing import digest_rows
+from .hashing import _probe_positions, digest_rows
 from .multiset import Multiset, UndefinedSimilarityError
 from .sketches import SketchParams, _count_rows, _multiset_arrays
 
@@ -133,7 +137,7 @@ class _Columns:
 
     def __init__(self, corpus: Corpus, grid: GridSpec):
         self.grid, self.failures, scored = grid, [], []
-        oracle, _, _ = metrics.METRICS[grid.metric]
+        oracle, _, _, _ = metrics.METRICS[grid.metric]
         for pair_id, x, y in corpus:
             try:
                 scored.append((pair_id, x, y, oracle(x, y)))
@@ -157,7 +161,7 @@ class _Columns:
         """
         index: dict[int, int] = {}  # id(profile) -> profile number, first seen first
         numbers = [index.setdefault(id(profile), len(index)) for profile in sides]
-        self.left, self.right = np.array(numbers[0::2]), np.array(numbers[1::2])
+        self.left, self.right = np.array(numbers[0::2], dtype=np.intp), np.array(numbers[1::2], dtype=np.intp)
         self.profiles = list({id(profile): profile for profile in sides}.values())
         arrays = [_multiset_arrays(profile) for profile in self.profiles]
         lengths = [len(counts) for _, counts in arrays]
@@ -172,51 +176,68 @@ class _Columns:
         """Every profile's sketch rows at width `dim`, up to the largest depth, in one reused uint32 buffer.
 
         A CMS is yielded row by row; a CBF after each probe, so stage i
-        is the CBF of i + 1 probes.
+        is the CBF of i + 1 probes. Each probe's column is computed once
+        per vocabulary element and gathered per profile entry.
         """
         offsets, profiles = self._offsets, len(self.profiles)
         hash_count = self.grid.params_for(dim, max(self.grid.depths)).hash_count
         step = max(1, _CHUNK_CELLS // (dim + int(np.diff(offsets).max(initial=0))))
+        bounds = [(first, min(first + step, profiles)) for first in range(0, profiles, step)]
+        chunks = [(slice(first, last), slice(offsets[first], offsets[last]),  # rows, entries, each entry's row
+                   np.repeat(np.arange(last - first, dtype=np.int32), np.diff(offsets[first : last + 1])))
+                  for first, last in bounds]
         table = np.empty((profiles, dim), dtype=np.uint32)
         for digests in self._digests:
             table.fill(0)
             for probe in range(hash_count):
-                for first in range(0, profiles, step):
-                    last = min(first + step, profiles)
-                    entries = slice(offsets[first], offsets[last])
-                    owners = np.repeat(np.arange(last - first), np.diff(offsets[first : last + 1]))
-                    table[first:last] = _count_rows(table[first:last], digests.take(self._element[entries], axis=1),
-                                                    owners, self._count[entries], probe + 1, probe)
+                (positions,) = _probe_positions(digests, probe + 1, dim, probe)  # this probe's column of each element
+                for rows, entries, owners in chunks:
+                    _count_rows(table[rows], positions.take(self._element[entries]), owners, self._count[entries])
                 yield table
 
-    def _pair_sums(self, table: np.ndarray, sums) -> list[list]:
-        """The metric's row sums (`sums` of `metrics.METRICS`) of every pair, from one row of every profile."""
-        left, right, step = self.left, self.right, max(1, _CHUNK_CELLS // table.shape[1])
-        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
-        return [list(chain.from_iterable(parts)) for parts in zip(*chunks)]
+    def _stage_sums(self, table: np.ndarray) -> tuple:
+        """The metric's row sums of every scored pair, from one row of every profile, in pair order.
 
-    def _cells(self) -> Iterator[tuple[int, int, list[float]]]:
-        """(dim, depth, the estimate of each scored pair) of every lattice cell, in lattice order.
+        Dice's are uint64 arrays: each pair's min-sum over its gathered
+        rows, and its joint mass as the sum of the two profiles' row
+        totals, taken once per table. Cosine's are its `sums` of
+        `metrics.METRICS`, chunk by chunk, as lists of ints.
+        """
+        left, right, step = self.left, self.right, max(1, _CHUNK_CELLS // table.shape[1])
+        if self.grid.metric == "dice":
+            shared = np.empty(len(left), dtype=np.uint64)
+            for i in range(0, len(left), step):
+                shared[i : i + step] = np.minimum(table[left[i : i + step]], table[right[i : i + step]]).sum(
+                    axis=1, dtype=np.uint64)
+            # a row total is below width * 2^32, so two of them add without wrapping for any width below 2^31
+            totals = table.sum(axis=1, dtype=np.uint64)
+            return shared, totals[left] + totals[right]
+        _, sums, _, _ = metrics.METRICS[self.grid.metric]
+        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
+        return tuple(list(chain.from_iterable(parts)) for parts in zip(*chunks))
+
+    def _cells(self) -> Iterator[tuple[int, int, np.ndarray]]:
+        """(dim, depth, the float64 estimate of each scored pair) of every lattice cell, in lattice order.
 
         Each dim builds its rows once, up to the largest depth: CMS rows
         are shared across depths, and a CBF's probes are accumulated
-        across hash counts.
+        across hash counts. Each cell is scored by the metric's cell
+        scorer of `metrics.METRICS`, all pairs at once.
         """
-        _, sums, score = metrics.METRICS[self.grid.metric]
+        _, _, _, score_cells = metrics.METRICS[self.grid.metric]
         depths = dict.fromkeys(self.grid.depths)
         for dim in dict.fromkeys(self.grid.dims):
-            rows, by_depth = [], {}
+            stages, by_depth = [], {}
             for depth, table in enumerate(self._rows(dim), 1):
                 if self.grid.kind == "cms":
-                    rows.append(self._pair_sums(table, sums))
+                    stages.append(self._stage_sums(table))
                 elif depth in depths:
-                    rows = [self._pair_sums(table, sums)]
+                    stages = [self._stage_sums(table)]
                 if depth in depths:
-                    by_depth[depth] = list(rows)
+                    by_depth[depth] = list(stages)
             del table  # this dim's buffer, not to be held while the next dim allocates its own
             for depth in depths:
-                pair_sums = zip(*(zip(*parts) for parts in zip(*by_depth[depth])))  # per pair, each sum over its rows
-                yield dim, depth, [score(*pair) for pair in pair_sums]
+                yield dim, depth, score_cells(*zip(*by_depth[depth]))  # each sum, one entry per row
 
 
 def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> PairwiseRun:
@@ -233,7 +254,7 @@ def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> 
     columns = _Columns(corpus, grid)
     ((_, _, estimates),) = columns._cells()
     results = [ComparisonResult(pair_id, truth, estimate, estimate - truth)
-               for pair_id, truth, estimate in zip(columns.pair_ids, columns.truths, estimates)]
+               for pair_id, truth, estimate in zip(columns.pair_ids, columns.truths, estimates.tolist())]
     results.sort(key=lambda r: (r.truth, r.pair_id))
     return PairwiseRun(results, columns.failures)
 
@@ -243,11 +264,12 @@ def rmse(results: Sequence[ComparisonResult]) -> float:
     return _rms([r.error for r in results])
 
 
-def _rms(errors: Sequence[float]) -> float:
+def _rms(errors: Sequence[float] | np.ndarray) -> float:
     """Root mean square by the exactly rounded `math.fsum`, so the order of the errors does not matter."""
-    if not errors:
+    errors = np.asarray(errors, dtype=np.float64)
+    if not errors.size:
         raise ValueError("rmse of an empty result list is undefined")
-    return math.sqrt(math.fsum(e * e for e in errors) / len(errors))
+    return math.sqrt(math.fsum((errors * errors).tolist()) / errors.size)
 
 
 def run_grid(
@@ -264,7 +286,8 @@ def run_grid(
     if not corpus:
         raise ValueError("corpus must be non-empty")
     columns = _Columns(corpus, grid)
-    cells = {(dim, depth): _rms([est - truth for est, truth in zip(estimates, columns.truths)]) if estimates else None
+    truths = np.array(columns.truths, dtype=np.float64)
+    cells = {(dim, depth): _rms(estimates - truths) if truths.size else None
              for dim, depth, estimates in columns._cells()}
     if failures is not None:
         failures.extend(columns.failures)

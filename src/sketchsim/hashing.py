@@ -169,7 +169,8 @@ def _probe_positions(digests: Sequence[np.ndarray], hash_count: int, size: int, 
     h1 = digests[0]
     if hash_count > 1:
         h1 = h1 + np.multiply.outer(np.arange(first, hash_count, dtype=np.uint64), digests[1])
-    return (h1 % np.uint64(size)).astype(np.int64).reshape(hash_count - first, *digests[0].shape)
+    # a view reads the uint64 remainders with the bits astype(np.int64) would copy; each is below size
+    return (h1 % np.uint64(size)).view(np.int64).reshape(hash_count - first, *digests[0].shape)
 
 
 def find_collision_free_seed(

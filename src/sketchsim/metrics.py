@@ -85,6 +85,28 @@ def _dice_score(shared, mass) -> float:
     return values[0] if len(values) == 1 else max(math.fsum(values) / len(values), min(values))
 
 
+def _dice_cells(shared, mass) -> np.ndarray:
+    """`_dice_score` of many pairs at once, equal to it bit for bit: shared and mass are rows x pairs uint64 sums.
+
+    While every mass is below 2^53, 2 * shared / mass is one float64
+    division of exact operands (shared <= mass / 2), correctly rounded as
+    Python's int / int is; past that, the exact ints are divided.
+    """
+    shared, mass = np.asarray(shared, dtype=np.uint64), np.asarray(mass, dtype=np.uint64)
+    if not mass.all():  # the first pair with an empty row pair, as pair-by-pair scoring meets it
+        _, row = np.argwhere(mass.T == 0)[0]
+        raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
+    if int(mass.max(initial=0)) < 2**53:
+        values = 2.0 * shared / mass
+    else:
+        values = np.array([[2 * common / total for common, total in zip(shared_row, mass_row)]
+                           for shared_row, mass_row in zip(shared.tolist(), mass.tolist())], dtype=np.float64)
+    if len(values) == 1:
+        return values[0]
+    means = np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
+    return np.maximum(means, values.min(axis=0))
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list[int]:
     """Exact dot product of each pair of rows of two counter tables, in Python ints."""
     return [sum(x * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.tolist(), b.tolist())]
@@ -111,15 +133,23 @@ def _cosine_score(dots, norms_sq_p, norms_sq_q) -> float:
     return math.fsum(values) / len(values)
 
 
+def _cosine_cells(dots, norms_sq_p, norms_sq_q) -> np.ndarray:
+    """`_cosine_score` of each of many pairs: every argument holds, per row, that sum of each pair."""
+    return np.array([_cosine_score(*pair) for pair in zip(*(zip(*rows) for rows in (dots, norms_sq_p, norms_sq_q)))],
+                    dtype=np.float64)
+
+
 # The one metric table: metric -> (exact oracle, row sums of paired table rows, row mean over those
-# sums); the named scorers, the grid engine and the CLI all read it.
-METRICS = {"dice": (dice, _dice_sums, _dice_score), "cosine": (cosine, _cosine_sums, _cosine_score)}
+# sums, cell scorer: the row mean of many pairs at once); the named scorers, the grid engine and the
+# CLI all read it.
+METRICS = {"dice": (dice, _dice_sums, _dice_score, _dice_cells),
+           "cosine": (cosine, _cosine_sums, _cosine_score, _cosine_cells)}
 
 
 def score(metric: str, p: CounterTable, q: CounterTable, sketch_type: type = CounterTable) -> float:
     """The sketch estimate of `metric` for two comparable counter tables of `sketch_type`."""
     _require_comparable(p, q, sketch_type)
-    _, sums, row_mean = METRICS[metric]
+    _, sums, row_mean, _ = METRICS[metric]
     return row_mean(*sums(p.table, q.table))
 
 

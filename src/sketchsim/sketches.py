@@ -109,21 +109,25 @@ def _element_cells(params: SketchParams, element: bytes | str) -> np.ndarray:
     return np.arange(params.depth) * params.width + _probe_positions((h1, h2), params.hash_count, params.width)
 
 
-def _count_rows(table: np.ndarray, digests: tuple[np.ndarray, ...], owners: np.ndarray, counts: np.ndarray,
-                hash_count: int, first_probe: int = 0) -> np.ndarray:
-    """The one bulk accumulator: a rows x width uint32 counter table plus more counts, saturating.
+def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, counts: np.ndarray) -> None:
+    """The one bulk accumulator: add counts into a C-contiguous rows x width uint32 table in place, saturating.
 
-    Each entry of the digest arrays (`digest_rows` under its row's seed)
-    adds its count at its probes first_probe..hash_count-1 in its owner
-    row; `owners` and `counts` broadcast against the digest arrays. Sums
-    are exact in int64 for counts from `_multiset_arrays`, and a clipped
-    table takes more as min(min(a, M) + b, M) = min(a + b, M). Indices are
-    flat: np.add.at with 2-D indices and broadcast values varies by numpy.
+    Each entry of `positions` (columns from `_probe_positions`) adds its
+    entry of `counts` (same shape) in its owner row; `owners` broadcasts
+    against `positions`. When the table's largest cell plus all the
+    counts stays within COUNTER_MAX, no cell can saturate and the counts
+    go straight into the table. Otherwise the sums are exact in int64 for
+    counts from `_multiset_arrays`, and a clipped table takes more as
+    min(min(a, M) + b, M) = min(a + b, M). Indices are flat: np.add.at
+    with 2-D indices and broadcast values varies by numpy.
     """
+    cells, values = (owners * table.shape[1] + positions).ravel(), counts.ravel()
+    if int(table.max(initial=0)) + int(values.sum()) <= COUNTER_MAX:
+        np.add.at(table.reshape(-1), cells, values.astype(np.uint32))  # int64 values would take numpy's slow path
+        return
     accumulated = table.astype(np.int64)
-    cells = owners * table.shape[1] + _probe_positions(digests, hash_count, table.shape[1], first_probe)
-    np.add.at(accumulated.reshape(-1), cells.ravel(), np.broadcast_to(counts, cells.shape).ravel())
-    return _clip_saturating(accumulated)
+    np.add.at(accumulated.reshape(-1), cells, values)
+    table[...] = _clip_saturating(accumulated)
 
 
 class BloomFilter:
@@ -222,7 +226,8 @@ class CounterTable:
         sketch = cls(*args, **kwargs)
         elements, counts = _multiset_arrays(multiset)
         digests = digest_rows(sketch.params.row_seeds, sketch.hash_count, elements)  # each (depth, elements)
-        sketch.table = _count_rows(sketch.table, digests, np.arange(sketch.depth)[:, None], counts, sketch.hash_count)
+        positions = _probe_positions(digests, sketch.hash_count, sketch.width)  # (hash_count, depth, elements)
+        _count_rows(sketch.table, positions, np.arange(sketch.depth)[:, None], np.broadcast_to(counts, positions.shape))
         return sketch
 
     def __eq__(self, other: object) -> bool:

@@ -27,7 +27,7 @@ from sketchsim import (
 from sketchsim.cli import main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
-GRID_CSVS = Path(__file__).parent / "data" / "grid"  # recorded before the grid engine shared rows across depths
+GRID_CSVS = Path(__file__).parent / "data" / "grid"  # recorded by earlier engines, so a faster one must match them
 
 
 def run(capsys, *argv):
@@ -190,6 +190,23 @@ class TestSketchAndCompare:
         assert code == 1
         assert "--user" in err
 
+    def test_bad_shape_flags_on_envelopes_are_usage_error(self, tmp_path, capsys, profile):
+        env = tmp_path / "me.sketch"
+        run(capsys, "sketch", str(profile), "--out", str(env))
+        for flags in (("--kind", "cms", "--hashes", "3"), ("--length", "4294967296"), ("--depth", "2")):
+            code, out_text, err = run(capsys, "compare", str(env), str(env), *flags)
+            assert code == 64, flags
+            assert out_text == "" and err.count("usage:") == 1 and "Traceback" not in err
+
+    def test_empty_profile_file_is_data_error(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_bytes(b"")
+        out = tmp_path / "a.env"
+        code, _, err = run(capsys, "sketch", str(empty), "--out", str(out))
+        assert code == 1
+        assert err.splitlines()[-1] == f"sketchsim: error: {empty} holds no profiles"
+        assert not out.exists()
+
     def test_zero_hashes_is_usage_error(self, capsys, profile, tmp_path):
         code, _, _ = run(capsys, "sketch", str(profile), "--out", str(tmp_path / "x"), "--hashes", "0")
         assert code == 64
@@ -287,7 +304,7 @@ class TestGridAndThreshold:
         assert lines[0] == "dim,depth,rmse"
         assert len(lines) == 5
 
-    @pytest.mark.parametrize("kind, metric", [("cbf", "dice"), ("cms", "dice"), ("cms", "cosine")])
+    @pytest.mark.parametrize("kind, metric", [("cbf", "dice"), ("cbf", "cosine"), ("cms", "dice"), ("cms", "cosine")])
     def test_default_lattice_csv_is_pinned(self, tmp_path, capsys, kind, metric):
         """The default 5x5 lattice over `gen --pairs 51 --unique 24 --seed 2` gives the recorded CSV byte for byte."""
         corpus = tmp_path / "corpus"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sketchsim import (
+    COUNTER_MAX,
     ComparisonResult,
     CountingBloomFilter,
     CountMinSketch,
@@ -119,6 +120,14 @@ def test_engine_rows_equal_from_multiset():
                 assert np.array_equal(tables, CountMinSketch.from_multiset(profile, width, shape, 3).table)
             for probes, table in enumerate(tables if kind == "cbf" else (), 1):
                 assert np.array_equal(table, CountingBloomFilter.from_multiset(profile, width, probes, 3).counters)
+
+
+def test_engine_rows_saturate_when_a_later_probe_passes_the_maximum():
+    """A cell that passes COUNTER_MAX only at the second probe clamps there, as from_multiset's does."""
+    hot = Multiset({"h": 2**31, "a": 1})  # width 1: every probe adds 2^31 + 1 to the one cell
+    stages = [table[0].tolist() for table in _Columns([("hh", hot, hot)], GridSpec("cbf", [1], [3]))._rows(1)]
+    assert stages == [CountingBloomFilter.from_multiset(hot, 1, probes).counters.tolist() for probes in (1, 2, 3)]
+    assert stages[1:] == [[COUNTER_MAX]] * 2
 
 
 class TestRmse:

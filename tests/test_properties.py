@@ -5,7 +5,10 @@ a one-hash CBF is a one-row CMS, all build paths agree with sequential
 inserts (saturation included), envelopes round-trip in cells and in the
 cell-derived saturation flag, decode fails only
 with typed errors, sketch Dice never undershoots the exact Dice, a sketch
-score is undefined exactly when the exact score is, the
+score is undefined exactly when the exact score is, the Dice cell scorer
+and every grid cell equal the scalar row mean bit for bit, sketches of
+the shared part and the two remainders satisfy min(p, q) = s + min(a, b)
+cell for cell, the
 bulk hash path gives the scalar digests for many start states and row
 seeds in one call, and `_probe_positions` gives the index formula
 computed in Python ints. The triplet reader sums
@@ -22,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sketchsim import (
@@ -52,7 +55,7 @@ from sketchsim import (
     write_profiles,
 )
 from sketchsim.experiments import _Columns
-from sketchsim.metrics import METRICS, _cosine_sums, _dice_sums, _row_dots, score
+from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, _row_dots, score
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
@@ -249,9 +252,96 @@ def _undefined(function, *args) -> bool:
        multisets(edge_counts, min_size=0), widths, probes, seeds)
 def test_estimate_undefined_exactly_when_truth_is(kind, metric, x, y, width, probe_count, seed):
     # a non-empty profile puts mass in every sketch row, which is what lets the grid engine decide failures once
-    oracle, _, _ = METRICS[metric]
+    oracle, _, _, _ = METRICS[metric]
     p, q = (SKETCH_KINDS[kind].from_multiset(m, width, probe_count, seed) for m in (x, y))
     assert _undefined(score, metric, p, q) == _undefined(oracle, x, y)
+
+
+def _row_mean(metric, a, b):
+    """The scalar reference: the row mean of `metrics.METRICS` for two tables, or the message it raises."""
+    _, sums, row_mean, _ = METRICS[metric]
+    try:
+        return row_mean(*sums(a, b))
+    except UndefinedSimilarityError as exc:
+        return str(exc)
+
+
+def _dice_cells_or_error(pairs):
+    """The Dice cell scorer over (a, b) table pairs, or the message it raises."""
+    per_pair = [_dice_sums(a, b) for a, b in pairs]
+    shared, mass = (np.array([sums[i] for sums in per_pair], dtype=np.uint64).T for i in (0, 1))  # rows x pairs
+    try:
+        return _dice_cells(shared, mass).tolist()
+    except UndefinedSimilarityError as exc:
+        return str(exc)
+
+
+@st.composite
+def table_batches(draw):
+    """Pairs of equal-shape uint32 tables of 1-10 rows (one row is a CBF's).
+
+    A pair may repeat one row pair in every row, where the fsum mean can
+    round below the row scores, and may share an all-zero row.
+    """
+    rows, width = draw(st.integers(1, 10)), draw(st.integers(1, 12))
+    batch = []
+    for _ in range(draw(st.integers(1, 3))):
+        repeated = draw(st.booleans())
+        a, b = (np.array(draw(st.lists(st.lists(cells, min_size=width, max_size=width),
+                                       min_size=1 if repeated else rows, max_size=1 if repeated else rows)),
+                         dtype=np.uint32).repeat(rows if repeated else 1, axis=0) for _ in range(2))
+        if draw(st.integers(0, 4)) == 0:  # one pair in five
+            blank = draw(st.integers(0, rows - 1))
+            a[blank] = b[blank] = 0
+        batch.append((a, b))
+    return batch
+
+
+@PROPERTY
+@given(table_batches())
+@example([(np.full((3, 1), 2, dtype=np.uint32), np.full((3, 1), 9, dtype=np.uint32))])  # the mean rounds below 4/11
+def test_dice_cell_scorer_is_the_row_mean_of_each_pair(batch):
+    # bit for bit, saturated cells included; a zero-mass row raises in both, for the first pair that has one
+    expected = [_row_mean("dice", a, b) for a, b in batch]
+    errors = [value for value in expected if isinstance(value, str)]
+    assert _dice_cells_or_error(batch) == (errors[0] if errors else expected)
+
+
+@settings(deadline=None, max_examples=12, derandomize=True)
+@given(st.integers(1, 2), st.integers(1, 3), st.lists(st.integers(0, 1000), min_size=2, max_size=2),
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2**20 + 63), cells), max_size=8))
+def test_dice_cell_scorer_past_the_float64_guard(rows, pair_count, deficits, overrides):
+    # two rows of 2^20 + 64 cells near COUNTER_MAX hold a joint mass past 2^53, so exact ints decide
+    a, b = (np.full((rows, 2**20 + 64), COUNTER_MAX - deficit, dtype=np.uint32) for deficit in deficits)
+    for side, cell, value in overrides:
+        (a, b)[side][:, cell] = value
+    batch = [(a, b), (b, a), (a, a)][:pair_count]
+    assert all(mass >= 2**53 for pair in batch for mass in _dice_sums(*pair)[1])
+    assert _dice_cells_or_error(batch) == [_row_mean("dice", *pair) for pair in batch]
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), st.sampled_from(list(METRICS)),
+       st.lists(st.tuples(multisets(edge_counts), multisets(edge_counts)), min_size=1, max_size=3),
+       st.lists(widths, min_size=1, max_size=2), st.sets(probes, min_size=1), seeds)
+def test_grid_cells_equal_the_scalar_score(kind, metric, pairs, dims, depths, seed):
+    # every lattice cell of the grid engine is, pair by pair, the score of the two sketches built alone
+    grid = GridSpec(kind, dims, sorted(depths), metric, seed)
+    for dim, depth, estimates in _Columns([(f"p{i}", x, y) for i, (x, y) in enumerate(pairs)], grid)._cells():
+        params = grid.params_for(dim, depth)
+        assert estimates.tolist() == [score(metric, params.sketch(x), params.sketch(y)) for x, y in pairs]
+
+
+@PROPERTY
+@given(st.sampled_from(["cbf", "cms"]), multisets(), multisets(), widths, probes, seeds)
+def test_shared_part_identity(kind, x, y, width, probe_count, seed):
+    # S = min(X, Y), A = X - S, B = Y - S; sketches add, so without saturation min(p, q) = s + min(a, b) per cell
+    shared = {e: min(c, y.count(e)) for e, c in x.items() if e in y}
+    parts = [Multiset(shared), *(Multiset({e: c - shared.get(e, 0) for e, c in m.items() if c > shared.get(e, 0)})
+                                 for m in (x, y))]
+    p, q, s, a, b = (SKETCH_KINDS[kind].from_multiset(m, width, probe_count, seed).table.astype(np.int64)
+                     for m in (x, y, *parts))
+    assert np.array_equal(np.minimum(p, q), s + np.minimum(a, b))
 
 
 # sizes 1, small non-powers of two, powers of two and the largest the header carries
