@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from . import datasets, experiments, metrics, sketches, wire
+from .hashing import SEED_MAX
 from .multiset import Multiset
 
 EXIT_OK = 0
@@ -47,7 +48,7 @@ def _nonneg_int(text: str) -> int:
 
 def _seed(text: str) -> int:
     value = int(text)
-    if not 0 <= value < 2**64:
+    if not 0 <= value <= SEED_MAX:
         raise argparse.ArgumentTypeError("seed must fit in 64 unsigned bits")
     return value
 
@@ -69,24 +70,29 @@ def _threshold(text: str) -> float:
     return value
 
 
+# shape flag -> (the SketchParams field it sets, its default); the flags default to None so a given one is told apart
+_SHAPE_FLAGS = {"kind": ("kind", DEFAULT_KIND), "length": ("width", DEFAULT_LENGTH), "depth": ("depth", 1),
+                "hashes": ("hash_count", 1), "seed": ("seed", 0)}
+
+
 def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", choices=("cbf", "cms"), default=DEFAULT_KIND)
-    parser.add_argument(
-        "--length",
-        "--width",
-        dest="length",
-        type=_positive_int,
-        default=DEFAULT_LENGTH,
-        help="CBF length n / CMS width w (default %(default)s)",
-    )
-    parser.add_argument("--hashes", type=_positive_int, default=1, help="hash functions k (CBF only)")
-    parser.add_argument("--depth", type=_positive_int, default=1, help="rows d (CMS only)")
-    parser.add_argument("--seed", type=_seed, default=0, help="shared hash seed")
+    parser.add_argument("--kind", choices=("cbf", "cms"), help=f"sketch kind (default {DEFAULT_KIND})")
+    parser.add_argument("--length", "--width", dest="length", type=_positive_int,
+                        help=f"CBF length n / CMS width w (default {DEFAULT_LENGTH})")
+    parser.add_argument("--hashes", type=_positive_int, help="hash functions k (CBF only, default 1)")
+    parser.add_argument("--depth", type=_positive_int, help="rows d (CMS only, default 1)")
+    parser.add_argument("--seed", type=_seed, help="shared hash seed (default 0)")
+
+
+def _given_shape(args: argparse.Namespace) -> dict[str, object]:  # field -> value of each shape flag given
+    return {field: getattr(args, flag) for flag, (field, _) in _SHAPE_FLAGS.items() if getattr(args, flag) is not None}
 
 
 def _sketch_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> sketches.SketchParams:
+    """The shape the flags give, each flag left out at its default."""
+    shape = {field: default for field, default in _SHAPE_FLAGS.values()} | _given_shape(args)
     try:
-        return sketches.SketchParams(args.kind, args.length, depth=args.depth, hash_count=args.hashes, seed=args.seed)
+        return sketches.SketchParams(**shape)
     except ValueError as exc:  # --depth with cbf, --hashes with cms
         parser.error(str(exc))
 
@@ -223,9 +229,15 @@ def _cmd_compare(parser, args) -> int:
     if all(envelopes):
         if args.truth:
             parser.error("--truth needs profile inputs; envelopes carry no exact counts")
+        if args.user_a is not None or args.user_b is not None:
+            parser.error("--user-a and --user-b pick profiles; an envelope holds one sketch")
         a = wire.decode(args.a.read_bytes())
         b = wire.decode(args.b.read_bytes())
         witness = metrics.check_witnesses(metrics.witness_of(a), metrics.witness_of(b))
+        # a shape flag given with envelopes states what the envelopes must be
+        mismatched = [field for field, value in _given_shape(args).items() if getattr(witness, field) != value]
+        if mismatched:
+            raise metrics.IncompatibleSketchError(mismatched)
         if witness.kind == "bf":
             raise ValueError("plain Bloom filter envelopes carry no counts to compare")
         print(f"estimate\t{metrics.score(args.metric, a, b)!r}")

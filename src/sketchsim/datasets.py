@@ -363,7 +363,10 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset
     """Load a corpus manifest back into (pair_id, a, b) triples."""
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
+        try:
+            manifest = json.load(handle)
+        except RecursionError:  # the parser recurses once per nested array or object
+            raise ValueError(f"corpus manifest {manifest_path} nests too deeply to parse") from None
     if _field(manifest, "schema", str, "corpus manifest") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported corpus manifest schema: {manifest['schema']!r}")
     profiles = read_profiles(manifest_path.parent / _field(manifest, "profiles_file", str, "corpus manifest"))

@@ -136,6 +136,8 @@ class _Columns:
     """
 
     def __init__(self, corpus: Corpus, grid: GridSpec):
+        if not corpus:
+            raise ValueError("corpus must be non-empty")
         self.grid, self.failures, scored = grid, [], []
         oracle, _, _, _ = metrics.METRICS[grid.metric]
         for pair_id, x, y in corpus:
@@ -248,8 +250,6 @@ def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> 
     undefined (UndefinedSimilarityError) is recorded as a failure, not
     fatal.
     """
-    if not corpus:
-        raise ValueError("corpus must be non-empty")
     grid = GridSpec(params.kind, [params.width], [params.depth * params.hash_count], metric, params.seed)
     columns = _Columns(corpus, grid)
     ((_, _, estimates),) = columns._cells()
@@ -283,8 +283,6 @@ def run_grid(
     undefined fails in every cell; when `failures` is given, those pairs
     are appended to it once.
     """
-    if not corpus:
-        raise ValueError("corpus must be non-empty")
     columns = _Columns(corpus, grid)
     truths = np.array(columns.truths, dtype=np.float64)
     cells = {(dim, depth): _rms(estimates - truths) if truths.size else None

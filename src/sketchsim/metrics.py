@@ -15,7 +15,10 @@ math.fsum(rows) / depth can round one step below all of them. Cosine
 has no such guarantee: a collision can add more to the norms than to
 the dot product. Each row score is computed from exact integer sums with one final
 floating division, so results are deterministic across platforms (Dice's
-joint mass is the min-sum plus the max-sum; cosine's sums are each row pair's Gram matrix).
+joint mass is the min-sum plus the max-sum; cosine's sums are each row pair's Gram
+matrix, int64 while exact, else Python ints, and its root `_exact_sqrt`). The cell
+scorers equal the row mean bit for bit: Dice's divides in float64 while every mass is
+in [1, 2^53), else hands the batch to the scalar pair by pair, as cosine's always does.
 
 Two sketches are scored only when their shapes (`sketches.SketchParams`)
 are equal: `witness_of` reads a sketch's shape, and `check_witnesses`
@@ -29,8 +32,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .multiset import UndefinedSimilarityError, cosine, dice
-from .sketches import BloomFilter, CounterTable, CountMinSketch, CountingBloomFilter, SketchParams
+from .multiset import UndefinedSimilarityError, _exact_sqrt, cosine, dice
+from .sketches import CounterTable, CountMinSketch, CountingBloomFilter, Sketch, SketchParams
 
 
 class IncompatibleSketchError(ValueError):
@@ -41,9 +44,9 @@ class IncompatibleSketchError(ValueError):
         super().__init__("incompatible sketches, differing fields: " + ", ".join(mismatched_fields))
 
 
-def witness_of(sketch: BloomFilter | CounterTable) -> SketchParams:
+def witness_of(sketch: Sketch) -> SketchParams:
     """The shape of a sketch, which is what its envelope header carries."""
-    if not isinstance(sketch, (BloomFilter, CounterTable)):
+    if not isinstance(sketch, Sketch):
         raise TypeError(f"not a sketch: {type(sketch).__name__}")
     return sketch.params
 
@@ -88,35 +91,27 @@ def _dice_score(shared, mass) -> float:
 def _dice_cells(shared, mass) -> np.ndarray:
     """`_dice_score` of many pairs at once, equal to it bit for bit: shared and mass are rows x pairs uint64 sums.
 
-    While every mass is below 2^53, 2 * shared / mass is one float64
+    While every mass is in [1, 2^53), 2 * shared / mass is one float64
     division of exact operands (shared <= mass / 2), correctly rounded as
-    Python's int / int is; past that, the exact ints are divided.
+    Python's int / int is. A batch with an empty row pair or a larger
+    mass goes to `_dice_score` pair by pair, which raises at the first
+    empty row pair or divides the exact ints.
     """
     shared, mass = np.asarray(shared, dtype=np.uint64), np.asarray(mass, dtype=np.uint64)
-    if not mass.all():  # the first pair with an empty row pair, as pair-by-pair scoring meets it
-        _, row = np.argwhere(mass.T == 0)[0]
-        raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
-    if int(mass.max(initial=0)) < 2**53:
-        values = 2.0 * shared / mass
-    else:
-        values = np.array([[2 * common / total for common, total in zip(shared_row, mass_row)]
-                           for shared_row, mass_row in zip(shared.tolist(), mass.tolist())], dtype=np.float64)
+    if not mass.all() or int(mass.max(initial=0)) >= 2**53:
+        return np.array([_dice_score(*pair) for pair in zip(shared.T.tolist(), mass.T.tolist())], dtype=np.float64)
+    values = 2.0 * shared / mass
     if len(values) == 1:
         return values[0]
     means = np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
     return np.maximum(means, values.min(axis=0))
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> list[int]:
-    """Exact dot product of each pair of rows of two counter tables, in Python ints."""
-    return [sum(x * y for x, y in zip(row_a, row_b)) for row_a, row_b in zip(a.tolist(), b.tolist())]
-
-
 def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """Per-row dot products and squared norms of two tables' rows: one int64 matmul while exact, else Python ints."""
+    """Per-row dot products and squared norms of two tables' rows, from one Gram: in int64 while exact, else Python ints."""
     rows = np.array((a, b), dtype=np.int64).swapaxes(0, 1)  # (rows, 2, width)
     if int(rows.max(initial=0)) ** 2 * a.shape[1] >= 2**63:
-        return _row_dots(a, b), _row_dots(a, a), _row_dots(b, b)
+        rows = rows.astype(object)
     norm_sq_p, dots, _, norm_sq_q = (rows @ rows.swapaxes(1, 2)).reshape(-1, 4).T.tolist()
     return dots, norm_sq_p, norm_sq_q
 
@@ -127,9 +122,7 @@ def _cosine_score(dots, norms_sq_p, norms_sq_q) -> float:
     for dot, norm_sq_p, norm_sq_q in zip(dots, norms_sq_p, norms_sq_q):
         if norm_sq_p == 0 or norm_sq_q == 0:
             raise UndefinedSimilarityError("cosine of an all-zero counter vector is undefined")
-        product = norm_sq_p * norm_sq_q
-        root = math.isqrt(product)
-        values.append(dot / (float(root) if root * root == product else math.sqrt(product)))
+        values.append(dot / _exact_sqrt(norm_sq_p * norm_sq_q))
     return math.fsum(values) / len(values)
 
 

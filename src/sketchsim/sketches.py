@@ -1,11 +1,15 @@
 """Sketch shapes, the Bloom Filter, and the counter table behind the CBF and the Count-Min Sketch.
 
-Every sketch has a shape, `SketchParams`: kind, width, depth, hash count
-and seed. Two sketches are comparable iff their shapes are equal, and an
-envelope header carries exactly these fields. `SketchParams` is the only
-code that checks the shape rules (a "bf" or "cbf" is one row probed k
-times, a "cms" is d rows probed once each), and `SKETCH_KINDS` is the
-only kind -> class table; every constructor validates through it.
+Every sketch is a `Sketch`: a shape, `SketchParams` (kind, width, depth,
+hash count and seed), and a depth x width `table` of cells. The base
+holds the construction, the shape properties, equality and the repr
+once for every kind. Two sketches are comparable iff their shapes are
+equal, and an envelope header carries exactly these fields.
+`SketchParams` is the only code that checks the shape rules (a "bf" or
+"cbf" is one row probed k times, a "cms" is d rows probed once each),
+and `SKETCH_KINDS` is the only kind -> class table; every constructor
+validates through it. A Bloom Filter's table is one row of bools, its
+`bits` being `table[0]`.
 
 Every structure takes its cells from `hashing._probe_positions`, the
 one implementation of the index formula, whether it places one element
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hashing import _check_seed, _probe_positions, derive_row_seed, digest_pair, digest_rows
-from .multiset import Multiset
+from .multiset import Multiset, _check_times
 
 COUNTER_MAX = 2**32 - 1
 _FIELD_MAX = 2**32 - 1  # width, depth and hash_count travel as uint32 header fields
@@ -67,16 +71,10 @@ class SketchParams:
         """The seed each row hashes with: derive_row_seed(seed, r) for r < depth."""
         return tuple(derive_row_seed(self.seed, row) for row in range(self.depth))
 
-    def sketch(self, multiset: Multiset) -> BloomFilter | CounterTable:
+    def sketch(self, multiset: Multiset) -> Sketch:
         """This shape's sketch of a multiset, built by `from_multiset`."""
         # every constructor takes (width, k or d, seed), and one of depth and hash count is 1
         return SKETCH_KINDS[self.kind].from_multiset(multiset, self.width, self.depth * self.hash_count, self.seed)
-
-
-def _check_times(times: int) -> int:
-    if not isinstance(times, int) or times < 1:
-        raise ValueError(f"times must be a positive integer, got {times!r}")
-    return times
 
 
 def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
@@ -130,8 +128,33 @@ def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, co
     table[...] = _clip_saturating(accumulated)
 
 
-class BloomFilter:
-    """Probabilistic set membership over an n-bit vector.
+class Sketch:
+    """A sketch: its shape (`params`) and a depth x width `table` of cells, uint32 counters or a BF's bits."""
+
+    kind = ""
+    _dtype: type = np.uint32
+
+    def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
+        self.params = SketchParams(self.kind, width, depth, hash_count, seed)
+        self.table = np.zeros((depth, width), dtype=self._dtype)
+
+    width = property(lambda self: self.params.width)
+    depth = property(lambda self: self.params.depth)
+    hash_count = property(lambda self: self.params.hash_count)
+    seed = property(lambda self: self.params.seed)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.params == other.params and np.array_equal(self.table, other.table)
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(width={self.width}, depth={self.depth}, hash_count={self.hash_count}, "
+                f"seed={self.seed})")
+
+
+class BloomFilter(Sketch):
+    """Probabilistic set membership over an n-bit vector, one row of bits probed hash_count times.
 
     No false negatives: a bit pattern only ever gains bits, so every
     inserted element keeps answering True. False positives come from
@@ -139,14 +162,13 @@ class BloomFilter:
     """
 
     kind = "bf"
+    _dtype = bool
 
     def __init__(self, length: int, hash_count: int = 1, seed: int = 0):
-        self.params = SketchParams(self.kind, length, 1, hash_count, seed)
-        self.bits = np.zeros(length, dtype=bool)
+        super().__init__(length, 1, hash_count, seed)
 
-    length = property(lambda self: self.params.width)
-    hash_count = property(lambda self: self.params.hash_count)
-    seed = property(lambda self: self.params.seed)
+    length = property(lambda self: self.width)
+    bits = property(lambda self: self.table[0], doc="The bit vector, a view of table[0].")
 
     def insert(self, element: bytes | str) -> None:
         self.bits[_element_cells(self.params, element)] = True
@@ -155,8 +177,7 @@ class BloomFilter:
         """False means definitely never inserted; True means inserted or collision."""
         return bool(self.bits[_element_cells(self.params, element)].all())
 
-    def __contains__(self, element: bytes | str) -> bool:
-        return self.contains(element)
+    __contains__ = contains
 
     @classmethod
     def from_multiset(cls, multiset: Multiset, length: int, hash_count: int = 1, seed: int = 0) -> "BloomFilter":
@@ -166,16 +187,8 @@ class BloomFilter:
         sketch.bits[_probe_positions(digests, hash_count, length)] = True
         return sketch
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BloomFilter):
-            return NotImplemented
-        return self.params == other.params and np.array_equal(self.bits, other.bits)
 
-    def __repr__(self) -> str:
-        return f"BloomFilter(length={self.length}, hash_count={self.hash_count}, seed={self.seed})"
-
-
-class CounterTable:
+class CounterTable(Sketch):
     """depth x width matrix of 32-bit saturating counters.
 
     Row r hashes with derive_row_seed(seed, r) and probes each element
@@ -187,17 +200,6 @@ class CounterTable:
     true count: collisions only ever add. Build one through
     CountingBloomFilter (one row) or CountMinSketch (one probe per row).
     """
-
-    kind = ""
-
-    def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
-        self.params = SketchParams(self.kind, width, depth, hash_count, seed)
-        self.table = np.zeros((depth, width), dtype=np.uint32)
-
-    width = property(lambda self: self.params.width)
-    depth = property(lambda self: self.params.depth)
-    hash_count = property(lambda self: self.params.hash_count)
-    seed = property(lambda self: self.params.seed)
 
     @property
     def saturated(self) -> bool:
@@ -230,15 +232,6 @@ class CounterTable:
         _count_rows(sketch.table, positions, np.arange(sketch.depth)[:, None], np.broadcast_to(counts, positions.shape))
         return sketch
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.params == other.params and np.array_equal(self.table, other.table)
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(width={self.width}, depth={self.depth}, hash_count={self.hash_count}, "
-                f"seed={self.seed})")
-
 
 class CountingBloomFilter(CounterTable):
     """One row of `length` counters, probed hash_count times (the paper's CBF)."""
@@ -248,14 +241,8 @@ class CountingBloomFilter(CounterTable):
     def __init__(self, length: int, hash_count: int = 1, seed: int = 0):
         super().__init__(length, 1, hash_count, seed)
 
-    @property
-    def length(self) -> int:
-        return self.width
-
-    @property
-    def counters(self) -> np.ndarray:
-        """The counter vector, a view of table[0]."""
-        return self.table[0]
+    length = property(lambda self: self.width)
+    counters = property(lambda self: self.table[0], doc="The counter vector, a view of table[0].")
 
 
 class CountMinSketch(CounterTable):
@@ -270,10 +257,10 @@ class CountMinSketch(CounterTable):
 SKETCH_KINDS = {sketch_type.kind: sketch_type for sketch_type in (BloomFilter, CountingBloomFilter, CountMinSketch)}
 
 
-def _from_state(params: SketchParams, cells: np.ndarray) -> BloomFilter | CounterTable:
-    """A sketch of a checked shape holding `cells` as is (a BF's bits or a counter table), with no zeros to overwrite."""
+def _from_state(params: SketchParams, table: np.ndarray) -> Sketch:
+    """A sketch of a checked shape holding `table` (depth x width, its kind's cell type) as is, no zeros to overwrite."""
     sketch = object.__new__(SKETCH_KINDS[params.kind])
-    vars(sketch).update({"params": params, "bits" if params.kind == "bf" else "table": cells})
+    vars(sketch).update(params=params, table=table)
     return sketch
 
 

@@ -19,7 +19,9 @@ constructor is the one check of the shape fields, and the counter width
 code must be the one of the kind.
 
 BF payloads pack each row of bits LSB-first into ceil(n/8) bytes (bit i
-lives in byte i//8 at bit i%8). Counter payloads are uint32 LE. The
+lives in byte i//8 at bit i%8). Counter payloads are uint32 LE. Every
+sketch, BF included, encodes from and decodes to its depth x width
+`table`, which `sketches._from_state` sets whatever the kind. The
 recommended one-hash CBF of length 128 therefore travels in exactly
 27 + 128*4 = 539 bytes.
 
@@ -38,7 +40,7 @@ import struct
 import numpy as np
 
 from .metrics import witness_of
-from .sketches import BloomFilter, CounterTable, SketchParams, _from_state
+from .sketches import Sketch, SketchParams, _from_state
 
 MAGIC = b"SKSM"
 VERSION = 1
@@ -71,16 +73,13 @@ class HeaderConsistencyError(WireFormatError):
     pass
 
 
-Sketch = BloomFilter | CounterTable
-
-
 def encode(sketch: Sketch) -> bytes:
     """Serialize a sketch; equal sketches always yield equal bytes."""
     params = witness_of(sketch)
     header = _HEADER.pack(MAGIC, VERSION, _KIND_CODES[params.kind], params.width, params.depth,
                           params.hash_count, params.seed, _COUNTER_CODES[params.kind])
-    if isinstance(sketch, BloomFilter):
-        payload = np.packbits(sketch.bits, bitorder="little").tobytes()
+    if params.kind == "bf":
+        payload = np.packbits(sketch.table, axis=1, bitorder="little").tobytes()
     else:
         payload = sketch.table.astype("<u4").tobytes()
     return header + payload
@@ -124,7 +123,7 @@ def decode(data: bytes) -> Sketch:
         unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE), bitorder="little")
         if unpacked[params.width :].any():
             raise WireFormatError(f"padding bits past the {params.width} bits of the BF must be zero")
-        return _from_state(params, unpacked[: params.width].astype(bool))
+        return _from_state(params, unpacked[None, : params.width].astype(bool))
     table = np.frombuffer(data, dtype="<u4", offset=HEADER_SIZE).astype(np.uint32)  # copies: never share the caller's buffer
     return _from_state(params, table.reshape(params.depth, params.width))
 

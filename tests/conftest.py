@@ -42,6 +42,12 @@ def sd_corpus(sd_pairs):
     return corpus_pairs(sd_pairs)
 
 
+@pytest.fixture(scope="session", params=[20, 200], ids=lambda distinct: f"D{distinct}")
+def sized_corpus(request):
+    """(D, a 301-pair synthetic corpus of about D distinct elements per multiset)."""
+    return request.param, corpus_pairs(generate_synthetic(SD_SEED, 301, request.param))
+
+
 @pytest.fixture(scope="session")
 def real_like_corpus():
     """500 listening-history-like pairs with uniformly random similarity."""

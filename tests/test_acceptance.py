@@ -101,6 +101,39 @@ def test_c04_length_benefit(sd_corpus):
     _report("C4 length benefit", "RMSE " + " -> ".join(f"{v:.4f}" for v in series))
 
 
+# The paper sizes a sketch by the expected distinct count D. The k=1 CBF RMSE at n = D, 3D and 12D,
+# measured on `generate_synthetic` corpora of 301 pairs (seeds 0 and 5, D = 20, 67 and 200), read
+# 0.19-0.21, 0.086-0.101 and 0.026-0.038; each band below is that range widened by 25% at both ends.
+# `sized_corpus` draws its corpora with the suite's own generator seed, 7.
+SIZING_BANDS = {1: (0.19, 0.21), 3: (0.086, 0.101), 12: (0.026, 0.038)}
+SIZING_MARGIN = 0.25
+
+
+def test_c03_hash_count_penalty_across_distinct_counts(sized_corpus):
+    """C3 at D = 20 and 200: at n = D, 3D and 12D the RMSE never falls as k goes 1, 2, 4, 8."""
+    distinct, corpus = sized_corpus
+    lengths = [ratio * distinct for ratio in SIZING_BANDS]
+    cells = run_grid(corpus, GridSpec("cbf", dims=lengths, depths=[1, 2, 4, 8], seed=SKETCH_SEED))
+    for n in lengths:
+        series = [cells[(n, k)] for k in (1, 2, 4, 8)]
+        assert series == sorted(series), (n, series)
+    _report("C3 hash-count penalty", f"D={distinct}: k=1 <= 2 <= 4 <= 8 at n/D in {list(SIZING_BANDS)}")
+
+
+def test_c04_length_benefit_across_distinct_counts(sized_corpus):
+    """C4 at D = 20 and 200: the k=1 RMSE falls as n/D grows, and sits in each n/D band of the sizing rule."""
+    distinct, corpus = sized_corpus
+    ratios = [1, 2, 3, 4, 8, 12, 16]
+    cells = run_grid(corpus, GridSpec("cbf", dims=[r * distinct for r in ratios], depths=[1], seed=SKETCH_SEED))
+    series = [cells[(r * distinct, 1)] for r in ratios]
+    assert series == sorted(series, reverse=True), series
+    for ratio, (low, high) in SIZING_BANDS.items():
+        value = cells[(ratio * distinct, 1)]
+        assert low * (1 - SIZING_MARGIN) <= value <= high * (1 + SIZING_MARGIN), (ratio, value)
+    _report("C4 length benefit", f"D={distinct}: RMSE at n/D = 1, 3, 12: "
+            + ", ".join(f"{cells[(r * distinct, 1)]:.4f}" for r in SIZING_BANDS))
+
+
 def test_c05_depth_insensitivity(sd_corpus):
     """CMS rows barely move the RMSE: |RMSE(d=10) - RMSE(d=1)| <= 0.25 * RMSE(d=1)."""
     cells = run_grid(sd_corpus, GridSpec("cms", dims=[200, 400], depths=[1, 10], seed=SKETCH_SEED))

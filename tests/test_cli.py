@@ -198,6 +198,34 @@ class TestSketchAndCompare:
             assert code == 64, flags
             assert out_text == "" and err.count("usage:") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("flags, fields", [
+        (("--kind", "cms", "--depth", "4", "--length", "64"), "kind, width, depth"),
+        (("--length", "64"), "width"),
+        (("--hashes", "2"), "hash_count"),
+        (("--seed", "3"), "seed"),
+    ], ids=["cms-shape", "length", "hashes", "seed"])
+    def test_shape_flags_unlike_the_envelopes_exit_2_with_fields(self, tmp_path, capsys, profile, flags, fields):
+        env = tmp_path / "me.sketch"
+        run(capsys, "sketch", str(profile), "--out", str(env))
+        code, out_text, err = run(capsys, "compare", str(env), str(env), *flags)
+        assert (code, out_text) == (2, "")
+        assert err == f"sketchsim: incompatible sketches: {fields}\n"
+
+    def test_shape_flags_like_the_envelopes_are_accepted(self, tmp_path, capsys, profile):
+        env = tmp_path / "me.sketch"
+        run(capsys, "sketch", str(profile), "--out", str(env), "--kind", "cms", "--depth", "4", "--width", "64")
+        code, out_text, _ = run(capsys, "compare", str(env), str(env), "--kind", "cms", "--depth", "4",
+                                "--length", "64", "--hashes", "1", "--seed", "0")
+        assert (code, out_text) == (0, "estimate\t1.0\n")
+
+    @pytest.mark.parametrize("flag", ["--user-a", "--user-b"])
+    def test_user_flags_on_envelopes_are_usage_error(self, tmp_path, capsys, profile, flag):
+        env = tmp_path / "me.sketch"
+        run(capsys, "sketch", str(profile), "--out", str(env))
+        code, out_text, err = run(capsys, "compare", str(env), str(env), flag, "nobody")
+        assert (code, out_text) == (64, "")
+        assert err.count("usage:") == 1 and flag in err and "Traceback" not in err
+
     def test_empty_profile_file_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_bytes(b"")
@@ -402,6 +430,13 @@ class TestGridAndThreshold:
         assert code == 1
         assert err.startswith("sketchsim: error:") and field in err and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_deeply_nested_manifest_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("[" * 200_000)
+        code, _, err = run(capsys, "grid", "--corpus", str(path), "--out", str(tmp_path / "g.csv"))
+        assert code == 1
+        assert err == f"sketchsim: error: corpus manifest {path} nests too deeply to parse\n"
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "grid", "--corpus", str(tmp_path / "nope.json"),

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 from sketchsim import (
     COUNT_MAX,
     COUNTER_MAX,
+    BloomFilter,
     CountMinSketch,
     CountingBloomFilter,
     GridSpec,
@@ -55,7 +56,7 @@ from sketchsim import (
     write_profiles,
 )
 from sketchsim.experiments import _Columns
-from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, _row_dots, score
+from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, score
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
@@ -121,6 +122,18 @@ def test_envelope_round_trip(kind, multiset, width, probe_count, seed, inserts):
 
 
 @PROPERTY
+@given(multisets(min_size=0), st.integers(1, 200), probes, seeds)
+def test_bf_envelope_round_trip(multiset, width, hash_count, seed):
+    # a BF's bits are its one-row table; they travel packed LSB-first with zero padding past the width
+    bf = BloomFilter.from_multiset(multiset, width, hash_count, seed)
+    data = encode(bf)
+    decoded = decode(data)
+    assert decoded == bf
+    assert np.array_equal(decoded.bits, bf.bits)
+    assert encode(decoded) == data
+
+
+@PROPERTY
 @given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
 def test_decoded_fields_are_derived_lazily(kind, multiset, width, probe_count, seed):
     sketch = SKETCH_KINDS[kind].from_multiset(multiset, width, probe_count, seed)
@@ -158,9 +171,9 @@ def test_row_sums_match_python_sums(tables):
     assert shared == [sum(map(min, x, y)) for x, y in zip(p, q)]
     assert mass == [sum(x) + sum(y) for x, y in zip(p, q)]
     dots, norms_sq_p, norms_sq_q = _cosine_sums(a, b)
-    assert dots == [sum(map(int.__mul__, x, y)) for x, y in zip(p, q)] == _row_dots(a, b)
-    assert norms_sq_p == [sum(v * v for v in x) for x in p] == _row_dots(a, a)
-    assert norms_sq_q == [sum(v * v for v in y) for y in q] == _row_dots(b, b)
+    assert dots == [sum(map(int.__mul__, x, y)) for x, y in zip(p, q)]
+    assert norms_sq_p == [sum(v * v for v in x) for x in p]
+    assert norms_sq_q == [sum(v * v for v in y) for y in q]
     assert all(type(v) is int for v in shared + mass + dots + norms_sq_p + norms_sq_q)
 
 

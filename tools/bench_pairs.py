@@ -14,16 +14,19 @@ back, the parent first in even pairs and second in odd ones.
 The record holds the machine and versions; per workload and gated
 metric each side's runs, median and quartiles, the median change and
 the pairs the change wins (ties count for neither); each run's pass
-count and the step timings the workloads report; with --claim, whether
-the change won nine tenths of the pairs by more than the parent's
-interquartile range, with every run correct and no pair failing more
-operations than the parent; and with --trace, one traced pass per side.
+count and the step timings the workloads report; each side's package
+size (the lines of src/sketchsim/*.py and the names its __init__.py
+imports); with --claim, whether the change won nine tenths of the pairs
+by more than the parent's interquartile range, with every run correct
+and no pair failing more operations than the parent; and with --trace,
+one traced pass per side.
 Each run lasts bench/run.py's default, the run_seconds of BENCHMARK.json.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import shutil
 import statistics
@@ -68,6 +71,16 @@ def step_medians(reports: dict[str, list[dict]], workload: str, skip) -> dict:
     return {name: {"unit": unit, **{side: round(statistics.median(r[workload]["reported"][name][0] for r in runs), 6)
                                     for side, runs in reports.items()}}
             for name, (_, unit) in names.items() if name not in skip}
+
+
+def source_size(checkout: Path) -> dict:
+    """A checkout's package size: the lines of src/sketchsim/*.py and the names its __init__.py imports, read by ast."""
+    package = checkout / "src" / "sketchsim"
+    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    names = sum(len(node.names) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__")
+    return {"src_lines": lines, "init_imported_names": names}
 
 
 def spread(values: list[float]) -> dict:
@@ -125,6 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         "workloads": {},
         "passes": {w: {side: [r[w]["summary"]["passes"] for r in reports[side]] for side in reports} for w in workloads},
         "reported_medians": {w: step_medians(reports, w, gated) for w in workloads},
+        "source_size": {side: source_size(checkout) for side, checkout in sides.items()},
     }
     for workload in workloads:
         entry = record["workloads"][workload] = {}
