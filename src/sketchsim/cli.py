@@ -8,6 +8,7 @@ stdout for `compare`); progress and summaries go to stderr. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -70,9 +71,9 @@ def _threshold(text: str) -> float:
     return value
 
 
-# shape flag -> (the SketchParams field it sets, its default); the flags default to None so a given one is told apart
-_SHAPE_FLAGS = {"kind": ("kind", DEFAULT_KIND), "length": ("width", DEFAULT_LENGTH), "depth": ("depth", 1),
-                "hashes": ("hash_count", 1), "seed": ("seed", 0)}
+# shape flag -> the SketchParams field it sets; the flags default to None so a given one is told apart
+_SHAPE_FLAGS = {"kind": "kind", "length": "width", "depth": "depth", "hashes": "hash_count", "seed": "seed"}
+_DEFAULT_SHAPE = sketches.SketchParams(DEFAULT_KIND, DEFAULT_LENGTH)  # depth 1, one hash, seed 0
 
 
 def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
@@ -84,15 +85,12 @@ def _add_sketch_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, help="shared hash seed (default 0)")
 
 
-def _given_shape(args: argparse.Namespace) -> dict[str, object]:  # field -> value of each shape flag given
-    return {field: getattr(args, flag) for flag, (field, _) in _SHAPE_FLAGS.items() if getattr(args, flag) is not None}
-
-
-def _sketch_params(parser: argparse.ArgumentParser, args: argparse.Namespace) -> sketches.SketchParams:
-    """The shape the flags give, each flag left out at its default."""
-    shape = {field: default for field, default in _SHAPE_FLAGS.values()} | _given_shape(args)
+def _sketch_params(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                   base: sketches.SketchParams = _DEFAULT_SHAPE) -> sketches.SketchParams:
+    """The shape the flags give, each flag left out as it is in `base` (the default shape unless given)."""
+    given = {field: getattr(args, flag) for flag, field in _SHAPE_FLAGS.items() if getattr(args, flag) is not None}
     try:
-        return sketches.SketchParams(**shape)
+        return dataclasses.replace(base, **given)
     except ValueError as exc:  # --depth with cbf, --hashes with cms
         parser.error(str(exc))
 
@@ -222,10 +220,7 @@ def _cmd_sketch(parser, args) -> int:
 
 
 def _cmd_compare(parser, args) -> int:
-    params = _sketch_params(parser, args)  # the shape flags are checked whatever the inputs are
     envelopes = _is_envelope(args.a), _is_envelope(args.b)
-    if any(envelopes) and not all(envelopes):
-        raise ValueError("cannot compare an envelope with a profile; sketch the profile first")
     if all(envelopes):
         if args.truth:
             parser.error("--truth needs profile inputs; envelopes carry no exact counts")
@@ -234,14 +229,15 @@ def _cmd_compare(parser, args) -> int:
         a = wire.decode(args.a.read_bytes())
         b = wire.decode(args.b.read_bytes())
         witness = metrics.check_witnesses(metrics.witness_of(a), metrics.witness_of(b))
-        # a shape flag given with envelopes states what the envelopes must be
-        mismatched = [field for field, value in _given_shape(args).items() if getattr(witness, field) != value]
-        if mismatched:
-            raise metrics.IncompatibleSketchError(mismatched)
+        # shape flags given with envelopes state what the envelopes must be: the envelopes' shape with them applied
+        metrics.check_witnesses(witness, _sketch_params(parser, args, witness))
         if witness.kind == "bf":
             raise ValueError("plain Bloom filter envelopes carry no counts to compare")
         print(f"estimate\t{metrics.score(args.metric, a, b)!r}")
         return EXIT_OK
+    params = _sketch_params(parser, args)  # checked before the inputs are
+    if any(envelopes):
+        raise ValueError("cannot compare an envelope with a profile; sketch the profile first")
     left = _load_profile(args.a, args.user_a)
     right = _load_profile(args.b, args.user_b)
     estimate = metrics.score(args.metric, params.sketch(left), params.sketch(right))

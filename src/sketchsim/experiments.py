@@ -8,7 +8,8 @@ seed. A run's fixed state (`_Columns`) is built once from its corpus and
 lattice: each pair's truth from one oracle call (a pair whose truth is
 undefined is a failure from then on), the scored pairs' profiles in
 columns, and each distinct element digested once under every row seed
-of the lattice's largest shape. One generator then builds each sketch
+of the lattice's largest shape, in one `digest_rows` call (the hashing
+kernel bounds its own memory). One generator then builds each sketch
 row of all profiles in one pass, probe by probe (each probe's column
 computed once per vocabulary element, then gathered per profile entry),
 and scores every cell from it: each width's rows are built once, up to
@@ -116,7 +117,6 @@ class ThresholdReport:
 
 
 _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bounds a cell's working memory
-_DIGEST_CHUNK = 2**13  # vocabulary elements per digest call (over all the run's row seeds); bounds hashing memory
 
 
 class _Columns:
@@ -149,11 +149,8 @@ class _Columns:
         self.truths = [truth for _, _, _, truth in scored]
         elements = self._intern([profile for _, x, y, _ in scored for profile in (x, y)])
         largest = grid.params_for(max(grid.dims), max(grid.depths))
-        digests = np.empty((min(largest.hash_count, 2), largest.depth, len(elements)), dtype=np.uint64)
-        for first in range(0, len(elements), _DIGEST_CHUNK):
-            chunk = elements[first : first + _DIGEST_CHUNK]
-            digests[:, :, first : first + len(chunk)] = digest_rows(largest.row_seeds, largest.hash_count, chunk)
-        self._digests = digests.swapaxes(0, 1)  # per row seed, its [h1] or [h1, h2] rows, one column per element id
+        # per row seed, its (h1,) or (h1, h2) rows, one column per element id
+        self._digests = list(zip(*digest_rows(largest.row_seeds, largest.hash_count, elements)))
 
     def _intern(self, sides: list[Multiset]) -> list[bytes]:
         """The profile columns of every pair's sides (two per pair, in order); returns the vocabulary in id order.

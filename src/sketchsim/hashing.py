@@ -32,7 +32,12 @@ the same seed.
 
 `digest_pair` is the scalar reference digest; `digest_rows` gives the
 same values for many elements under many row seeds in one pass over the
-bytes, as `fnv1a64_bulk` runs every prefix state at once.
+bytes, as `fnv1a64_bulk` runs every prefix state at once. The kernel
+takes the inputs of each length as one byte block (inputs of a single
+length, such as song ids, are the block as they are) and folds each
+byte position in as a uint64 column, widening at most _BLOCK_INPUTS
+inputs at a time, so its transient memory is bounded whatever the
+number of inputs.
 `_probe_positions` is the only implementation of the index formula:
 every sketch operation, on one element or on a whole multiset, takes
 its cells from it.
@@ -55,6 +60,9 @@ SEED_MAX = 2**64 - 1
 _DOMAIN_H1 = b"\x01"
 _DOMAIN_H2 = b"\x02"
 _DOMAIN_ROW = b"\x03"
+
+_PRIME = np.array(FNV_PRIME, dtype=np.uint64)  # 0-d: a numpy scalar operand costs more per ufunc call
+_BLOCK_INPUTS = 2**13  # inputs widened to uint64 at once; bounds the kernel's transient memory
 
 
 def fnv1a64(data: bytes, state: int = FNV_OFFSET) -> int:
@@ -90,23 +98,43 @@ def _mix64_bulk(values: np.ndarray) -> np.ndarray:
 def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
     """A (len(states), len(datas)) uint64 array whose entry [s, i] is fnv1a64(datas[i], states[s]).
 
-    Inputs are grouped by length so each group vectorizes into one pass
-    per byte position over every state at once.
+    The inputs of one length form one (inputs, length) byte block, so
+    each length digests in one pass per byte position over every state
+    at once. Inputs of a single length are that block as they are;
+    mixed lengths are grouped by numpy, one group per distinct length.
     """
-    out = np.empty((len(states), len(datas)), dtype=np.uint64)
-    by_length: dict[int, list[int]] = {}
-    for i, data in enumerate(datas):
-        by_length.setdefault(len(data), []).append(i)
-    prime = np.uint64(FNV_PRIME)
     start = np.array(states, dtype=np.uint64)[:, None]
-    for length, indices in by_length.items():
-        h = start.repeat(len(indices), axis=1)
-        if length:
-            block = np.frombuffer(b"".join(datas[i] for i in indices), dtype=np.uint8).reshape(len(indices), length)
-            for j in range(length):
-                h ^= block[:, j]
-                h *= prime  # uint64 wraparound, matching the scalar masking
-        out[:, indices] = h
+    joined = np.frombuffer(b"".join(datas), dtype=np.uint8)
+    lengths = set(map(len, datas))
+    if len(lengths) == 1:
+        (length,) = lengths
+        return _fnv1a64_block(joined.reshape(len(datas), length), start)
+    out = np.empty((len(states), len(datas)), dtype=np.uint64)
+    sizes = np.fromiter(map(len, datas), dtype=np.intp, count=len(datas))
+    starts = np.cumsum(sizes) - sizes
+    for length in lengths:
+        members = np.flatnonzero(sizes == length)
+        # each member's bytes gathered as one row: one byte per input byte
+        out[:, members] = _fnv1a64_block(joined[starts[members, None] + np.arange(length)], start)
+    return out
+
+
+def _fnv1a64_block(block: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """FNV-1a of each row of an (inputs, length) uint8 block from each (states, 1) start state, as (states, inputs).
+
+    Each byte position is a C-contiguous uint64 column that two in-place
+    ufuncs fold into every state at once. The uint64 columns cost 8
+    bytes per input byte, so at most _BLOCK_INPUTS rows are widened at a
+    time.
+    """
+    out = np.empty((len(start), len(block)), dtype=np.uint64)
+    for first in range(0, len(block), _BLOCK_INPUTS):
+        rows = block[first : first + _BLOCK_INPUTS]
+        h = out[:, first : first + len(rows)]
+        h[...] = start
+        for column in rows.T.astype(np.uint64, order="C"):
+            h ^= column
+            h *= _PRIME  # uint64 wraparound, matching the scalar masking
     return out
 
 
@@ -135,12 +163,14 @@ def derive_row_seed(base_seed: int, row: int) -> int:
     _check_seed(base_seed)
     if not isinstance(row, int) or row < 0:
         raise ValueError(f"row must be a non-negative integer, got {row!r}")
-    return _row_seed(base_seed, row) if row else base_seed
+    return _row_seed(base_seed, row)
 
 
 @lru_cache(maxsize=1024)
 def _row_seed(base_seed: int, row: int) -> int:
     # checked arguments only: the cache key treats 1.0 and 1 as one key
+    if not row:
+        return base_seed
     return fnv1a64(row.to_bytes(4, "little"), _prefix_state(base_seed, _DOMAIN_ROW))
 
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import _check_seed, _probe_positions, derive_row_seed, digest_pair, digest_rows
+from .hashing import _check_seed, _probe_positions, _row_seed, digest_pair, digest_rows
 from .multiset import Multiset, _check_times
 
 COUNTER_MAX = 2**32 - 1
@@ -68,8 +68,12 @@ class SketchParams:
 
     @property
     def row_seeds(self) -> tuple[int, ...]:
-        """The seed each row hashes with: derive_row_seed(seed, r) for r < depth."""
-        return tuple(derive_row_seed(self.seed, row) for row in range(self.depth))
+        """The seed each row hashes with, derive_row_seed(seed, r) for r < depth.
+
+        The seed was checked when the shape was made, so each row comes
+        from the cached `_row_seed`, with no check per row.
+        """
+        return tuple(_row_seed(self.seed, row) for row in range(self.depth))
 
     def sketch(self, multiset: Multiset) -> Sketch:
         """This shape's sketch of a multiset, built by `from_multiset`."""
@@ -86,9 +90,9 @@ def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
     sequential inserts give. This is the only Multiset -> array step of
     every counting-sketch build.
     """
-    elements = list(multiset.elements())
-    counts = np.asarray([count for _, count in multiset.items()], dtype=np.uint64)
-    return elements, np.minimum(counts, COUNTER_MAX + 1).astype(np.int64)
+    entries = multiset._entries  # keys are elements, values their positive counts
+    counts = np.fromiter(entries.values(), dtype=np.uint64, count=len(entries))
+    return list(entries), np.minimum(counts, COUNTER_MAX + 1).astype(np.int64)
 
 
 def _clip_saturating(accumulated: np.ndarray) -> np.ndarray:
@@ -229,7 +233,9 @@ class CounterTable(Sketch):
         elements, counts = _multiset_arrays(multiset)
         digests = digest_rows(sketch.params.row_seeds, sketch.hash_count, elements)  # each (depth, elements)
         positions = _probe_positions(digests, sketch.hash_count, sketch.width)  # (hash_count, depth, elements)
-        _count_rows(sketch.table, positions, np.arange(sketch.depth)[:, None], np.broadcast_to(counts, positions.shape))
+        probe_counts = np.empty_like(positions)  # each probe of an element adds the element's count
+        probe_counts[...] = counts
+        _count_rows(sketch.table, positions, np.arange(sketch.depth)[:, None], probe_counts)
         return sketch
 
 

@@ -1,7 +1,8 @@
-"""The perf-record script: it rejects a mistyped --claim or --trace before it exports or runs anything, and reads
-each side's package size from the files."""
+"""The perf-record script: it rejects a mistyped --claim or --trace before it exports or runs anything, reads
+each side's package size from the files, and decides regressions and the claim from the runs alone."""
 
 import importlib.util
+import statistics
 import subprocess
 from pathlib import Path
 
@@ -42,3 +43,39 @@ def test_source_size_reads_lines_and_imported_names_from_the_files(tmp_path):
     (package / "notes.txt").write_text("not\ncounted\n")
     # lines as wc -l counts them (newlines); a, b and os, not the __future__ import
     assert _bench_pairs().source_size(tmp_path) == {"src_lines": 11 + 2, "init_imported_names": 3}
+
+
+def _entry(parent, change, better="higher"):
+    """A workload/metric entry of a record as the script writes it, from synthetic runs."""
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    return {"better": better, "parent": {"iqr": q3 - q1}, "runs_parent": parent, "runs_change": change}
+
+
+_FLAT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.5, 99.5]  # parent IQR 1.0
+_OPS = {side: {"failed": [0] * 10, "correct": True} for side in ("parent", "change")}
+
+
+@pytest.mark.parametrize("change, better, regressed", [
+    ([v * 0.9 for v in _FLAT], "higher", True),  # 10% lower throughput in every pair
+    ([v * 1.1 for v in _FLAT], "lower", True),  # 10% more time in every pair
+    ([v - 0.5 for v in _FLAT], "higher", False),  # loses every pair, but by less than the parent's IQR
+    ([v * 0.9 for v in _FLAT[:8]] + [v * 1.1 for v in _FLAT[8:]], "higher", False),  # loses only 8 of 10 pairs
+    (list(_FLAT), "higher", False),  # ties count for neither side
+    ([v * 1.1 for v in _FLAT], "higher", False),  # a gain is no regression
+], ids=["slower", "longer", "within-iqr", "eight-of-ten", "ties", "gain"])
+def test_a_clear_loss_is_a_regression(change, better, regressed):
+    workloads = {"w": {"m": _entry(_FLAT, change, better)}}
+    assert _bench_pairs().decide(workloads, _OPS, None) == {"regressions": ["w/m"] if regressed else []}
+
+
+def test_a_claim_holds_only_when_it_wins_clearly_and_nothing_regresses():
+    decide = _bench_pairs().decide
+    gain, loss, flat = _entry(_FLAT, [v * 1.1 for v in _FLAT]), _entry(_FLAT, [v * 0.9 for v in _FLAT]), _entry(_FLAT, _FLAT)
+    assert decide({"a": {"ops": gain}, "b": {"ops": flat}}, _OPS, "a/ops") == {"regressions": [], "claim_holds": True}
+    assert decide({"a": {"ops": flat}}, _OPS, "a/ops")["claim_holds"] is False
+    assert decide({"a": {"ops": gain}, "b": {"ops": loss}}, _OPS, "a/ops") == {"regressions": ["b/ops"],
+                                                                              "claim_holds": False}
+    failing = {**_OPS, "change": {"failed": [0] * 9 + [1], "correct": True}}
+    assert decide({"a": {"ops": gain}}, failing, "a/ops")["claim_holds"] is False
+    wrong = {**_OPS, "parent": {"failed": [0] * 10, "correct": False}}
+    assert decide({"a": {"ops": gain}}, wrong, "a/ops")["claim_holds"] is False

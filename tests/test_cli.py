@@ -218,6 +218,25 @@ class TestSketchAndCompare:
                                 "--length", "64", "--hashes", "1", "--seed", "0")
         assert (code, out_text) == (0, "estimate\t1.0\n")
 
+    @pytest.mark.parametrize("flags, code, err_has", [
+        (("--depth", "4"), 0, None),
+        (("--width", "64", "--seed", "0"), 0, None),
+        (("--depth", "2"), 2, "sketchsim: incompatible sketches: depth\n"),
+        (("--width", "32", "--seed", "1"), 2, "sketchsim: incompatible sketches: width, seed\n"),
+        (("--hashes", "2"), 64, "hash_count must be 1"),
+        (("--kind", "cbf"), 64, "depth must be 1"),
+    ], ids=["depth-same", "width-seed-same", "depth-unlike", "width-seed-unlike", "hashes-on-cms", "cbf-of-depth-4"])
+    def test_shape_flags_on_cms_envelopes_apply_to_their_shape(self, tmp_path, capsys, profile, flags, code, err_has):
+        env = tmp_path / "c.env"
+        run(capsys, "sketch", str(profile), "--out", str(env), "--kind", "cms", "--depth", "4", "--width", "64")
+        got, out_text, err = run(capsys, "compare", str(env), str(env), *flags)
+        assert got == code, err
+        assert out_text == ("estimate\t1.0\n" if code == 0 else "")
+        if code == 2:
+            assert err == err_has
+        elif code == 64:
+            assert err.count("usage:") == 1 and err_has in err and "Traceback" not in err
+
     @pytest.mark.parametrize("flag", ["--user-a", "--user-b"])
     def test_user_flags_on_envelopes_are_usage_error(self, tmp_path, capsys, profile, flag):
         env = tmp_path / "me.sketch"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sketchsim import derive_row_seed, digest_pair, find_collision_free_seed, fnv1a64
+from sketchsim import hashing
 from sketchsim.hashing import FNV_OFFSET, _probe_positions, digest_rows, fnv1a64_bulk
 
 
@@ -40,6 +41,17 @@ def test_bulk_digests_match_scalar():
             assert digests[0][r].tolist() == [h1 for h1, _ in pairs]
             if hash_count > 1:
                 assert digests[1][r].tolist() == [h2 for _, h2 in pairs]
+
+
+def test_bulk_digests_across_blocks_and_length_groups(monkeypatch):
+    # a block bound of 3 inputs splits every length group, the empty inputs' too, into several blocks
+    monkeypatch.setattr(hashing, "_BLOCK_INPUTS", 3)
+    rng = random.Random(3)
+    mixed = [rng.randbytes(length) for length in [0, 1, 5, 18] * 10]
+    rng.shuffle(mixed)
+    states = [FNV_OFFSET, 0, 2**64 - 1]
+    for datas in (mixed, [rng.randbytes(18) for _ in range(10)], [b""] * 7, mixed[:1]):
+        assert fnv1a64_bulk(datas, states).tolist() == [[fnv1a64(data, state) for data in datas] for state in states]
 
 
 def test_bulk_digests_of_no_elements():

@@ -377,6 +377,19 @@ def test_bulk_hashing_matches_scalar(elements, seed, depth, hash_count, size, st
     assert _probe_positions(digests, hash_count, size).tolist() == expected
 
 
+@PROPERTY
+@given(st.integers(1, 24).flatmap(lambda n: st.lists(st.binary(min_size=n, max_size=n), max_size=40)),
+       st.lists(seeds, min_size=1, max_size=4), st.integers(1, 8))
+def test_bulk_hashing_of_one_length_matches_scalar(elements, states, hash_count):
+    # inputs of one length are digested as one byte block, a path mixed lengths almost never take
+    assert fnv1a64_bulk(elements, states).tolist() == [[fnv1a64(e, state) for e in elements] for state in states]
+    digests = digest_rows(states, hash_count, elements)  # the drawn states serve as row seeds here
+    pairs = [[digest_pair(row_seed, element) for element in elements] for row_seed in states]
+    assert digests[0].tolist() == [[h1 for h1, _ in row] for row in pairs]
+    if hash_count > 1:
+        assert digests[1].tolist() == [[h2 for _, h2 in row] for row in pairs]
+
+
 # ids never hold a tab, CR or LF; U+2028 and U+0085 are line breaks to
 # str.splitlines only, so the reader must keep them inside an id
 ids = st.one_of(

@@ -255,3 +255,16 @@ def test_bulk_build_saturation_matches_incremental(kind, depth, length, count):
     assert np.array_equal(rows, manual.table)  # the grid engine's rows of a one-profile corpus
     assert bulk == manual
     assert bulk.saturated == manual.saturated
+
+
+@pytest.mark.parametrize("kind, probes", [("cbf", 1), ("cbf", 3), ("cms", 1), ("cms", 4)])
+def test_from_multiset_of_one_id_length_matches_inserts(kind, probes):
+    # sender song ids are all 18 bytes, so the bulk digest takes them as one byte block
+    rng = random.Random(18)
+    m = Multiset({f"SO{rng.getrandbits(64):016X}": rng.randint(1, 40) for _ in range(96)})
+    assert {len(element) for element in m.elements()} == {18}
+    sketch_type = CountingBloomFilter if kind == "cbf" else CountMinSketch
+    manual = sketch_type(128, probes, 0)
+    for element, count in m.items():
+        manual.insert(element, count)
+    assert sketch_type.from_multiset(m, 128, probes, 0) == manual

@@ -16,10 +16,12 @@ metric each side's runs, median and quartiles, the median change and
 the pairs the change wins (ties count for neither); each run's pass
 count and the step timings the workloads report; each side's package
 size (the lines of src/sketchsim/*.py and the names its __init__.py
-imports); with --claim, whether the change won nine tenths of the pairs
-by more than the parent's interquartile range, with every run correct
-and no pair failing more operations than the parent; and with --trace,
-one traced pass per side.
+imports); the regressions, every workload and gated metric that the
+change lost in nine tenths of the pairs by more than the parent's
+interquartile range in the median; with --claim, whether the change won
+the claimed metric that way, with no regression, every run correct and
+no pair failing more operations than the parent; and with --trace, one
+traced pass per side.
 Each run lasts bench/run.py's default, the run_seconds of BENCHMARK.json.
 """
 
@@ -88,6 +90,41 @@ def spread(values: list[float]) -> dict:
     return {"median": round(median, 6), "q1": round(q1, 6), "q3": round(q3, 6), "iqr": round(q3 - q1, 6)}
 
 
+def _wins(ahead: list[float], behind: list[float], better: str) -> int:
+    """The pairs in which `ahead` reads better than `behind`; ties count for neither."""
+    sign = 1 if better == "higher" else -1
+    return sum(sign * (a - b) > 0 for a, b in zip(ahead, behind))
+
+
+def _ahead(entry: dict, side: str, other: str) -> bool:
+    """Whether `side` reads better than `other` in nine tenths of the pairs, and in the median by more than the parent's IQR."""
+    ahead, behind = entry[f"runs_{side}"], entry[f"runs_{other}"]
+    gap = statistics.median(ahead) - statistics.median(behind)
+    return (_wins(ahead, behind, entry["better"]) >= 0.9 * len(ahead)
+            and (gap if entry["better"] == "higher" else -gap) > entry["parent"]["iqr"])
+
+
+def decide(workloads: dict, operations: dict, claim: str | None) -> dict:
+    """The verdict of a record's runs: its regressions and, with a claim, whether the claim holds.
+
+    `workloads` and `operations` are the record's own entries. A
+    regression is a workload/metric the change loses as a claim must
+    win: in nine tenths of the pairs, and in the median by more than
+    the parent's interquartile range. A claim holds when the change wins
+    the claimed workload/metric so, nothing regresses, every run of both
+    sides is correct, and no pair fails more operations than the parent.
+    """
+    verdict: dict = {"regressions": [f"{workload}/{metric}" for workload, entries in workloads.items()
+                                     for metric, entry in entries.items() if _ahead(entry, "parent", "change")]}
+    if claim:
+        workload, metric = claim.split("/")
+        no_more_failed = all(c <= p for c, p in zip(operations["change"]["failed"], operations["parent"]["failed"]))
+        verdict["claim_holds"] = (_ahead(workloads[workload][metric], "change", "parent") and not verdict["regressions"]
+                                  and operations["parent"]["correct"] and operations["change"]["correct"]
+                                  and no_more_failed)
+    return verdict
+
+
 def main(argv: list[str] | None = None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in benchmark["workloads"]]
@@ -144,25 +181,15 @@ def main(argv: list[str] | None = None) -> int:
         entry = record["workloads"][workload] = {}
         for name, meta in gated.items():
             runs = {side: [r["metrics"][f"{workload}/{name}"]["value"] for r in results[side]] for side in results}
-            better = (lambda c, p: c > p) if meta["better"] == "higher" else (lambda c, p: c < p)
             parent, change = spread(runs["parent"]), spread(runs["change"])
             entry[name] = {
                 "unit": meta["unit"], "better": meta["better"], "parent": parent, "change": change,
                 "median_change": round(change["median"] / parent["median"] - 1, 4),
-                "change_wins": f"{sum(map(better, runs['change'], runs['parent']))} of {args.pairs}",
+                "change_wins": f"{_wins(runs['change'], runs['parent'], meta['better'])} of {args.pairs}",
                 "runs_parent": [round(v, 6) for v in runs["parent"]],
                 "runs_change": [round(v, 6) for v in runs["change"]],
             }
-    if args.claim:
-        workload, metric = args.claim.split("/")
-        claimed = record["workloads"][workload][metric]
-        wins = int(claimed["change_wins"].split()[0])
-        gain = claimed["change"]["median"] - claimed["parent"]["median"]
-        gain = gain if claimed["better"] == "higher" else -gain
-        ops = record["operations"]
-        no_more_failed = all(c <= p for c, p in zip(ops["change"]["failed"], ops["parent"]["failed"]))
-        record["claim_holds"] = (wins >= 0.9 * args.pairs and gain > claimed["parent"]["iqr"]
-                                 and ops["parent"]["correct"] and ops["change"]["correct"] and no_more_failed)
+    record.update(decide(record["workloads"], record["operations"], args.claim))
     if args.trace:
         command = ("--workload", args.trace, "--trace", "1", "--seed", str(seeds[0]))
         record["trace"] = {"command": "python3 bench/run.py " + " ".join(command)}
