@@ -18,7 +18,6 @@ from .multiset import (
 from .hashing import (
     derive_row_seed,
     digest_pair,
-    find_collision_free_seed,
     fnv1a64,
 )
 from .sketches import (

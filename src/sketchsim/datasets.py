@@ -7,11 +7,10 @@ fresh random elements. The achieved Dice is then exactly shared/T; the
 stored score is always recomputed by the exact oracle, never assumed
 from the construction.
 
-Real listening histories arrive as tab-separated ``user<TAB>song<TAB>count``
-lines (gzip accepted; a file is decoded as UTF-8 line by line, minus one
-leading byte-order mark). One pass checks each line and sums the plays
-per (user, song); profiles group that mapping into one multiset per
-user, filtered by a minimum number of distinct songs.
+Listening histories arrive as ``user<TAB>song<TAB>count`` lines. Every
+line is checked once; duplicate (user, song) lines are summed and
+counted, never dropped, and anything malformed is a TripletParseError
+naming its line. A corpus manifest is checked as it is loaded.
 """
 
 from __future__ import annotations
@@ -360,7 +359,10 @@ def write_corpus(
 
 
 def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset]]:
-    """Load a corpus manifest back into (pair_id, a, b) triples."""
+    """Load a corpus manifest back into (pair_id, a, b) triples.
+
+    A malformed manifest, an empty pair list or a repeated pair_id is a ValueError.
+    """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as handle:
         try:
@@ -369,10 +371,17 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset
             raise ValueError(f"corpus manifest {manifest_path} nests too deeply to parse") from None
     if _field(manifest, "schema", str, "corpus manifest") != MANIFEST_SCHEMA:
         raise ValueError(f"unsupported corpus manifest schema: {manifest['schema']!r}")
-    profiles = read_profiles(manifest_path.parent / _field(manifest, "profiles_file", str, "corpus manifest"))
-    pairs = []
-    for number, entry in enumerate(_field(manifest, "pairs", list, "corpus manifest")):
+    profiles_file = _field(manifest, "profiles_file", str, "corpus manifest")
+    entries = _field(manifest, "pairs", list, "corpus manifest")
+    if not entries:
+        raise ValueError(f"corpus manifest {manifest_path} lists no pairs")
+    profiles = read_profiles(manifest_path.parent / profiles_file)
+    pairs, seen = [], set()
+    for number, entry in enumerate(entries):
         pair_id, a, b = (_field(entry, name, str, f"manifest pair {number}") for name in ("pair_id", "a", "b"))
+        if pair_id in seen:
+            raise ValueError(f"manifest pair {number} repeats pair_id {pair_id!r}")
+        seen.add(pair_id)
         try:
             pairs.append((pair_id, profiles[a], profiles[b]))
         except KeyError as missing:

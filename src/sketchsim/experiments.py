@@ -1,30 +1,13 @@
 """Evaluation engine: pairwise runs, RMSE grids, threshold classification.
 
-A run builds both sketches of every corpus pair with identical
-parameters and seed, evaluates the chosen metric, and attaches the exact
-oracle score as ground truth. Grids reduce each cell of a parameter
-lattice to an RMSE. Everything is deterministic for a fixed corpus and
-seed. A run's fixed state (`_Columns`) is built once from its corpus and
-lattice: each pair's truth from one oracle call (a pair whose truth is
-undefined is a failure from then on), the scored pairs' profiles in
-columns, and each distinct element digested once under every row seed
-of the lattice's largest shape, in one `digest_rows` call (the hashing
-kernel bounds its own memory). One generator then builds each sketch
-row of all profiles in one pass, probe by probe (each probe's column
-computed once per vocabulary element, then gathered per profile entry),
-and scores every cell from it: each width's rows are built once, up to
-the largest depth, so CMS rows are shared across depths and CBF probes
-accumulated across hash counts. A cell is scored in arrays, all pairs at
-once: Dice's sums stay uint64 arrays (each pair's min-sum, and its mass
-from the two profiles' row totals) until the metric's cell scorer turns
-them into float64 estimates. `run_grid` reduces each cell to its RMSE;
-`run_pairwise` is the one-cell grid of its shape.
-
-Metrics are dispatched by the one table `metrics.METRICS` (exact oracle,
-row sums, row reducer, cell scorer), which the named scorers and the CLI
-read too. A run's sketch shape is a `sketches.SketchParams` of kind
-"cbf" or "cms" (a Bloom filter holds no counts to score); a single
-sketch is built by `SketchParams.sketch`, that is `from_multiset`.
+A run sketches both sides of every corpus pair with one shape and seed,
+scores the chosen metric, and attaches the exact oracle's score as the
+truth. A pair whose truth is undefined is a `PairFailure`, never fatal;
+its estimate is undefined exactly when its truth is. Every estimate
+equals `metrics.score` of sketches built one pair at a time, bit for
+bit, and `run_pairwise` is the one-cell grid of its shape. Metrics come
+from the one table `metrics.METRICS`. Runs are deterministic for a fixed
+corpus and seed.
 """
 
 from __future__ import annotations
@@ -122,17 +105,11 @@ _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bou
 class _Columns:
     """One run's fixed state, built once from its corpus and lattice and never grown.
 
-    Each pair's exact truth comes from one oracle call. A pair whose
-    truth is undefined becomes its `PairFailure` here and is never
-    interned, so `pair_ids`, `truths`, `left` and `right` cover the
-    scored pairs only: a non-empty profile puts mass in every sketch
-    row, so a pair's estimate is undefined exactly when its truth is.
-    Each distinct profile object of those pairs is interned once, as
-    CSR-style arrays: the ids of its elements in one bytes -> id
-    vocabulary and its counts clipped by `_multiset_arrays`; `left` and
-    `right` hold the profile numbers of each pair's sides. Every row
-    seed of the lattice's largest shape is digested over the vocabulary
-    once.
+    A pair whose truth is undefined becomes its `PairFailure` here and
+    is never interned, so `pair_ids`, `truths`, `left` and `right` (each
+    pair's profile numbers) cover the scored pairs only: a non-empty
+    profile puts mass in every sketch row, so a pair's estimate is
+    undefined exactly when its truth is.
     """
 
     def __init__(self, corpus: Corpus, grid: GridSpec):
@@ -197,10 +174,8 @@ class _Columns:
     def _stage_sums(self, table: np.ndarray) -> tuple:
         """The metric's row sums of every scored pair, from one row of every profile, in pair order.
 
-        Dice's are uint64 arrays: each pair's min-sum over its gathered
-        rows, and its joint mass as the sum of the two profiles' row
-        totals, taken once per table. Cosine's are its `sums` of
-        `metrics.METRICS`, chunk by chunk, as lists of ints.
+        Dice's are uint64 arrays (a pair's joint mass is its two profiles' row
+        totals); cosine's are the `sums` of `metrics.METRICS`, as lists of ints.
         """
         left, right, step = self.left, self.right, max(1, _CHUNK_CELLS // table.shape[1])
         if self.grid.metric == "dice":
@@ -218,10 +193,8 @@ class _Columns:
     def _cells(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """(dim, depth, the float64 estimate of each scored pair) of every lattice cell, in lattice order.
 
-        Each dim builds its rows once, up to the largest depth: CMS rows
-        are shared across depths, and a CBF's probes are accumulated
-        across hash counts. Each cell is scored by the metric's cell
-        scorer of `metrics.METRICS`, all pairs at once.
+        Each dim builds its rows once, up to the largest depth, and each cell
+        is scored by the metric's cell scorer, all pairs at once.
         """
         _, _, _, score_cells = metrics.METRICS[self.grid.metric]
         depths = dict.fromkeys(self.grid.depths)
@@ -274,11 +247,9 @@ def run_grid(
 ) -> dict[tuple[int, int], float | None]:
     """RMSE per (dim, depth) cell, in lattice order; a cell with no scored pair is None.
 
-    One run state (`_Columns`) serves every cell, so hashing and the
-    exact oracle run once per element and pair. A cell goes straight to
-    its RMSE (`_rms`), with no results to sort. A pair whose truth is
-    undefined fails in every cell; when `failures` is given, those pairs
-    are appended to it once.
+    Hashing and the exact oracle run once per element and pair for the
+    whole lattice. A pair whose truth is undefined fails in every cell;
+    when `failures` is given, those pairs are appended to it once.
     """
     columns = _Columns(corpus, grid)
     truths = np.array(columns.truths, dtype=np.float64)

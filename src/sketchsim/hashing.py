@@ -2,45 +2,18 @@
 
 Two sketches can only be compared if the same elements land on the same
 cells on both sides, so the digest procedure is normative down to the
-byte (see README "Hash procedure" for the bit-for-bit contract):
+byte (README "Hash procedure"):
 
     h1      = mix64( FNV1a64( seed_le8 || 0x01 || element ) )
     h2      = mix64( FNV1a64( seed_le8 || 0x02 || element ) ) with bit 0 forced to 1
     index_i = ((h1 + i * h2) mod 2^64) mod table_size       for i = 0..k-1
 
-where FNV1a64 is the standard 64-bit FNV-1a digest, seed_le8 is the
-64-bit seed in little-endian byte order, and mix64 is the 64-bit
-avalanche finalizer (xor-shift 33 / multiply 0xff51afd7ed558ccd /
-xor-shift 33 / multiply 0xc4ceb9fe1a85ec53 / xor-shift 33). The
-finalizer matters: raw FNV-1a digests of two strings that differ only
-in their final byte differ by a fixed multiple of the FNV prime at
-every seed, which double hashing turns into structural collisions for
-sequential keys ("user1", "user2", ...). Combining the two finalized
-digests by double hashing yields k index functions from two digest
-passes while keeping the table-level collision behaviour of k
-independent functions.
+and row r of a Count-Min sketch hashes with `derive_row_seed(base, r)`,
+row 0 keeping the base seed, so a one-row CMS is the one-hash CBF.
 
-Count-Min rows each use a single-function family whose seed derives from
-the base seed and the row index:
-
-    row_seed(base, 0) = base
-    row_seed(base, r) = FNV1a64( base_le8 || 0x03 || r_le4 )     for r >= 1
-
-Row 0 keeps the base seed itself so a one-row Count-Min sketch is
-cell-for-cell identical to a one-hash Counting Bloom Filter built from
-the same seed.
-
-`digest_pair` is the scalar reference digest; `digest_rows` gives the
-same values for many elements under many row seeds in one pass over the
-bytes, as `fnv1a64_bulk` runs every prefix state at once. The kernel
-takes the inputs of each length as one byte block (inputs of a single
-length, such as song ids, are the block as they are) and folds each
-byte position in as a uint64 column, widening at most _BLOCK_INPUTS
-inputs at a time, so its transient memory is bounded whatever the
-number of inputs.
-`_probe_positions` is the only implementation of the index formula:
-every sketch operation, on one element or on a whole multiset, takes
-its cells from it.
+`digest_pair` is the scalar reference digest, and `digest_rows` gives
+the same values for many elements under many row seeds in one call.
+`_probe_positions` is the only implementation of the index formula.
 """
 
 from __future__ import annotations
@@ -98,10 +71,7 @@ def _mix64_bulk(values: np.ndarray) -> np.ndarray:
 def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
     """A (len(states), len(datas)) uint64 array whose entry [s, i] is fnv1a64(datas[i], states[s]).
 
-    The inputs of one length form one (inputs, length) byte block, so
-    each length digests in one pass per byte position over every state
-    at once. Inputs of a single length are that block as they are;
-    mixed lengths are grouped by numpy, one group per distinct length.
+    The inputs of each length digest as one byte block, every state at once.
     """
     start = np.array(states, dtype=np.uint64)[:, None]
     joined = np.frombuffer(b"".join(datas), dtype=np.uint8)
@@ -120,13 +90,7 @@ def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
 
 
 def _fnv1a64_block(block: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """FNV-1a of each row of an (inputs, length) uint8 block from each (states, 1) start state, as (states, inputs).
-
-    Each byte position is a C-contiguous uint64 column that two in-place
-    ufuncs fold into every state at once. The uint64 columns cost 8
-    bytes per input byte, so at most _BLOCK_INPUTS rows are widened at a
-    time.
-    """
+    """FNV-1a of each row of an (inputs, length) uint8 block from each (states, 1) start state, as (states, inputs)."""
     out = np.empty((len(start), len(block)), dtype=np.uint64)
     for first in range(0, len(block), _BLOCK_INPUTS):
         rows = block[first : first + _BLOCK_INPUTS]
@@ -191,10 +155,7 @@ def digest_rows(row_seeds: Sequence[int], hash_count: int, elements: Sequence[by
 def _probe_positions(digests: Sequence[np.ndarray], hash_count: int, size: int, first: int = 0) -> np.ndarray:
     """The cells of probes first..hash_count-1, shape (hash_count - first, *h1.shape).
 
-    Entry [j, ...] is (h1 + (first + j) * h2) mod size.
-
-    The only implementation of the index formula; uint64 arithmetic wraps
-    mod 2^64 as the formula requires.
+    Entry [j, ...] is (h1 + (first + j) * h2) mod size, in uint64 arithmetic that wraps mod 2^64.
     """
     h1 = digests[0]
     if hash_count > 1:
@@ -202,33 +163,3 @@ def _probe_positions(digests: Sequence[np.ndarray], hash_count: int, size: int, 
     # a view reads the uint64 remainders with the bits astype(np.int64) would copy; each is below size
     return (h1 % np.uint64(size)).view(np.int64).reshape(hash_count - first, *digests[0].shape)
 
-
-def find_collision_free_seed(
-    elements: Sequence[bytes | str],
-    size: int,
-    hash_count: int = 1,
-    start_seed: int = 0,
-    max_tries: int = 100_000,
-) -> int:
-    """Search for a seed under which no two distinct elements share a cell.
-
-    Used to construct configurations where sketch similarity is provably
-    exact. An element colliding with itself (two of its own index
-    functions on one cell) is allowed; only cross-element sharing is
-    ruled out.
-    """
-    if size < 1 or hash_count < 1:
-        raise ValueError(f"size and hash_count must be >= 1, got {size} and {hash_count}")
-    keys = list(dict.fromkeys(as_element(e) for e in elements))  # a repeated element only meets itself
-    for seed in range(start_seed, start_seed + max_tries):
-        claimed: set[int] = set()
-        for cells in _probe_positions(digest_rows([seed], hash_count, keys), hash_count, size)[:, 0].T.tolist():
-            if not claimed.isdisjoint(cells):
-                break  # the first cell two elements share rules the seed out
-            claimed.update(cells)
-        else:
-            return seed
-    raise RuntimeError(
-        f"no collision-free seed found in {max_tries} tries "
-        f"(size={size}, hash_count={hash_count}, {len(keys)} distinct elements)"
-    )

@@ -1,28 +1,19 @@
 """Similarity metrics over sketch pairs.
 
-These approximate the exact Dice / cosine scores of the underlying
-multisets using only the two counter tables, which is what makes a
-single sketch exchange between two devices sufficient. Both kinds are
-scored by one row scorer per metric: the metric of each pair of rows,
-averaged over the rows. A CBF is one row, so its score is that row's;
-a CMS score is the mean of its per-row CBF scores.
+A score reads only the two sketches' tables: the metric of each pair of
+rows, averaged over the rows, so a CBF score is its one row's and a CMS
+score the mean of its per-row scores. `METRICS` is the one metric table.
 
 The Dice estimate is exact or an overestimate, never an underestimate:
-a collision can only add mass to a cell, and min(a+c, b+d) >= min(a,b) +
-min(c,d), so the positionwise-minimum numerator never loses intersection
-mass. The row mean is clamped at the smallest row score, as
+a collision only adds mass to a cell, and min(a+c, b+d) >= min(a,b) +
+min(c,d). The row mean is clamped at the smallest row score, as
 math.fsum(rows) / depth can round one step below all of them. Cosine
-has no such guarantee: a collision can add more to the norms than to
-the dot product. Each row score is computed from exact integer sums with one final
-floating division, so results are deterministic across platforms (Dice's
-joint mass is the min-sum plus the max-sum; cosine's sums are each row pair's Gram
-matrix, int64 while exact, else Python ints, and its root `_exact_sqrt`). The cell
-scorers equal the row mean bit for bit: Dice's divides in float64 while every mass is
-in [1, 2^53), else hands the batch to the scalar pair by pair, as cosine's always does.
+has no one-sided bound. Each row score is one division of exact integer
+sums, so scores are deterministic across platforms, and the cell
+scorers equal the row mean bit for bit.
 
 Two sketches are scored only when their shapes (`sketches.SketchParams`)
-are equal: `witness_of` reads a sketch's shape, and `check_witnesses`
-compares two, naming every field in which they differ.
+are equal; `check_witnesses` names every field in which they differ.
 """
 
 from __future__ import annotations
@@ -91,11 +82,9 @@ def _dice_score(shared, mass) -> float:
 def _dice_cells(shared, mass) -> np.ndarray:
     """`_dice_score` of many pairs at once, equal to it bit for bit: shared and mass are rows x pairs uint64 sums.
 
-    While every mass is in [1, 2^53), 2 * shared / mass is one float64
-    division of exact operands (shared <= mass / 2), correctly rounded as
-    Python's int / int is. A batch with an empty row pair or a larger
-    mass goes to `_dice_score` pair by pair, which raises at the first
-    empty row pair or divides the exact ints.
+    While every mass is in [1, 2^53), both operands are exact in float64,
+    so one division rounds as Python's int / int does; any other batch
+    goes to `_dice_score` pair by pair.
     """
     shared, mass = np.asarray(shared, dtype=np.uint64), np.asarray(mass, dtype=np.uint64)
     if not mass.all() or int(mass.max(initial=0)) >= 2**53:

@@ -1,45 +1,31 @@
 """Sketch shapes, the Bloom Filter, and the counter table behind the CBF and the Count-Min Sketch.
 
-Every sketch is a `Sketch`: a shape, `SketchParams` (kind, width, depth,
-hash count and seed), and a depth x width `table` of cells. The base
-holds the construction, the shape properties, equality and the repr
-once for every kind. Two sketches are comparable iff their shapes are
-equal, and an envelope header carries exactly these fields.
-`SketchParams` is the only code that checks the shape rules (a "bf" or
-"cbf" is one row probed k times, a "cms" is d rows probed once each),
-and `SKETCH_KINDS` is the only kind -> class table; every constructor
-validates through it. A Bloom Filter's table is one row of bools, its
-`bits` being `table[0]`.
+Every sketch is a `Sketch`: its shape, `SketchParams`, and a depth x
+width `table` of cells. `SketchParams` is the only check of the shape
+rules and `SKETCH_KINDS` the only kind -> class table; two sketches are
+comparable iff their shapes are equal.
 
-Every structure takes its cells from `hashing._probe_positions`, the
-one implementation of the index formula, whether it places one element
-(`insert`, `estimate_count`, `contains`, by `digest_pair`) or a whole
-multiset (`from_multiset` and the grid engine's rows, by one `digest_rows`
-call over every row seed of the shape). The two counting
-sketches are one structure, `CounterTable`: a depth x width matrix of
-32-bit counters in which row r hashes with
-`derive_row_seed(seed, r)` and probes each element `hash_count` times.
-A Counting Bloom Filter is the one-row case (one row probed k times, its
-`counters` being `table[0]`); a Count-Min Sketch is the one-probe case
-(d rows probed once each). A one-row Count-Min sketch is therefore cell
-for cell the one-hash CBF of the same seed, and summing the rows of a
-Count-Min sketch column-wise yields a CBF (`cms_to_cbf`).
+There is one placement path. Every cell comes from `Sketch._positions`
+(`hashing._probe_positions` over one `digest_rows` call), every counter
+add goes through `_count_rows`, and `_clip_saturating` is the only
+clamp. `from_multiset` and `insert` are both `_add`: an insert is the
+bulk build of a one-element multiset. So a one-row Count-Min sketch is
+cell for cell the one-hash CBF of the same seed.
 
-Counters saturate: a cell that would overflow sticks at COUNTER_MAX
-instead of erroring, so one hot cell cannot abort a profile exchange;
-`_clip_saturating` is the only clamp. A sketch is `saturated` when a cell
-sits at COUNTER_MAX, so both ends of an envelope read the same flag.
+Counters saturate at COUNTER_MAX instead of raising, and a sketch is
+`saturated` when a cell sits there, which both ends of an envelope can
+read. Queries are one-sided: `estimate_count` never undercounts and
+`contains` never misses an inserted element.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import _check_seed, _probe_positions, _row_seed, digest_pair, digest_rows
-from .multiset import Multiset, _check_times
+from .hashing import _check_seed, _probe_positions, _row_seed, digest_rows
+from .multiset import Multiset, _check_times, as_element
 
 COUNTER_MAX = 2**32 - 1
 _FIELD_MAX = 2**32 - 1  # width, depth and hash_count travel as uint32 header fields
@@ -84,11 +70,8 @@ class SketchParams:
 def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
     """A multiset's elements and their int64 counts, each clipped to COUNTER_MAX + 1.
 
-    The clip keeps the int64 accumulators exact (a cell sums at most
-    distinct * hash_count clipped counts) while a cell holding a clipped
-    count still exceeds COUNTER_MAX, so it saturates to the value
-    sequential inserts give. This is the only Multiset -> array step of
-    every counting-sketch build.
+    The clip keeps int64 sums exact while a clipped count still saturates
+    its cell. The only Multiset -> array step of every build.
     """
     entries = multiset._entries  # keys are elements, values their positive counts
     counts = np.fromiter(entries.values(), dtype=np.uint64, count=len(entries))
@@ -100,28 +83,12 @@ def _clip_saturating(accumulated: np.ndarray) -> np.ndarray:
     return np.minimum(accumulated, COUNTER_MAX).astype(np.uint32)
 
 
-def _element_cells(params: SketchParams, element: bytes | str) -> np.ndarray:
-    """Flat (row * width + column) index of every probe of one element in a sketch of this shape.
-
-    The element's `digest_pair` under each row seed goes through
-    `_probe_positions` as uint64 arrays, so these are the cells a bulk
-    build gives the element; entry [i, r] is probe i of row r.
-    """
-    h1, h2 = np.array([digest_pair(seed, element) for seed in params.row_seeds], dtype=np.uint64).T
-    return np.arange(params.depth) * params.width + _probe_positions((h1, h2), params.hash_count, params.width)
-
-
 def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, counts: np.ndarray) -> None:
-    """The one bulk accumulator: add counts into a C-contiguous rows x width uint32 table in place, saturating.
+    """The one accumulator: add counts into a C-contiguous rows x width uint32 table in place, saturating.
 
-    Each entry of `positions` (columns from `_probe_positions`) adds its
-    entry of `counts` (same shape) in its owner row; `owners` broadcasts
-    against `positions`. When the table's largest cell plus all the
-    counts stays within COUNTER_MAX, no cell can saturate and the counts
-    go straight into the table. Otherwise the sums are exact in int64 for
-    counts from `_multiset_arrays`, and a clipped table takes more as
-    min(min(a, M) + b, M) = min(a + b, M). Indices are flat: np.add.at
-    with 2-D indices and broadcast values varies by numpy.
+    Each entry of `positions` adds its entry of `counts` (same shape) in
+    its row of `owners` (broadcast against `positions`). Indices are
+    flat: np.add.at with 2-D indices and broadcast values varies by numpy.
     """
     cells, values = (owners * table.shape[1] + positions).ravel(), counts.ravel()
     if int(table.max(initial=0)) + int(values.sum()) <= COUNTER_MAX:
@@ -146,6 +113,22 @@ class Sketch:
     depth = property(lambda self: self.params.depth)
     hash_count = property(lambda self: self.params.hash_count)
     seed = property(lambda self: self.params.seed)
+
+    def _positions(self, elements: list[bytes]) -> np.ndarray:
+        """The column of every probe of each element in each row, shape (hash_count, depth, len(elements))."""
+        return _probe_positions(digest_rows(self.params.row_seeds, self.hash_count, elements), self.hash_count,
+                                self.width)
+
+    @classmethod
+    def from_multiset(cls, multiset: Multiset, *args, **kwargs):
+        """Sketch of a whole multiset; the other arguments are the constructor's. Order-independent by construction."""
+        sketch = cls(*args, **kwargs)
+        sketch._add(*_multiset_arrays(multiset))
+        return sketch
+
+    def insert(self, element: bytes | str, times: int = 1) -> None:
+        """Add `times` instances of one element: the bulk build of a one-element multiset, into this table."""
+        self._add([as_element(element)], np.array([min(_check_times(times), COUNTER_MAX + 1)], dtype=np.int64))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -174,34 +157,21 @@ class BloomFilter(Sketch):
     length = property(lambda self: self.width)
     bits = property(lambda self: self.table[0], doc="The bit vector, a view of table[0].")
 
-    def insert(self, element: bytes | str) -> None:
-        self.bits[_element_cells(self.params, element)] = True
+    def _add(self, elements: list[bytes], counts: np.ndarray) -> None:
+        self.bits[self._positions(elements)] = True  # counts ignored: a BF records membership only
 
     def contains(self, element: bytes | str) -> bool:
         """False means definitely never inserted; True means inserted or collision."""
-        return bool(self.bits[_element_cells(self.params, element)].all())
+        return bool(self.bits[self._positions([as_element(element)])].all())
 
     __contains__ = contains
 
-    @classmethod
-    def from_multiset(cls, multiset: Multiset, length: int, hash_count: int = 1, seed: int = 0) -> "BloomFilter":
-        """Membership sketch of a multiset's distinct elements (counts ignored)."""
-        sketch = cls(length, hash_count, seed)
-        digests = digest_rows(sketch.params.row_seeds, hash_count, list(multiset.elements()))
-        sketch.bits[_probe_positions(digests, hash_count, length)] = True
-        return sketch
-
 
 class CounterTable(Sketch):
-    """depth x width matrix of 32-bit saturating counters.
+    """depth x width matrix of 32-bit saturating counters; row r hashes with derive_row_seed(seed, r).
 
-    Row r hashes with derive_row_seed(seed, r) and probes each element
-    hash_count times by double hashing. An insert adds its count at every
-    probe, so a cell that two probes of one element hit is incremented
-    twice and every row sums to hash_count times the number of insertions
-    counted with multiplicity (absent saturation). A point query returns
-    the minimum over the element's probed cells, which is always >= the
-    true count: collisions only ever add. Build one through
+    Each element adds its count at each of its hash_count probes per row,
+    so a cell two probes hit gains it twice. Build one through
     CountingBloomFilter (one row) or CountMinSketch (one probe per row).
     """
 
@@ -210,33 +180,15 @@ class CounterTable(Sketch):
         """True when any cell sits at COUNTER_MAX, the one rule both ends of an envelope can apply."""
         return bool((self.table == COUNTER_MAX).any())
 
-    def insert(self, element: bytes | str, times: int = 1) -> None:
-        """Add `times` at each probe of the element; a cell two probes hit gains it twice."""
-        _check_times(times)
-        # each distinct cell and the number of probes on it, counted in O(k) time
-        cells, probes = np.array(list(Counter(_element_cells(self.params, element).ravel().tolist()).items())).T
-        # times past COUNTER_MAX + 1 saturate alike, and the clip keeps the int64 sum exact
-        self.table.put(cells, _clip_saturating(self.table.take(cells) + probes * min(times, COUNTER_MAX + 1)))
+    def _add(self, elements: list[bytes], counts: np.ndarray) -> None:
+        positions = self._positions(elements)
+        probe_counts = np.empty_like(positions)  # each probe of an element adds the element's count
+        probe_counts[...] = counts
+        _count_rows(self.table, positions, np.arange(self.depth)[:, None], probe_counts)
 
     def estimate_count(self, element: bytes | str) -> int:
         """Upper-bound estimate: minimum counter across the element's probed cells."""
-        return int(self.table.take(_element_cells(self.params, element)).min())
-
-    @classmethod
-    def from_multiset(cls, multiset: Multiset, *args, **kwargs):
-        """Sketch of a whole multiset; the other arguments are the constructor's.
-
-        Order-independent by construction, and equal cell for cell to
-        inserting every element with its count.
-        """
-        sketch = cls(*args, **kwargs)
-        elements, counts = _multiset_arrays(multiset)
-        digests = digest_rows(sketch.params.row_seeds, sketch.hash_count, elements)  # each (depth, elements)
-        positions = _probe_positions(digests, sketch.hash_count, sketch.width)  # (hash_count, depth, elements)
-        probe_counts = np.empty_like(positions)  # each probe of an element adds the element's count
-        probe_counts[...] = counts
-        _count_rows(sketch.table, positions, np.arange(sketch.depth)[:, None], probe_counts)
-        return sketch
+        return int(self.table[np.arange(self.depth)[:, None], self._positions([as_element(element)])].min())
 
 
 class CountingBloomFilter(CounterTable):

@@ -1,35 +1,13 @@
 """Versioned binary envelope for exchanging sketches between two peers.
 
-One envelope per message is all a similarity exchange needs. The layout
-is normative and bit-exact (all integers little-endian):
-
-    offset  size  field
-    0       4     magic "SKSM"
-    4       1     version (1)
-    5       1     kind: 0 = BF, 1 = CBF, 2 = CMS
-    6       4     width w / length n (uint32)
-    10      4     depth d (uint32; 1 for BF and CBF)
-    14      4     hash count k (uint32; 1 for CMS)
-    18      8     hash seed (uint64)
-    26      1     counter width code: 0 = 1-bit packed (BF), 2 = 32-bit LE (CBF, CMS)
-    27      -     payload: d * w counters, row-major
-
-A header decodes to the sketch's shape, a `sketches.SketchParams`: its
-constructor is the one check of the shape fields, and the counter width
-code must be the one of the kind.
-
-BF payloads pack each row of bits LSB-first into ceil(n/8) bytes (bit i
-lives in byte i//8 at bit i%8). Counter payloads are uint32 LE. Every
-sketch, BF included, encodes from and decodes to its depth x width
-`table`, which `sketches._from_state` sets whatever the kind. The
-recommended one-hash CBF of length 128 therefore travels in exactly
-27 + 128*4 = 539 bytes.
-
-A BF's padding bits past n must be zero, so each sketch has one envelope.
-A valid header's shape is memoised (a malformed one raises on every call).
-
-The saturation flag is a derived convenience, not a wire field: every
-sketch, built or decoded, reads saturation as any cell at the max.
+The layout is normative and bit-exact (README "Wire format"): a 27-byte
+little-endian header (magic "SKSM", version 1, kind code, width, depth,
+hash count, seed, counter width code), then the depth x width `table`
+row-major, as uint32 LE counters or, for a BF, bits packed LSB-first.
+A header decodes to a `sketches.SketchParams`, whose constructor is the
+one check of the shape fields, and its counter width code must be the
+kind's. A BF's padding bits must be zero, so each sketch has exactly one
+envelope. Saturation is not a wire field: both ends derive it from the cells.
 """
 
 from __future__ import annotations

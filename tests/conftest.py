@@ -5,7 +5,17 @@ import numpy as np
 import pytest
 
 import sketchsim
-from sketchsim import companion_sharing, corpus_pairs, generate_synthetic, random_multiset
+from sketchsim import (
+    COUNTER_MAX,
+    companion_sharing,
+    corpus_pairs,
+    derive_row_seed,
+    digest_pair,
+    generate_synthetic,
+    random_multiset,
+)
+from sketchsim.hashing import _probe_positions, digest_rows
+from sketchsim.multiset import as_element
 
 # One pinned seed per corpus so every run of the suite sees identical data.
 SD_SEED = 7
@@ -29,6 +39,45 @@ def make_pair_corpus(seed, targets, distinct_range=(60, 75), count_range=(1, 3),
         other = companion_sharing(rng, base, shared, 10, count_range=count_range)
         corpus.append((f"{prefix}{i:04d}", base, other))
     return corpus
+
+
+def sequential_table(params, multiset):
+    """The table of a CBF or CMS shape, filled one element, row and probe at a time in Python ints.
+
+    An independent reference for every build path: each cell comes from
+    `digest_pair` and the index formula, and each add saturates on its own.
+    """
+    table = [[0] * params.width for _ in range(params.depth)]
+    for row in range(params.depth):
+        row_seed = derive_row_seed(params.seed, row)
+        for element, count in multiset.items():
+            h1, h2 = digest_pair(row_seed, element)
+            for probe in range(params.hash_count):
+                cell = (h1 + probe * h2) % 2**64 % params.width
+                table[row][cell] = min(table[row][cell] + count, COUNTER_MAX)
+    return np.array(table, dtype=np.uint32)
+
+
+def find_collision_free_seed(elements, size, hash_count=1, start_seed=0, max_tries=100_000):
+    """The first seed from `start_seed` under which no two distinct elements share a cell.
+
+    It builds configurations where sketch similarity is provably exact.
+    An element meeting itself (two of its own probes on one cell) is
+    allowed; only cross-element sharing is ruled out.
+    """
+    if size < 1 or hash_count < 1:
+        raise ValueError(f"size and hash_count must be >= 1, got {size} and {hash_count}")
+    keys = list(dict.fromkeys(as_element(e) for e in elements))  # a repeated element only meets itself
+    for seed in range(start_seed, start_seed + max_tries):
+        claimed = set()
+        for cells in _probe_positions(digest_rows([seed], hash_count, keys), hash_count, size)[:, 0].T.tolist():
+            if not claimed.isdisjoint(cells):
+                break  # the first cell two elements share rules the seed out
+            claimed.update(cells)
+        else:
+            return seed
+    raise RuntimeError(f"no collision-free seed found in {max_tries} tries "
+                       f"(size={size}, hash_count={hash_count}, {len(keys)} distinct elements)")
 
 
 @pytest.fixture(scope="session")

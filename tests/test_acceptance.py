@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import find_collision_free_seed
 from sketchsim import (
     BloomFilter,
     CountMinSketch,
@@ -24,7 +25,6 @@ from sketchsim import (
     decode,
     dice,
     encode,
-    find_collision_free_seed,
     ingest_triplets,
     run_grid,
     run_pairwise,

@@ -1,5 +1,6 @@
 """The perf-record script: it rejects a mistyped --claim or --trace before it exports or runs anything, reads
-each side's package size from the files, and decides regressions and the claim from the runs alone."""
+each side's package size from the files (code lines apart from prose), and decides regressions and the claim
+from the runs alone."""
 
 import importlib.util
 import statistics
@@ -41,8 +42,33 @@ def test_source_size_reads_lines_and_imported_names_from_the_files(tmp_path):
                                          "__version__ = '0'\n")
     (package / "core.py").write_text("a = 1\nb = 2\nraise SystemExit('imported')")  # no final newline
     (package / "notes.txt").write_text("not\ncounted\n")
-    # lines as wc -l counts them (newlines); a, b and os, not the __future__ import
-    assert _bench_pairs().source_size(tmp_path) == {"src_lines": 11 + 2, "init_imported_names": 3}
+    # lines as wc -l counts them (newlines); code lines without the docstring and blank lines, the
+    # unterminated last line included; a, b and os, not the __future__ import
+    assert _bench_pairs().source_size(tmp_path) == {"src_lines": 11 + 2, "src_code_lines": 7 + 3,
+                                                    "init_imported_names": 3}
+
+
+def test_code_lines_leave_out_docstrings_comments_and_blank_lines():
+    source = '''"""Module
+doc."""
+
+# a comment
+x = """not a
+docstring"""  # an assigned string is code, both of its lines
+
+
+class A:
+    \'\'\'Class doc.\'\'\'
+
+    def f(self):
+        """Function
+
+        doc.
+        """
+        return (1,
+                2)  # each line of a continued statement
+'''
+    assert _bench_pairs().code_lines(source) == 2 + 1 + 1 + 2
 
 
 def _entry(parent, change, better="higher"):

@@ -438,7 +438,9 @@ class TestGridAndThreshold:
         ({"profiles_file": "profiles.tsv", "pairs": [{"a": "u1", "b": "u1"}]}, "'pair_id'"),
         ({"profiles_file": 7, "pairs": []}, "'profiles_file'"),
         ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": ["u1"], "b": "u1"}]}, "'a'"),
-    ], ids=["not-an-object", "no-profiles-file", "no-pairs", "no-pair-id", "profiles-file-int", "a-list"])
+        ({"profiles_file": "profiles.tsv", "pairs": []}, "lists no pairs"),
+    ], ids=["not-an-object", "no-profiles-file", "no-pairs", "no-pair-id", "profiles-file-int", "a-list",
+            "empty-pairs"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, manifest, field):
         write_profiles(tmp_path / "profiles.tsv", {"u1": Multiset({"s": 1})})
         if isinstance(manifest, dict):
@@ -449,6 +451,19 @@ class TestGridAndThreshold:
         assert code == 1
         assert err.startswith("sketchsim: error:") and field in err and len(err.splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["grid", "threshold"])
+    def test_repeated_pair_id_is_data_error(self, tmp_path, capsys, command):
+        write_profiles(tmp_path / "profiles.tsv", {"u1": Multiset({"s": 1}), "u2": Multiset({"s": 2})})
+        pairs = [{"pair_id": "x", "a": "u1", "b": "u2"}, {"pair_id": "y", "a": "u1", "b": "u1"},
+                 {"pair_id": "x", "a": "u2", "b": "u2"}]
+        path = tmp_path / "manifest.json"
+        manifest = {"schema": datasets.MANIFEST_SCHEMA, "profiles_file": "profiles.tsv", "pairs": pairs}
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, command, "--corpus", str(path), "--out", str(tmp_path / "out.csv"))
+        assert code == 1
+        assert err == "sketchsim: error: manifest pair 2 repeats pair_id 'x'\n"
+        assert not (tmp_path / "out.csv").exists()
 
     def test_deeply_nested_manifest_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "manifest.json"

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from sketchsim import derive_row_seed, digest_pair, find_collision_free_seed, fnv1a64
+from conftest import find_collision_free_seed
+from sketchsim import derive_row_seed, digest_pair, fnv1a64
 from sketchsim import hashing
 from sketchsim.hashing import FNV_OFFSET, _probe_positions, digest_rows, fnv1a64_bulk
 

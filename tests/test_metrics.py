@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import find_collision_free_seed
 from sketchsim import (
     CountMinSketch,
     CountingBloomFilter,
@@ -16,7 +17,6 @@ from sketchsim import (
     cms_dice,
     cosine,
     dice,
-    find_collision_free_seed,
     witness_of,
 )
 

@@ -1,11 +1,12 @@
 """Property tests over generated multisets, shapes, seeds and counts.
 
 They pin the invariants every counting-sketch build and scorer must keep:
-a one-hash CBF is a one-row CMS, all build paths agree with sequential
-inserts (saturation included), envelopes round-trip in cells and in the
-cell-derived saturation flag, decode fails only
-with typed errors, sketch Dice never undershoots the exact Dice, a sketch
-score is undefined exactly when the exact score is, the Dice cell scorer
+a one-hash CBF is a one-row CMS, every build path and sequential inserts
+equal a Python reference that adds one probe at a time (saturation
+included), envelopes round-trip in cells and in the cell-derived
+saturation flag, decode fails only with typed errors, sketch Dice never
+undershoots the exact Dice, a sketch score is undefined exactly when the
+exact score is, the Dice cell scorer
 and every grid cell equal the scalar row mean bit for bit, sketches of
 the shared part and the two remainders satisfy min(p, q) = s + min(a, b)
 cell for cell, the
@@ -15,10 +16,14 @@ computed in Python ints. The triplet reader sums
 duplicate lines exactly as a plain dict does, in first-seen order, and
 its profiles round-trip through the profile file. A header decodes to
 exactly the shapes `SketchParams` accepts, with the counter code of its kind.
+Any small JSON value as a corpus manifest makes `sketchsim grid` exit 1
+with one error line, or 0 for a valid manifest, never a traceback.
 Examples are derandomised, so every run checks the same inputs.
 """
 
+import contextlib
 import io
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -28,6 +33,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import sequential_table
 from sketchsim import (
     COUNT_MAX,
     COUNTER_MAX,
@@ -55,6 +61,8 @@ from sketchsim import (
     witness_of,
     write_profiles,
 )
+from sketchsim.cli import main
+from sketchsim.datasets import MANIFEST_NAME, MANIFEST_SCHEMA
 from sketchsim.experiments import _Columns
 from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, score
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
@@ -102,9 +110,11 @@ def test_one_hash_cbf_is_one_row_cms(x, y, width, seed):
 @given(st.sampled_from(["cbf", "cms"]), multisets(edge_counts), widths, probes, seeds)
 def test_build_paths_agree_with_sequential_insert(kind, multiset, width, probe_count, seed):
     bulk, rows, manual = _sketches(kind, multiset, width, probe_count, seed)
-    assert np.array_equal(rows, manual.table)
-    assert np.array_equal(bulk.table, manual.table)
-    assert bulk.saturated == manual.saturated
+    reference = sequential_table(bulk.params, multiset)  # Python ints, one probe at a time: no shared code path
+    assert np.array_equal(rows, reference)
+    assert np.array_equal(bulk.table, reference)
+    assert np.array_equal(manual.table, reference)
+    assert bulk.saturated == manual.saturated == bool((reference == COUNTER_MAX).any())
 
 
 @PROPERTY
@@ -427,3 +437,47 @@ def test_triplet_reader_matches_dict_sum(lines):
         _same_profiles(profiles, expected)
         write_profiles(profiles_file, profiles)
         _same_profiles(read_profiles(profiles_file), expected)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+# manifests past the schema check, so the fields behind it meet hostile values too
+profile_names = st.sampled_from(["u1", "u2", "nobody"]) | json_values
+pair_entries = st.fixed_dictionaries({}, optional={"pair_id": st.sampled_from(["x", "y"]) | json_values,
+                                                   "a": profile_names, "b": profile_names})
+near_manifests = st.fixed_dictionaries({"schema": st.just(MANIFEST_SCHEMA)}, optional={
+    "profiles_file": st.sampled_from(["profiles.tsv", "nope.tsv", "", ".", "a\x00b", MANIFEST_NAME]) | json_values,
+    "pairs": st.lists(pair_entries, max_size=3) | json_values,
+})
+
+
+def _grid_on(manifest) -> tuple[int, str]:
+    """`sketchsim grid` over a manifest.json holding this JSON value, beside a two-user profiles.tsv."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()) as err:
+        write_profiles(Path(tmp) / "profiles.tsv", {"u1": Multiset({"s": 1}), "u2": Multiset({"s": 2, "t": 1})})
+        (Path(tmp) / MANIFEST_NAME).write_text(json.dumps(manifest), encoding="utf-8")
+        code = main(["grid", "--corpus", str(Path(tmp) / MANIFEST_NAME), "--out", str(Path(tmp) / "grid.csv")])
+    return code, err.getvalue()
+
+
+@PROPERTY
+@given(json_values)
+def test_any_json_value_as_manifest_is_one_data_error(manifest):
+    code, err = _grid_on(manifest)
+    assert code == 1
+    assert err.startswith("sketchsim: error:") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+@PROPERTY
+@given(near_manifests)
+def test_hostile_manifest_fields_are_one_data_error_or_a_grid(manifest):
+    code, err = _grid_on(manifest)
+    if code == 1:
+        assert err.startswith("sketchsim: error:") and len(err.splitlines()) == 1, err
+    else:
+        assert code == 0 and err.startswith("grid: cbf 5x5 cells over"), err
+    assert "Traceback" not in err

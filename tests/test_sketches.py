@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import sequential_table
 from sketchsim import (
     COUNTER_MAX,
     BloomFilter,
@@ -249,10 +250,12 @@ def test_bulk_build_saturation_matches_incremental(kind, depth, length, count):
         manual = CountMinSketch(length, depth)
     for element, times in m.items():
         manual.insert(element, times)
+    reference = sequential_table(bulk.params, m)  # Python ints, one probe at a time: no shared code path
     assert manual.saturated  # every count here is at or past COUNTER_MAX
     rows = [table[0].copy() for table in _Columns([("p", m, m)], GridSpec(kind, [length], [depth]))._rows(length)]
     rows = np.array(rows if kind == "cms" else rows[-1:])  # a CBF row is yielded after each of its probes
-    assert np.array_equal(rows, manual.table)  # the grid engine's rows of a one-profile corpus
+    assert np.array_equal(rows, reference)  # the grid engine's rows of a one-profile corpus
+    assert np.array_equal(bulk.table, reference)
     assert bulk == manual
     assert bulk.saturated == manual.saturated
 

@@ -15,8 +15,8 @@ The record holds the machine and versions; per workload and gated
 metric each side's runs, median and quartiles, the median change and
 the pairs the change wins (ties count for neither); each run's pass
 count and the step timings the workloads report; each side's package
-size (the lines of src/sketchsim/*.py and the names its __init__.py
-imports); the regressions, every workload and gated metric that the
+size (the lines of src/sketchsim/*.py, the code lines among them, and
+the names its __init__.py imports); the regressions, every workload and gated metric that the
 change lost in nine tenths of the pairs by more than the parent's
 interquartile range in the median; with --claim, whether the change won
 the claimed metric that way, with no regression, every run correct and
@@ -29,11 +29,14 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
 import json
 import shutil
 import statistics
 import subprocess
 import sys
+import token
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,14 +78,28 @@ def step_medians(reports: dict[str, list[dict]], workload: str, skip) -> dict:
             for name, (_, unit) in names.items() if name not in skip}
 
 
+def code_lines(source: str) -> int:
+    """The lines of Python source that hold code: no blank, comment-only or docstring line, read by tokenize and ast."""
+    prose = {token.NL, token.NEWLINE, token.INDENT, token.DEDENT, token.ENDMARKER, tokenize.COMMENT}
+    lines = {line for tok in tokenize.generate_tokens(io.StringIO(source).readline) if tok.type not in prose
+             for line in range(tok.start[0], tok.end[0] + 1)}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) and \
+                ast.get_docstring(node, clean=False) is not None:
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    return len(lines)
+
+
 def source_size(checkout: Path) -> dict:
-    """A checkout's package size: the lines of src/sketchsim/*.py and the names its __init__.py imports, read by ast."""
+    """A checkout's package size: the lines and code lines of src/sketchsim/*.py and the names __init__.py imports."""
     package = checkout / "src" / "sketchsim"
-    lines = sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+    paths = sorted(package.glob("*.py"))
+    lines = sum(path.read_bytes().count(b"\n") for path in paths)
+    code = sum(code_lines(path.read_text(encoding="utf-8")) for path in paths)
     tree = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
     names = sum(len(node.names) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                 and getattr(node, "module", None) != "__future__")
-    return {"src_lines": lines, "init_imported_names": names}
+    return {"src_lines": lines, "src_code_lines": code, "init_imported_names": names}
 
 
 def spread(values: list[float]) -> dict:
