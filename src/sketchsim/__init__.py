@@ -41,11 +41,9 @@ from .datasets import (
     GenerationError,
     SyntheticPair,
     TripletParseError,
-    build_user_profiles,
     companion_sharing,
     corpus_pairs,
     generate_synthetic,
-    ingest_triplets,
     load_corpus,
     random_multiset,
     read_profiles,

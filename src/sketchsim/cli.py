@@ -2,7 +2,7 @@
 
 Machine-readable artifacts go only to the explicit output paths (or to
 stdout for `compare`); progress and summaries go to stderr. Exit codes:
-0 success, 1 data error, 2 sketch compatibility error, 64 usage error.
+0 success, 1 data error (or out of memory), 2 sketch compatibility error, 64 usage error.
 """
 
 from __future__ import annotations
@@ -172,9 +172,9 @@ def _cmd_gen(parser, args) -> int:
 
 
 def _cmd_ingest(parser, args) -> int:
-    plays = datasets.ingest_triplets(args.triplets)
-    profiles = datasets.build_user_profiles(plays, args.min_distinct)
-    total_users = len({user for user, _ in plays})
+    profiles = datasets.read_profiles(args.triplets)
+    total_users = len(profiles)
+    profiles = {user: profile for user, profile in profiles.items() if profile.distinct_count() >= args.min_distinct}
     distinct_songs = len({song for profile in profiles.values() for song, _ in profile.items()})
     total_plays = sum(profile.cardinality() for profile in profiles.values())
     datasets.write_profiles(args.out, profiles)
@@ -294,6 +294,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_COMPAT
     except (ValueError, OSError, datasets.GenerationError) as exc:
         _log(f"sketchsim: error: {exc}")
+        return EXIT_DATA
+    except MemoryError:
+        _log("sketchsim: error: out of memory")
         return EXIT_DATA
 
 

@@ -7,10 +7,11 @@ fresh random elements. The achieved Dice is then exactly shared/T; the
 stored score is always recomputed by the exact oracle, never assumed
 from the construction.
 
-Listening histories arrive as ``user<TAB>song<TAB>count`` lines. Every
-line is checked once; duplicate (user, song) lines are summed and
+Listening histories arrive as ``user<TAB>song<TAB>count`` lines, and
+`read_profiles`, their one reader, checks each line once and adds its
+count straight into its user's profile: duplicate lines are summed and
 counted, never dropped, and anything malformed is a TripletParseError
-naming its line. A corpus manifest is checked as it is loaded.
+naming its line. A manifest is checked as it is loaded, sizes included.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import reprlib
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
@@ -226,17 +228,27 @@ def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
         yield from source
 
 
-def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> dict[tuple[str, str], int]:
-    """Parse ``user<TAB>song<TAB>count`` lines into (user, song) -> summed plays.
+def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Multiset]) -> None:
+    """Write profiles as triplet TSV (songs sorted, so output is reproducible)."""
+    if isinstance(destination, (str, Path)):
+        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+            write_profiles(handle, profiles)
+        return
+    for user, profile in profiles.items():
+        for song, count in sorted(profile.items()):
+            destination.write(f"{user}\t{song.decode('utf-8')}\t{count}\n")
 
-    Keys keep first-seen order, so the length is the number of distinct
-    (user, song) pairs. Blank lines are skipped. A count is a string of
-    ASCII digits between 1 and COUNT_MAX. Malformed lines raise
-    TripletParseError with their line number. Duplicate (user, song)
-    lines are summed and one warning per call counts them; a sum above
+
+def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Multiset]:
+    """One multiset per user (song -> summed plays) from ``user<TAB>song<TAB>count`` lines, in one pass.
+
+    Users and each user's songs keep first-seen order; blank lines are
+    skipped. A count is ASCII digits between 1 and COUNT_MAX. A malformed
+    line raises TripletParseError with its number. Duplicate (user, song)
+    lines are summed and counted in one warning per call; a sum above
     COUNT_MAX is a parse error at the line that crosses it.
     """
-    merged: dict[tuple[str, str], int] = {}
+    songs_by_user: defaultdict[str, dict[bytes, int]] = defaultdict(dict)
     duplicate_lines = 0
     first_duplicates: list[str] = []
     for line_number, raw in enumerate(_open_lines(source), 1):
@@ -258,51 +270,21 @@ def ingest_triplets(source: str | Path | IO[str] | Iterable[str]) -> dict[tuple[
             raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
         if not 1 <= count <= COUNT_MAX:
             raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
-        key = (user, song)
-        if key in merged:
+        songs = songs_by_user[user]
+        element = song.encode("utf-8")
+        if element in songs:
             duplicate_lines += 1
             if len(first_duplicates) < 3:
-                first_duplicates.append(f"line {line_number} {key!r}")
-            count += merged[key]
+                first_duplicates.append(f"line {line_number} {(user, song)!r}")
+            count += songs[element]
             if count > COUNT_MAX:
-                raise TripletParseError(line_number, f"summed play count of {key!r} exceeds {COUNT_MAX}")
-        merged[key] = count
+                raise TripletParseError(line_number, f"summed play count of {(user, song)!r} exceeds {COUNT_MAX}")
+        songs[element] = count
     if duplicate_lines:
         logger.warning(
             "%d duplicate (user, song) lines; counts summed (first: %s)", duplicate_lines, ", ".join(first_duplicates)
         )
-    return merged
-
-
-def build_user_profiles(plays: Mapping[tuple[str, str], int], min_distinct: int = 0) -> dict[str, Multiset]:
-    """One multiset per user (song -> plays), dropping users below `min_distinct` songs.
-
-    `plays` is taken as `ingest_triplets` checked it; users keep first-seen order.
-    """
-    if min_distinct < 0:
-        raise ValueError(f"min_distinct must be >= 0, got {min_distinct}")
-    songs_by_user: defaultdict[str, dict[bytes, int]] = defaultdict(dict)
-    for (user, song), count in plays.items():
-        songs_by_user[user][song.encode("utf-8")] = count
-    return {
-        user: Multiset._from_checked(songs) for user, songs in songs_by_user.items() if len(songs) >= min_distinct
-    }
-
-
-def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Multiset]) -> None:
-    """Write profiles as triplet TSV (songs sorted, so output is reproducible)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            write_profiles(handle, profiles)
-        return
-    for user, profile in profiles.items():
-        for song, count in sorted(profile.items()):
-            destination.write(f"{user}\t{song.decode('utf-8')}\t{count}\n")
-
-
-def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Multiset]:
-    """All user profiles from a triplet TSV, unfiltered."""
-    return build_user_profiles(ingest_triplets(source), min_distinct=0)
+    return {user: Multiset._from_checked(songs) for user, songs in songs_by_user.items()}
 
 
 def write_corpus(
@@ -361,7 +343,8 @@ def write_corpus(
 def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset]]:
     """Load a corpus manifest back into (pair_id, a, b) triples.
 
-    A malformed manifest, an empty pair list or a repeated pair_id is a ValueError.
+    A malformed manifest, an empty pair list, a repeated pair_id or a
+    profile unlike its own ``multisets`` record is a ValueError.
     """
     manifest_path = Path(manifest_path)
     with open(manifest_path, encoding="utf-8") as handle:
@@ -370,28 +353,43 @@ def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset
         except RecursionError:  # the parser recurses once per nested array or object
             raise ValueError(f"corpus manifest {manifest_path} nests too deeply to parse") from None
     if _field(manifest, "schema", str, "corpus manifest") != MANIFEST_SCHEMA:
-        raise ValueError(f"unsupported corpus manifest schema: {manifest['schema']!r}")
+        raise ValueError(f"unsupported corpus manifest schema: {_brief(manifest['schema'])}")
     profiles_file = _field(manifest, "profiles_file", str, "corpus manifest")
     entries = _field(manifest, "pairs", list, "corpus manifest")
     if not entries:
         raise ValueError(f"corpus manifest {manifest_path} lists no pairs")
+    records = _field(manifest, "multisets", dict, "corpus manifest") if "multisets" in manifest else {}
     profiles = read_profiles(manifest_path.parent / profiles_file)
+    for user, record in records.items():
+        where = f"manifest multisets entry {_brief(user)}"
+        profile = profiles.get(user)
+        if profile is None:
+            raise ValueError(f"{where} names no profile in {_brief(profiles_file)}")
+        for name, held in (("distinct", profile.distinct_count()), ("cardinality", profile.cardinality())):
+            recorded = _field(record, name, int, where)
+            if recorded != held:
+                raise ValueError(f"{where} records {name} {_brief(recorded)}, but the profile holds {held}")
     pairs, seen = [], set()
     for number, entry in enumerate(entries):
         pair_id, a, b = (_field(entry, name, str, f"manifest pair {number}") for name in ("pair_id", "a", "b"))
         if pair_id in seen:
-            raise ValueError(f"manifest pair {number} repeats pair_id {pair_id!r}")
+            raise ValueError(f"manifest pair {number} repeats pair_id {_brief(pair_id)}")
         seen.add(pair_id)
         try:
             pairs.append((pair_id, profiles[a], profiles[b]))
         except KeyError as missing:
-            raise ValueError(f"manifest pair {pair_id!r} references unknown profile {missing}") from None
+            raise ValueError(f"manifest pair {number} references unknown profile {_brief(missing.args[0])}") from None
     return pairs
+
+
+_BRIEF = reprlib.Repr()  # quotes any JSON value in at most 100 characters, so an error about it stays one short line
+_BRIEF.maxlevel, _BRIEF.maxdict, _BRIEF.maxlist, _BRIEF.maxstring, _BRIEF.maxlong, _BRIEF.maxother = 1, 2, 3, 20, 20, 20
+_brief = _BRIEF.repr
 
 
 def _field(record: object, name: str, kind: type, where: str):
     """record[name] if record is a JSON object holding a `kind` there, else a ValueError naming the field."""
     value = record.get(name) if isinstance(record, dict) else None
     if not isinstance(value, kind):
-        raise ValueError(f"{where} needs a {kind.__name__} field {name!r}, got {value!r}")
+        raise ValueError(f"{where} needs a {kind.__name__} field {name!r}, got {_brief(value)}")
     return value

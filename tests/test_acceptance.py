@@ -18,18 +18,18 @@ from sketchsim import (
     GridSpec,
     Multiset,
     SketchParams,
-    build_user_profiles,
     cbf_dice,
     cms_dice,
     cosine,
     decode,
     dice,
     encode,
-    ingest_triplets,
+    read_profiles,
     run_grid,
     run_pairwise,
     threshold_report,
 )
+from sketchsim.cli import main
 from sketchsim.experiments import DEFAULT_DEPTHS, DEFAULT_DIMS, _Columns
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
@@ -212,7 +212,13 @@ def test_c08_wire_round_trip():
     _report("C8 wire round-trip", "1000 sketches across bf/cbf/cms, plus the 539-byte envelope")
 
 
-def test_c09_real_data_pipeline():
+def _ingest(triplets, out: Path, min_distinct: int = 50) -> dict:
+    """The profiles `sketchsim ingest` keeps from a triplet file, read back from its output."""
+    assert main(["ingest", str(triplets), "--out", str(out), "--min-distinct", str(min_distinct)]) == 0
+    return read_profiles(out)
+
+
+def test_c09_real_data_pipeline(tmp_path):
     """Filtering the bundled 50-user fixture keeps exactly the rule-satisfying users."""
     # independent recount, bypassing the library parser
     plays: dict[str, dict[str, int]] = {}
@@ -223,7 +229,7 @@ def test_c09_real_data_pipeline():
             plays[user][song] = plays[user].get(song, 0) + int(count)
     expected_kept = {user for user, songs in plays.items() if len(songs) >= 50}
 
-    profiles = build_user_profiles(ingest_triplets(FIXTURE), min_distinct=50)
+    profiles = _ingest(FIXTURE, tmp_path / "profiles.tsv")
     assert set(profiles) == expected_kept
     for user in expected_kept:
         assert profiles[user].distinct_count() == len(plays[user])
@@ -235,11 +241,9 @@ def test_c09_real_data_pipeline():
     "SKETCHSIM_TASTE_PROFILE" not in os.environ,
     reason="set SKETCHSIM_TASTE_PROFILE to the original filtered taste-profile subset TSV",
 )
-def test_c09_optional_published_corpus_counts():
+def test_c09_optional_published_corpus_counts(tmp_path):
     """With the original subset file, the published corpus counts reproduce."""
-    profiles = build_user_profiles(
-        ingest_triplets(os.environ["SKETCHSIM_TASTE_PROFILE"]), min_distinct=50
-    )
+    profiles = _ingest(os.environ["SKETCHSIM_TASTE_PROFILE"], tmp_path / "profiles.tsv")
     users = len(profiles)
     songs = len({song for profile in profiles.values() for song, _ in profile.items()})
     plays = sum(profile.cardinality() for profile in profiles.values())

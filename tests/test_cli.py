@@ -20,6 +20,7 @@ from sketchsim import (
     decode,
     dice,
     encode,
+    experiments,
     read_profiles,
     write_corpus,
     write_profiles,
@@ -124,6 +125,20 @@ class TestIngest:
         assert code == 1
         assert err.startswith("sketchsim: error: line ") and "compressed stream is damaged" in err
         assert "Traceback" not in err
+
+    def test_interleaved_users_and_duplicates_pinned(self, tmp_path, capsys, caplog):
+        # users interleave; lines 5 and 7 repeat lines 1 and 2, with other lines between
+        triplets, out = tmp_path / "triplets.tsv", tmp_path / "profiles.tsv"
+        triplets.write_text("u2\tb\t1\nu1\tz\t2\nu2\ta\t3\nu1\ty\t1\nu2\tb\t4\nu3\tx\t1\nu1\tz\t5\n")
+        with caplog.at_level("WARNING"):
+            code, stdout, err = run(capsys, "ingest", str(triplets), "--out", str(out), "--min-distinct", "2")
+        assert (code, stdout) == (0, "")
+        # kept users in first-seen order, each user's songs sorted, duplicate lines summed
+        assert out.read_bytes() == b"u2\ta\t3\nu2\tb\t5\nu1\ty\t1\nu1\tz\t7\n"
+        assert err == f"kept 2 of 3 users (min 2 distinct songs), 4 distinct songs, 16 recorded plays -> {out}\n"
+        assert caplog.messages == [
+            "2 duplicate (user, song) lines; counts summed (first: line 5 ('u2', 'b'), line 7 ('u1', 'z'))"
+        ]
 
 
 class TestSketchAndCompare:
@@ -439,8 +454,14 @@ class TestGridAndThreshold:
         ({"profiles_file": 7, "pairs": []}, "'profiles_file'"),
         ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": ["u1"], "b": "u1"}]}, "'a'"),
         ({"profiles_file": "profiles.tsv", "pairs": []}, "lists no pairs"),
+        ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": "u1", "b": "u1"}], "multisets": []},
+         "'multisets'"),
+        ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": "u1", "b": "u1"}],
+          "multisets": {"u1": {"cardinality": 1}}}, "entry 'u1' needs a int field 'distinct'"),
+        ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": "u1", "b": "u1"}],
+          "multisets": {"u9": {"distinct": 1, "cardinality": 1}}}, "entry 'u9' names no profile"),
     ], ids=["not-an-object", "no-profiles-file", "no-pairs", "no-pair-id", "profiles-file-int", "a-list",
-            "empty-pairs"])
+            "empty-pairs", "multisets-list", "multisets-no-distinct", "multisets-unknown-profile"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, manifest, field):
         write_profiles(tmp_path / "profiles.tsv", {"u1": Multiset({"s": 1})})
         if isinstance(manifest, dict):
@@ -471,6 +492,56 @@ class TestGridAndThreshold:
         code, _, err = run(capsys, "grid", "--corpus", str(path), "--out", str(tmp_path / "g.csv"))
         assert code == 1
         assert err == f"sketchsim: error: corpus manifest {path} nests too deeply to parse\n"
+
+    @pytest.mark.parametrize("damage, command", [("lost-last-line", "grid"), ("count-edited", "threshold")])
+    def test_profiles_unlike_the_manifest_record_are_data_error(self, tmp_path, capsys, corpus, damage, command):
+        manifest = json.loads(corpus.read_text())
+        profiles_file = corpus.parent / "profiles.tsv"
+        lines = profiles_file.read_text().splitlines(keepends=True)
+        if damage == "lost-last-line":
+            user, _, _ = lines.pop().split("\t")
+            field, held = "distinct", manifest["multisets"][user]["distinct"] - 1
+        else:
+            user, song, count = lines[0].rstrip("\n").split("\t")
+            lines[0] = f"{user}\t{song}\t{int(count) + 1}\n"
+            field, held = "cardinality", manifest["multisets"][user]["cardinality"] + 1
+        profiles_file.write_text("".join(lines))
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, command, "--corpus", str(corpus), "--out", str(out))
+        assert code == 1
+        recorded = manifest["multisets"][user][field]
+        assert err == f"sketchsim: error: manifest multisets entry {user!r} records {field} {recorded}, " \
+                      f"but the profile holds {held}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, field, expected", [
+        ("[" * 500 + "]" * 500, "schema", "needs a str field 'schema', got [[...]]"),
+        # past the JSON parser's depth: refused before any field is read
+        ("[" * 1000 + "]" * 1000, "schema", "nests too deeply to parse"),
+        (json.dumps({f"p{i:05d}": {"pair_id": f"p{i:05d}", "a": "u1", "b": "u1"} for i in range(10_000)}), "pairs",
+         "needs a list field 'pairs', got {'p00000': {...}, 'p00001': {...}, ...}"),
+    ], ids=["schema-500-deep", "schema-1000-deep", "pairs-10000-entry-object"])
+    def test_wrong_typed_field_is_one_short_line(self, tmp_path, capsys, value, field, expected):
+        write_profiles(tmp_path / "profiles.tsv", {"u1": Multiset({"s": 1})})
+        fields = {"schema": json.dumps(datasets.MANIFEST_SCHEMA), "profiles_file": '"profiles.tsv"', field: value}
+        path = tmp_path / "manifest.json"
+        path.write_text("{" + ", ".join(f'"{name}": {text}' for name, text in fields.items()) + "}")
+        code, _, err = run(capsys, "grid", "--corpus", str(path), "--out", str(tmp_path / "g.csv"))
+        assert code == 1
+        assert err.startswith("sketchsim: error: corpus manifest ")
+        assert len(err.splitlines()) == 1 and len(err) < 200, err
+        assert err.rstrip("\n").endswith(expected)
+
+    def test_out_of_memory_is_data_error(self, tmp_path, capsys, corpus, monkeypatch):
+        def run_grid(*args):
+            raise MemoryError
+        monkeypatch.setattr(experiments, "run_grid", run_grid)
+        out = tmp_path / "grid.csv"
+        code, _, err = run(capsys, "grid", "--corpus", str(corpus), "--out", str(out))
+        assert code == 1
+        assert err.splitlines()[-1] == "sketchsim: error: out of memory"
+        assert err.count("sketchsim:") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "grid", "--corpus", str(tmp_path / "nope.json"),

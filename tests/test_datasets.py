@@ -10,18 +10,17 @@ from sketchsim import (
     GenerationError,
     Multiset,
     TripletParseError,
-    build_user_profiles,
     companion_sharing,
     corpus_pairs,
     dice,
     generate_synthetic,
-    ingest_triplets,
     load_corpus,
     random_multiset,
     read_profiles,
     write_corpus,
     write_profiles,
 )
+from sketchsim.cli import main
 
 
 class TestGenerateSynthetic:
@@ -88,40 +87,47 @@ class TestPairBuilders:
         assert all(count >= 1 for _, count in m.items())
 
 
+def _items(profiles):
+    """Each user's (song, plays) entries, users and songs in the order the profiles hold them."""
+    return {user: list(profile.items()) for user, profile in profiles.items()}
+
+
 class TestIngest:
     def test_basic_parsing(self):
-        plays = ingest_triplets(io.StringIO("u1\ts9\t3\n"))
-        assert plays == {("u1", "s9"): 3}
+        assert _items(read_profiles(io.StringIO("u1\ts9\t3\n"))) == {"u1": [(b"s9", 3)]}
 
     def test_zero_count_is_parse_error_with_line(self):
         with pytest.raises(TripletParseError) as info:
-            ingest_triplets(io.StringIO("u1\ts9\t3\nu1\ts2\t0\n"))
+            read_profiles(io.StringIO("u1\ts9\t3\nu1\ts2\t0\n"))
         assert info.value.line_number == 2
 
     def test_non_integer_count(self):
         # int() accepts all but the first; only ASCII digits make a count
         for count_text in ("many", "\u0663", "1_000", " 7 "):
             with pytest.raises(TripletParseError) as info:
-                ingest_triplets(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{count_text}\n"))
+                read_profiles(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{count_text}\n"))
             assert info.value.line_number == 2
             assert repr(count_text) in str(info.value)
 
     def test_wrong_field_count(self):
         with pytest.raises(TripletParseError):
-            ingest_triplets(io.StringIO("u1\ts9\n"))
+            read_profiles(io.StringIO("u1\ts9\n"))
 
     def test_three_users_two_songs(self):
         lines = [f"u{u}\ts{s}\t{u + s}\n" for u in range(1, 4) for s in range(1, 3)]
-        assert len(ingest_triplets(io.StringIO("".join(lines)))) == 6
+        profiles = read_profiles(io.StringIO("".join(lines)))
+        assert _items(profiles) == {f"u{u}": [(f"s{s}".encode(), u + s) for s in range(1, 3)] for u in range(1, 4)}
+        assert [profile.cardinality() for profile in profiles.values()] == [5, 7, 9]
 
     def test_blank_lines_skipped(self):
-        assert len(ingest_triplets(io.StringIO("\nu1\ts1\t1\n\n"))) == 1
+        assert _items(read_profiles(io.StringIO("\nu1\ts1\t1\n\n"))) == {"u1": [(b"s1", 1)]}
 
     def test_duplicates_summed_with_warning(self, caplog):
         lines = "u1\ts1\t2\nu1\ts1\t3\n" + "u2\ts1\t1\n" * 5
         with caplog.at_level("WARNING"):
-            plays = ingest_triplets(io.StringIO(lines))
-        assert list(plays.items()) == [(("u1", "s1"), 5), (("u2", "s1"), 5)]
+            profiles = read_profiles(io.StringIO(lines))
+        assert list(_items(profiles).items()) == [("u1", [(b"s1", 5)]), ("u2", [(b"s1", 5)])]
+        assert [profile.cardinality() for profile in profiles.values()] == [5, 5]
         # one summary record per call: the count and the first few offenders
         assert len(caplog.records) == 1
         message = caplog.messages[0]
@@ -131,54 +137,59 @@ class TestIngest:
 
     def test_count_above_count_max_is_parse_error(self):
         with pytest.raises(TripletParseError) as info:
-            ingest_triplets(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{COUNT_MAX + 1}\n"))
+            read_profiles(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{COUNT_MAX + 1}\n"))
         assert info.value.line_number == 2
 
     def test_duplicate_sum_above_count_max_is_parse_error(self):
         with pytest.raises(TripletParseError) as info:
-            ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX}\nu1\ts2\t1\nu1\ts1\t1\n"))
+            read_profiles(io.StringIO(f"u1\ts1\t{COUNT_MAX}\nu1\ts2\t1\nu1\ts1\t1\n"))
         assert info.value.line_number == 3
-        assert ingest_triplets(io.StringIO(f"u1\ts1\t{COUNT_MAX - 1}\nu1\ts1\t1\n"))[("u1", "s1")] == COUNT_MAX
+        assert read_profiles(io.StringIO(f"u1\ts1\t{COUNT_MAX - 1}\nu1\ts1\t1\n"))["u1"].count("s1") == COUNT_MAX
 
     def test_gzip_transparently_decompressed(self, tmp_path):
         path = tmp_path / "triplets.tsv.gz"
         with gzip.open(path, "wt", encoding="utf-8") as handle:
             handle.write("u1\ts1\t4\n")
-        assert ingest_triplets(path) == {("u1", "s1"): 4}
+        assert _items(read_profiles(path)) == {"u1": [(b"s1", 4)]}
 
     @pytest.mark.parametrize("compress", [bytes, gzip.compress], ids=["plain", "gzip"])
     def test_file_bytes_decoded_per_line(self, tmp_path, compress):
         path = tmp_path / "triplets.tsv"
         path.write_bytes(compress("\ufeffu1\ts1\t1\r\nué\tsöng\t2\n".encode("utf-8")))
-        assert ingest_triplets(path) == {("u1", "s1"): 1, ("ué", "söng"): 2}  # one leading BOM dropped
+        # one leading BOM dropped
+        assert _items(read_profiles(path)) == {"u1": [(b"s1", 1)], "ué": [("söng".encode(), 2)]}
         path.write_bytes(compress(b"u1\ts1\t1\n\n\xef\xbb\xbfu2\ts2\t2\nu3\ts\xff\t1\n"))
         with pytest.raises(TripletParseError) as info:
-            ingest_triplets(path)
+            read_profiles(path)
         assert info.value.line_number == 4
         assert "not UTF-8: byte 0xff" in str(info.value)
         path.write_bytes(compress(b"u1\ts1\t1\n\xef\xbb\xbfu2\ts2\t2\n"))
-        assert list(ingest_triplets(path)) == [("u1", "s1"), ("\ufeffu2", "s2")]  # only line 1 loses a BOM
-
+        # only line 1 loses a BOM
+        assert list(_items(read_profiles(path)).items()) == [("u1", [(b"s1", 1)]), ("\ufeffu2", [(b"s2", 2)])]
 
 class TestProfiles:
-    def _plays(self, distinct_by_user):
-        return {
-            (user, f"song{i}"): 1 + i % 3 for user, distinct in distinct_by_user.items() for i in range(distinct)
-        }
+    def _ingest(self, tmp_path, distinct_by_user, min_distinct):
+        """The users `sketchsim ingest --min-distinct` keeps from these users' triplets, read back."""
+        triplets, out = tmp_path / "triplets.tsv", tmp_path / "profiles.tsv"
+        write_profiles(triplets, {
+            user: Multiset({f"song{i}": 1 + i % 3 for i in range(distinct)}) for user, distinct in distinct_by_user.items()
+        })
+        assert main(["ingest", str(triplets), "--out", str(out), "--min-distinct", str(min_distinct)]) == 0
+        return read_profiles(out)
 
-    def test_min_distinct_boundary(self):
-        profiles = build_user_profiles(self._plays({"a49": 49, "b50": 50, "c51": 51}), min_distinct=50)
+    def test_min_distinct_boundary(self, tmp_path):
+        profiles = self._ingest(tmp_path, {"a49": 49, "b50": 50, "c51": 51}, 50)
         assert set(profiles) == {"b50", "c51"}
         assert profiles["b50"].distinct_count() == 50
 
-    def test_filtering_is_monotone(self):
-        plays = self._plays({f"u{i}": i for i in range(1, 40)})
-        kept_sizes = [len(build_user_profiles(plays, m)) for m in range(0, 45, 5)]
+    def test_filtering_is_monotone(self, tmp_path):
+        users = {f"u{i}": i for i in range(1, 40)}
+        kept_sizes = [len(self._ingest(tmp_path, users, m)) for m in range(0, 45, 5)]
         assert kept_sizes == sorted(kept_sizes, reverse=True)
+        assert kept_sizes == [sum(distinct >= m for distinct in users.values()) for m in range(0, 45, 5)]
 
     def test_profile_counts_are_play_counts(self):
-        profiles = build_user_profiles({("u", "s"): 7}, min_distinct=0)
-        assert profiles["u"].count("s") == 7
+        assert read_profiles(io.StringIO("u\ts\t7\n"))["u"].count("s") == 7
 
     def test_write_read_round_trip(self, tmp_path):
         profiles = {
