@@ -6,10 +6,10 @@ similarity targets and prints the estimation error of every cell.
 Run with: python demos/03_rmse_sweep.py  (a few seconds)
 """
 
-from sketchsim import GridSpec, corpus_pairs, generate_synthetic, run_grid
+from sketchsim import GridSpec, generate_synthetic, run_grid
 
 print("generating the 1001-pair synthetic corpus (67 distinct 10-char strings each)")
-corpus = corpus_pairs(generate_synthetic(seed=7))
+corpus = generate_synthetic(seed=7)
 
 print("\nCBF grid (rows: hash functions k, columns: length n)")
 grid = GridSpec("cbf", dims=[64, 128, 200, 400, 800], depths=[1, 2, 4, 8, 10], seed=0)

@@ -39,10 +39,8 @@ from .metrics import (
 )
 from .datasets import (
     GenerationError,
-    SyntheticPair,
     TripletParseError,
     companion_sharing,
-    corpus_pairs,
     generate_synthetic,
     load_corpus,
     random_multiset,

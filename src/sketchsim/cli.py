@@ -163,11 +163,11 @@ def _log_failures(failures: list[experiments.PairFailure], pairs: int) -> None:
 
 
 def _cmd_gen(parser, args) -> int:
-    pairs = datasets.generate_synthetic(args.seed, args.pairs, args.unique, args.strlen)
+    corpus = datasets.generate_synthetic(args.seed, args.pairs, args.unique, args.strlen)
     manifest = datasets.write_corpus(
-        args.out, pairs, seed=args.seed, target_unique=args.unique, string_length=args.strlen
+        args.out, corpus, seed=args.seed, target_unique=args.unique, string_length=args.strlen
     )
-    _log(f"wrote {manifest} ({len(pairs)} pairs, base cardinality {pairs[0].base.cardinality()})")
+    _log(f"wrote {manifest} ({len(corpus)} pairs, base cardinality {corpus[0][1].cardinality()})")
     return EXIT_OK
 
 

@@ -1,11 +1,12 @@
 """Corpus construction: controlled synthetic pairs and play-count ingestion.
 
-The synthetic generator produces one random base multiset plus, for each
-target similarity t, a companion that shares floor(t * T) units of mass
-with the base (T = base cardinality) and is padded to cardinality T with
+A corpus is one list of (pair_id, a, b) triples: `generate_synthetic`
+returns it, `write_corpus` writes it and `load_corpus` reads it back.
+The generator draws one random base multiset plus, for each target
+similarity t, a companion that shares floor(t * T) units of mass with
+the base (T = base cardinality) and is padded to cardinality T with
 fresh random elements. The achieved Dice is then exactly shared/T; the
-stored score is always recomputed by the exact oracle, never assumed
-from the construction.
+manifest's score is recomputed by the exact oracle as it is written.
 
 Listening histories arrive as ``user<TAB>song<TAB>count`` lines, and
 `read_profiles`, their one reader, checks each line once and adds its
@@ -21,10 +22,8 @@ import json
 import logging
 import reprlib
 import zlib
-from collections import defaultdict
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +41,8 @@ MANIFEST_NAME = "manifest.json"
 PROFILES_NAME = "profiles.tsv"
 BASE_ID = "base"
 
+Corpus = Sequence[tuple[str, Multiset, Multiset]]  # (pair_id, a, b) triples, the one form of a corpus
+
 
 class GenerationError(RuntimeError):
     """Synthetic generation cannot satisfy the requested shape."""
@@ -53,16 +54,6 @@ class TripletParseError(ValueError):
     def __init__(self, line_number: int, reason: str):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {reason}")
-
-
-@dataclass(frozen=True)
-class SyntheticPair:
-    """A base/companion multiset pair with target and achieved Dice."""
-
-    base: Multiset
-    other: Multiset
-    target_dice: float
-    exact_dice: float
 
 
 def _random_string(rng: np.random.Generator, length: int) -> bytes:
@@ -178,10 +169,11 @@ def generate_synthetic(
     pair_count: int = 1001,
     target_unique: int = 67,
     string_length: int = 10,
-) -> list[SyntheticPair]:
-    """Synthetic corpus: one base, `pair_count` companions with evenly spaced targets.
+) -> Corpus:
+    """Synthetic corpus: pairs ("p0000", base, companion), ... with evenly spaced Dice targets.
 
-    Targets run from 0 to 1 inclusive. The base cardinality is forced
+    Pair i targets i / (pair_count - 1), from 0 to 1 inclusive, and
+    every pair shares the one base. The base cardinality is forced
     large enough that every target is achievable within 1/T and the
     achieved values cover [0, 1] without gaps larger than 2/pair_count.
     The defaults reproduce a corpus of ~67 distinct 10-character strings
@@ -195,18 +187,11 @@ def generate_synthetic(
     cardinality = base.cardinality()
     items = sorted(base.items())  # once per corpus, not once per companion
     steps = pair_count - 1
-    pairs = []
+    corpus = []
     for i in range(pair_count):
-        target = i / steps if steps else 0.0
         shared = (i * cardinality) // steps if steps else 0
-        other = _companion(rng, items, cardinality, shared, string_length, 1, 29)
-        pairs.append(SyntheticPair(base, other, target, dice(base, other)))
-    return pairs
-
-
-def corpus_pairs(pairs: Iterable[SyntheticPair]) -> list[tuple[str, Multiset, Multiset]]:
-    """(pair_id, base, other) triples as consumed by the experiment runner."""
-    return [(f"p{i:04d}", pair.base, pair.other) for i, pair in enumerate(pairs)]
+        corpus.append((f"p{i:04d}", base, _companion(rng, items, cardinality, shared, string_length, 1, 29)))
+    return corpus
 
 
 def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
@@ -239,6 +224,14 @@ def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Mul
             destination.write(f"{user}\t{song.decode('utf-8')}\t{count}\n")
 
 
+def _utf8(text: str, line_number: int, what: str) -> bytes:
+    """`text` as UTF-8; a lone surrogate, which only an in-memory source can hold, is a TripletParseError."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TripletParseError(line_number, f"{what} is not UTF-8 text: {exc.reason}") from None
+
+
 def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Multiset]:
     """One multiset per user (song -> summed plays) from ``user<TAB>song<TAB>count`` lines, in one pass.
 
@@ -248,7 +241,7 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
     lines are summed and counted in one warning per call; a sum above
     COUNT_MAX is a parse error at the line that crosses it.
     """
-    songs_by_user: defaultdict[str, dict[bytes, int]] = defaultdict(dict)
+    songs_by_user: dict[str, dict[bytes, int]] = {}
     duplicate_lines = 0
     first_duplicates: list[str] = []
     for line_number, raw in enumerate(_open_lines(source), 1):
@@ -270,8 +263,15 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
             raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
         if not 1 <= count <= COUNT_MAX:
             raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
-        songs = songs_by_user[user]
-        element = song.encode("utf-8")
+        try:
+            songs = songs_by_user[user]
+        except KeyError:  # the user's first line: its id is checked here, once
+            _utf8(user, line_number, "user id")
+            songs = songs_by_user[user] = {}
+        try:
+            element = song.encode("utf-8")
+        except UnicodeEncodeError:
+            element = _utf8(song, line_number, "song id")  # raises, naming the line
         if element in songs:
             duplicate_lines += 1
             if len(first_duplicates) < 3:
@@ -289,7 +289,7 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
 
 def write_corpus(
     out_dir: str | Path,
-    pairs: list[SyntheticPair],
+    corpus: Corpus,
     *,
     seed: int,
     target_unique: int,
@@ -297,23 +297,37 @@ def write_corpus(
 ) -> Path:
     """Persist a synthetic corpus: profiles TSV plus a JSON manifest.
 
-    The manifest lists every pair id with its target and achieved Dice
-    and each multiset's distinct count and cardinality; the base
-    multiset is stored once under the id "base".
+    The first pair's base is stored once, under the id "base". The
+    manifest lists each multiset's size and each pair's target Dice
+    i / (n - 1) (0.0 for one pair) and exact Dice, computed here. A corpus
+    `load_corpus` could not read back is a ValueError before anything is
+    written: no pairs, another base, an empty multiset, a pair_id repeated
+    or equal to "base".
     """
+    if not corpus:
+        raise ValueError("a corpus needs at least one pair")
+    base = corpus[0][1]
+    profiles: dict[str, Multiset] = {BASE_ID: base}
+    entries = []
+    steps = len(corpus) - 1
+    for i, (pair_id, a, b) in enumerate(corpus):
+        if a != base:
+            raise ValueError(f"corpus pair {i} does not compare against the base of pair 0")
+        if pair_id in profiles:
+            raise ValueError(f"corpus pair {i} reuses the id {_brief(pair_id)}")
+        if not (a.cardinality() and b.cardinality()):
+            raise ValueError(f"corpus pair {i} holds an empty multiset")
+        profiles[pair_id] = b
+        entries.append({"pair_id": pair_id, "a": BASE_ID, "b": pair_id,
+                        "target_dice": i / steps if steps else 0.0, "exact_dice": dice(a, b)})
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    ids = [pair_id for pair_id, _, _ in corpus_pairs(pairs)]
-    base = pairs[0].base
-    profiles: dict[str, Multiset] = {BASE_ID: base}
-    for pair_id, pair in zip(ids, pairs):
-        profiles[pair_id] = pair.other
     write_profiles(out_path / PROFILES_NAME, profiles)
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "kind": "synthetic",
         "seed": seed,
-        "pair_count": len(pairs),
+        "pair_count": len(corpus),
         "target_unique": target_unique,
         "string_length": string_length,
         "profiles_file": PROFILES_NAME,
@@ -322,16 +336,7 @@ def write_corpus(
             user: {"distinct": profile.distinct_count(), "cardinality": profile.cardinality()}
             for user, profile in profiles.items()
         },
-        "pairs": [
-            {
-                "pair_id": pair_id,
-                "a": BASE_ID,
-                "b": pair_id,
-                "target_dice": pair.target_dice,
-                "exact_dice": pair.exact_dice,
-            }
-            for pair_id, pair in zip(ids, pairs)
-        ],
+        "pairs": entries,
     }
     manifest_path = out_path / MANIFEST_NAME
     with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
@@ -340,7 +345,7 @@ def write_corpus(
     return manifest_path
 
 
-def load_corpus(manifest_path: str | Path) -> list[tuple[str, Multiset, Multiset]]:
+def load_corpus(manifest_path: str | Path) -> Corpus:
     """Load a corpus manifest back into (pair_id, a, b) triples.
 
     A malformed manifest, an empty pair list, a repeated pair_id or a

@@ -22,11 +22,10 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import metrics
+from .datasets import Corpus
 from .hashing import _probe_positions, digest_rows
 from .multiset import Multiset, UndefinedSimilarityError
 from .sketches import SketchParams, _count_rows, _multiset_arrays
-
-Corpus = Sequence[tuple[str, Multiset, Multiset]]
 
 GRID_COLUMNS = ["dim", "depth", "rmse"]
 THRESHOLD_COLUMNS = ["threshold", "tp", "fp", "tn", "fn", "max_overshoot"]

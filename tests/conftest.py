@@ -8,7 +8,6 @@ import sketchsim
 from sketchsim import (
     COUNTER_MAX,
     companion_sharing,
-    corpus_pairs,
     derive_row_seed,
     digest_pair,
     generate_synthetic,
@@ -81,20 +80,15 @@ def find_collision_free_seed(elements, size, hash_count=1, start_seed=0, max_tri
 
 
 @pytest.fixture(scope="session")
-def sd_pairs():
+def sd_corpus():
     """The 1001-pair synthetic corpus with evenly spaced Dice targets."""
     return generate_synthetic(SD_SEED)
-
-
-@pytest.fixture(scope="session")
-def sd_corpus(sd_pairs):
-    return corpus_pairs(sd_pairs)
 
 
 @pytest.fixture(scope="session", params=[20, 200], ids=lambda distinct: f"D{distinct}")
 def sized_corpus(request):
     """(D, a 301-pair synthetic corpus of about D distinct elements per multiset)."""
-    return request.param, corpus_pairs(generate_synthetic(SD_SEED, 301, request.param))
+    return request.param, generate_synthetic(SD_SEED, 301, request.param)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from sketchsim import (
     CountingBloomFilter,
     CountMinSketch,
     Multiset,
-    SyntheticPair,
     cbf_cosine,
     cbf_dice,
     cms_cosine,
@@ -63,6 +63,17 @@ class TestGen:
         run(capsys, "gen", "--out", str(tmp_path / "b"), *args)
         assert (tmp_path / "a/manifest.json").read_bytes() == (tmp_path / "b/manifest.json").read_bytes()
         assert (tmp_path / "a/profiles.tsv").read_bytes() == (tmp_path / "b/profiles.tsv").read_bytes()
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        """A small `gen` run writes the recorded manifest and profiles, byte for byte."""
+        out = tmp_path / "pinned"
+        assert run(capsys, "gen", "--out", str(out), "--pairs", "7", "--unique", "10",
+                   "--strlen", "8", "--seed", "5")[0] == 0
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("manifest.json", "profiles.tsv")} == {
+            "manifest.json": "879f0c69c5534d88b1df6784aae5926b18312b28b077c38009332a9d83998514",
+            "profiles.tsv": "275359381c5c13d1f10735b17cad70aace9ed30cbf4008ba3d839811fb1230b0",
+        }
 
     def test_full_scale_defaults(self, tmp_path, capsys):
         out = tmp_path / "sd"
@@ -397,8 +408,7 @@ class TestGridAndThreshold:
     def test_threshold_accepts_count_past_int64(self, tmp_path, capsys):
         base = Multiset({"hot": 2**63, "cold": 3})
         other = Multiset({"hot": 1, "warm": 2})
-        manifest = write_corpus(tmp_path / "big", [SyntheticPair(base, other, 0.5, dice(base, other))],
-                                seed=0, target_unique=2, string_length=4)
+        manifest = write_corpus(tmp_path / "big", [("p0000", base, other)], seed=0, target_unique=2, string_length=4)
         out = tmp_path / "report.csv"
         code, _, err = run(capsys, "threshold", "--corpus", str(manifest), "--out", str(out))
         assert code == 0, err

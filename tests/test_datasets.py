@@ -11,7 +11,6 @@ from sketchsim import (
     Multiset,
     TripletParseError,
     companion_sharing,
-    corpus_pairs,
     dice,
     generate_synthetic,
     load_corpus,
@@ -24,45 +23,52 @@ from sketchsim.cli import main
 
 
 class TestGenerateSynthetic:
-    def test_extreme_targets(self, sd_pairs):
-        assert sd_pairs[0].target_dice == 0.0
-        assert sd_pairs[0].exact_dice == 0.0
-        assert sd_pairs[-1].target_dice == 1.0
-        assert sd_pairs[-1].exact_dice == 1.0
-        assert sd_pairs[-1].other == sd_pairs[-1].base
+    def test_extreme_targets(self, sd_corpus):
+        assert [pair_id for pair_id, _, _ in sd_corpus[:2]] == ["p0000", "p0001"]
+        assert dice(*sd_corpus[0][1:]) == 0.0
+        assert dice(*sd_corpus[-1][1:]) == 1.0
+        assert sd_corpus[-1][2] == sd_corpus[-1][1]
 
-    def test_default_corpus_shape(self, sd_pairs):
-        assert len(sd_pairs) == 1001
-        distincts = [sd_pairs[0].base.distinct_count()] + [p.other.distinct_count() for p in sd_pairs]
+    def test_default_corpus_shape(self, sd_corpus):
+        assert len(sd_corpus) == 1001
+        base = sd_corpus[0][1]
+        assert all(a is base for _, a, _ in sd_corpus)
+        distincts = [base.distinct_count()] + [b.distinct_count() for _, _, b in sd_corpus]
         mean_distinct = sum(distincts) / len(distincts)
         assert 60 <= mean_distinct <= 74, mean_distinct
-        cardinality = sd_pairs[0].base.cardinality()
-        assert all(p.other.cardinality() == cardinality for p in sd_pairs)
+        cardinality = base.cardinality()
+        assert all(b.cardinality() == cardinality for _, _, b in sd_corpus)
 
-    def test_target_tracking_and_coverage(self, sd_pairs):
-        cardinality = sd_pairs[0].base.cardinality()
-        for pair in sd_pairs:
-            assert abs(pair.exact_dice - pair.target_dice) <= 1.0 / cardinality
-        achieved = sorted(p.exact_dice for p in sd_pairs)
-        assert achieved == [p.exact_dice for p in sorted(sd_pairs, key=lambda p: p.target_dice)]
+    def test_target_tracking_and_coverage(self, sd_corpus):
+        cardinality = sd_corpus[0][1].cardinality()
+        achieved_in_target_order = [dice(a, b) for _, a, b in sd_corpus]
+        for i, achieved in enumerate(achieved_in_target_order):
+            assert abs(achieved - i / (len(sd_corpus) - 1)) <= 1.0 / cardinality
+        achieved = sorted(achieved_in_target_order)
+        assert achieved == achieved_in_target_order
         max_gap = max(b - a for a, b in zip(achieved, achieved[1:]))
-        assert max_gap <= 2.0 / len(sd_pairs), max_gap
+        assert max_gap <= 2.0 / len(sd_corpus), max_gap
 
-    def test_exact_dice_is_oracle_recomputation(self, sd_pairs):
-        for pair in sd_pairs[::97]:
-            assert pair.exact_dice == dice(pair.base, pair.other)
+    def test_exact_dice_is_oracle_recomputation(self, tmp_path, sd_corpus):
+        manifest_path = write_corpus(tmp_path / "sd", sd_corpus, seed=7, target_unique=67, string_length=10)
+        entries = json.loads(manifest_path.read_text())["pairs"]
+        assert [entry["exact_dice"] for entry in entries] == [dice(a, b) for _, a, b in sd_corpus]
+        assert [entry["target_dice"] for entry in entries] == [i / 1000 for i in range(1001)]
 
     def test_deterministic_per_seed(self):
         a = generate_synthetic(3, pair_count=11, target_unique=12, string_length=6)
         b = generate_synthetic(3, pair_count=11, target_unique=12, string_length=6)
-        assert [(p.base, p.other, p.exact_dice) for p in a] == [(p.base, p.other, p.exact_dice) for p in b]
+        assert a == b
         c = generate_synthetic(4, pair_count=11, target_unique=12, string_length=6)
-        assert any(pa.other != pc.other for pa, pc in zip(a, c))
+        assert any(pa[2] != pc[2] for pa, pc in zip(a, c))
 
-    def test_single_pair(self):
-        pairs = generate_synthetic(0, pair_count=1, target_unique=10, string_length=8)
-        assert len(pairs) == 1
-        assert pairs[0].exact_dice == dice(pairs[0].base, pairs[0].other)
+    def test_single_pair(self, tmp_path):
+        corpus = generate_synthetic(0, pair_count=1, target_unique=10, string_length=8)
+        assert [pair_id for pair_id, _, _ in corpus] == ["p0000"]
+        manifest_path = write_corpus(tmp_path / "one", corpus, seed=0, target_unique=10, string_length=8)
+        (entry,) = json.loads(manifest_path.read_text())["pairs"]
+        assert entry["target_dice"] == 0.0
+        assert entry["exact_dice"] == dice(corpus[0][1], corpus[0][2])
 
     def test_string_space_too_small(self):
         with pytest.raises(GenerationError):
@@ -108,6 +114,17 @@ class TestIngest:
                 read_profiles(io.StringIO(f"u1\ts9\t3\nu1\ts2\t{count_text}\n"))
             assert info.value.line_number == 2
             assert repr(count_text) in str(info.value)
+
+    @pytest.mark.parametrize("text, line_number, field", [
+        ("u\ts1\t1\nu\t\udc80\t1\n", 2, "song id"),
+        ("\udc80\ts1\t1\n", 1, "user id"),
+    ], ids=["song", "user"])
+    def test_lone_surrogate_is_parse_error_with_line(self, text, line_number, field):
+        # only an in-memory source can hold one; a file is decoded strictly
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(io.StringIO(text))
+        assert info.value.line_number == line_number
+        assert str(info.value) == f"line {line_number}: {field} is not UTF-8 text: surrogates not allowed"
 
     def test_wrong_field_count(self):
         with pytest.raises(TripletParseError):
@@ -203,22 +220,36 @@ class TestProfiles:
 
 class TestCorpusManifest:
     def test_round_trip(self, tmp_path):
-        pairs = generate_synthetic(5, pair_count=7, target_unique=10, string_length=8)
-        manifest_path = write_corpus(tmp_path / "corpus", pairs, seed=5, target_unique=10, string_length=8)
+        corpus = generate_synthetic(5, pair_count=7, target_unique=10, string_length=8)
+        manifest_path = write_corpus(tmp_path / "corpus", corpus, seed=5, target_unique=10, string_length=8)
         manifest = json.loads(manifest_path.read_text())
         assert manifest["pair_count"] == 7
         assert len(manifest["pairs"]) == 7
         assert all("exact_dice" in entry for entry in manifest["pairs"])
         loaded = load_corpus(manifest_path)
-        expected = corpus_pairs(pairs)
-        assert [(pid, a, b) for pid, a, b in loaded] == expected
+        assert loaded == corpus
         # the base multiset is one shared object across loaded pairs
         assert all(a is loaded[0][1] for _, a, _ in loaded)
 
     def test_manifest_lists_multiset_stats(self, tmp_path):
-        pairs = generate_synthetic(5, pair_count=3, target_unique=10, string_length=8)
-        manifest_path = write_corpus(tmp_path / "c", pairs, seed=5, target_unique=10, string_length=8)
+        corpus = generate_synthetic(5, pair_count=3, target_unique=10, string_length=8)
+        manifest_path = write_corpus(tmp_path / "c", corpus, seed=5, target_unique=10, string_length=8)
         manifest = json.loads(manifest_path.read_text())
         base_stats = manifest["multisets"][manifest["base_id"]]
-        assert base_stats["distinct"] == pairs[0].base.distinct_count()
-        assert base_stats["cardinality"] == pairs[0].base.cardinality()
+        assert base_stats["distinct"] == corpus[0][1].distinct_count()
+        assert base_stats["cardinality"] == corpus[0][1].cardinality()
+
+    @pytest.mark.parametrize("case", ["empty", "other-base", "repeated-id", "base-id", "empty-multiset"])
+    def test_unreadable_corpus_is_refused_before_writing(self, tmp_path, case):
+        base, other = Multiset({"a": 2, "b": 1}), Multiset({"a": 1, "c": 2})
+        corpus = {
+            "empty": [],
+            "other-base": [("p0000", base, other), ("p0001", other, base)],
+            "repeated-id": [("p0000", base, other), ("p0000", base, base)],
+            "base-id": [("base", base, other)],
+            "empty-multiset": [("p0000", base, Multiset())],
+        }[case]
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError):
+            write_corpus(out, corpus, seed=0, target_unique=2, string_length=1)
+        assert not out.exists()
