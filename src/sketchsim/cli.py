@@ -175,7 +175,7 @@ def _cmd_ingest(parser, args) -> int:
     profiles = datasets.read_profiles(args.triplets)
     total_users = len(profiles)
     profiles = {user: profile for user, profile in profiles.items() if profile.distinct_count() >= args.min_distinct}
-    distinct_songs = len({song for profile in profiles.values() for song, _ in profile.items()})
+    distinct_songs = len(set().union(*map(Multiset.elements, profiles.values())))
     total_plays = sum(profile.cardinality() for profile in profiles.values())
     datasets.write_profiles(args.out, profiles)
     _log(

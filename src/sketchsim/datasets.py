@@ -22,8 +22,10 @@ import json
 import logging
 import reprlib
 import zlib
+from contextlib import nullcontext
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -194,44 +196,6 @@ def generate_synthetic(
     return corpus
 
 
-def _open_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterator[str]:
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        with open(path, "rb") as raw:
-            magic = raw.read(2)
-        opener = gzip.open if magic == b"\x1f\x8b" else open
-        with opener(path, "rb") as handle:  # type: ignore[operator]
-            read = 0
-            try:
-                for read, line in enumerate(handle, 1):
-                    yield line.decode("utf-8-sig" if read == 1 else "utf-8")  # -sig drops one leading BOM
-            except UnicodeDecodeError as exc:
-                raise TripletParseError(read, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
-            except (EOFError, zlib.error) as exc:  # a truncated or corrupt gzip stream
-                raise TripletParseError(read + 1, f"compressed stream is damaged: {exc}") from None
-    else:
-        yield from source
-
-
-def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Multiset]) -> None:
-    """Write profiles as triplet TSV (songs sorted, so output is reproducible)."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
-            write_profiles(handle, profiles)
-        return
-    for user, profile in profiles.items():
-        for song, count in sorted(profile.items()):
-            destination.write(f"{user}\t{song.decode('utf-8')}\t{count}\n")
-
-
-def _utf8(text: str, line_number: int, what: str) -> bytes:
-    """`text` as UTF-8; a lone surrogate, which only an in-memory source can hold, is a TripletParseError."""
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        raise TripletParseError(line_number, f"{what} is not UTF-8 text: {exc.reason}") from None
-
-
 def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Multiset]:
     """One multiset per user (song -> summed plays) from ``user<TAB>song<TAB>count`` lines, in one pass.
 
@@ -241,50 +205,101 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
     lines are summed and counted in one warning per call; a sum above
     COUNT_MAX is a parse error at the line that crosses it.
     """
+    opened = isinstance(source, (str, Path))
+    if opened:
+        with open(source, "rb") as raw:
+            magic = raw.read(2)
+        handle = (gzip.open if magic == b"\x1f\x8b" else open)(source, "rb")  # type: ignore[operator]
+        # each line decoded at C speed, still one at a time; -sig drops one leading BOM, from line 1 only
+        lines = chain(map(bytes.decode, islice(handle, 1), ["utf-8-sig"]), map(bytes.decode, handle))
+    else:
+        handle, lines = nullcontext(), source
     songs_by_user: dict[str, dict[bytes, int]] = {}
-    duplicate_lines = 0
+    duplicate_lines = line_number = 0
     first_duplicates: list[str] = []
-    for line_number, raw in enumerate(_open_lines(source), 1):
-        line = raw.rstrip("\r\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise TripletParseError(line_number, f"expected 3 tab-separated fields, got {len(parts)}")
-        user, song, count_text = parts
-        if not user or not song:
-            raise TripletParseError(line_number, "empty user or song id")
+    with handle:
         try:
-            # int() alone would also take "1_000", " 7 " and non-ASCII digits
-            if not (count_text.isascii() and count_text.isdigit()):
-                raise ValueError(count_text)
-            count = int(count_text)  # still raises on a digit string past int's length limit
-        except ValueError:
-            raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
-        if not 1 <= count <= COUNT_MAX:
-            raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
-        try:
-            songs = songs_by_user[user]
-        except KeyError:  # the user's first line: its id is checked here, once
-            _utf8(user, line_number, "user id")
-            songs = songs_by_user[user] = {}
-        try:
-            element = song.encode("utf-8")
-        except UnicodeEncodeError:
-            element = _utf8(song, line_number, "song id")  # raises, naming the line
-        if element in songs:
-            duplicate_lines += 1
-            if len(first_duplicates) < 3:
-                first_duplicates.append(f"line {line_number} {(user, song)!r}")
-            count += songs[element]
-            if count > COUNT_MAX:
-                raise TripletParseError(line_number, f"summed play count of {(user, song)!r} exceeds {COUNT_MAX}")
-        songs[element] = count
+            for line_number, line in enumerate(lines, 1):
+                parts = line.split("\t")  # split first: only the count field or a blank or bad line needs rstrip
+                if len(parts) != 3:
+                    if not line.rstrip("\r\n"):
+                        continue
+                    raise TripletParseError(line_number, f"expected 3 tab-separated fields, got {len(parts)}")
+                user, song, count_text = parts
+                if not user or not song:
+                    raise TripletParseError(line_number, "empty user or song id")
+                count_text = count_text.rstrip("\r\n")
+                try:
+                    # int() alone would also take "1_000", " 7 " and non-ASCII digits
+                    if not (count_text.isascii() and count_text.isdigit()):
+                        raise ValueError(count_text)
+                    count = int(count_text)  # still raises on a digit string past int's length limit
+                except ValueError:
+                    raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
+                if not 1 <= count <= COUNT_MAX:
+                    raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
+                try:
+                    songs = songs_by_user[user]
+                except KeyError:  # the user's first line: its id is checked here, once
+                    user.encode("utf-8")
+                    songs = songs_by_user[user] = {}
+                element = song.encode("utf-8")
+                if element in songs:
+                    duplicate_lines += 1
+                    if len(first_duplicates) < 3:
+                        first_duplicates.append(f"line {line_number} {(user, song)!r}")
+                    count += songs[element]
+                    if count > COUNT_MAX:
+                        raise TripletParseError(line_number, f"summed play count of {(user, song)!r} exceeds {COUNT_MAX}")
+                songs[element] = count
+        except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # raised while line line_number + 1 was read
+            if not opened:  # an in-memory source's own error: the line it was reading is not known
+                raise
+            reason = (f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+                      if isinstance(exc, UnicodeDecodeError) else f"compressed stream is damaged: {exc}")
+            raise TripletParseError(line_number + 1, reason) from None
+        except UnicodeEncodeError as exc:  # a lone surrogate, which only an in-memory source can hold
+            what = "user id" if exc.object == user else "song id"  # a known user is never the one at fault
+            raise TripletParseError(line_number, f"{what} is not UTF-8 text: {exc.reason}") from None
     if duplicate_lines:
         logger.warning(
             "%d duplicate (user, song) lines; counts summed (first: %s)", duplicate_lines, ", ".join(first_duplicates)
         )
     return {user: Multiset._from_checked(songs) for user, songs in songs_by_user.items()}
+
+
+def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Multiset]) -> None:
+    """Write profiles as triplet TSV, one user's lines at a time, songs sorted so output is reproducible.
+
+    An id `read_profiles` would not read back as written is a ValueError
+    naming it, raised before the destination is opened: an empty user
+    id, a tab or LF in any id, or an id that is not UTF-8.
+    """
+    for user, profile in profiles.items():
+        _check_ids(user, profile._entries)
+    to_file = isinstance(destination, (str, Path))
+    with open(destination, "w", encoding="utf-8", newline="\n") if to_file else nullcontext(destination) as handle:
+        for user, profile in profiles.items():
+            entries = profile._entries
+            songs = sorted(entries)  # the keys are unique, so this is the order of the sorted items
+            prefix = user.encode("utf-8") + b"\t"
+            lines = (b"\n" + prefix).join(map(b"%s\t%d".__mod__, zip(songs, map(entries.__getitem__, songs))))
+            handle.write((prefix + lines + b"\n").decode("utf-8"))
+
+
+def _check_ids(user: str, songs: Collection[bytes]) -> None:
+    """A ValueError naming the first of a user's ids that `read_profiles` would not read back as written."""
+    ids = [user.encode("utf-8", "surrogatepass"), *songs]  # a lone surrogate becomes bytes no UTF-8 decoder takes
+    joined = b"\n".join(ids)  # ASCII separators: the join is UTF-8 iff every id is
+    try:
+        if not user or b"\t" in joined or joined.count(b"\n") >= len(ids):
+            raise ValueError
+        joined.decode("utf-8")
+    except ValueError:  # UnicodeDecodeError included; only this path looks at each id
+        bad = next(i for i, data in enumerate(ids) if not data or b"\t" in data or b"\n" in data
+                   or data.decode("utf-8", "replace").encode("utf-8") != data)
+        what = f"song {_brief(ids[bad])} of user" if bad else "user id"
+        raise ValueError(f"{what} {_brief(user)} cannot be written: ids are non-empty UTF-8 without tab or LF") from None
 
 
 def write_corpus(
@@ -302,7 +317,8 @@ def write_corpus(
     i / (n - 1) (0.0 for one pair) and exact Dice, computed here. A corpus
     `load_corpus` could not read back is a ValueError before anything is
     written: no pairs, another base, an empty multiset, a pair_id repeated
-    or equal to "base".
+    or equal to "base". An id `write_profiles` refuses is a ValueError
+    too, raised once the directory is made but before any file is written.
     """
     if not corpus:
         raise ValueError("a corpus needs at least one pair")

@@ -35,6 +35,7 @@ _DOMAIN_H2 = b"\x02"
 _DOMAIN_ROW = b"\x03"
 
 _PRIME = np.array(FNV_PRIME, dtype=np.uint64)  # 0-d: a numpy scalar operand costs more per ufunc call
+_SHIFT, _MIX1, _MIX2 = (np.array(value, dtype=np.uint64) for value in (33, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
 _BLOCK_INPUTS = 2**13  # inputs widened to uint64 at once; bounds the kernel's transient memory
 
 
@@ -59,12 +60,12 @@ def mix64(value: int) -> int:
 
 def _mix64_bulk(values: np.ndarray) -> np.ndarray:
     """mix64 of every entry of a uint64 array, in place; returns the array."""
-    shift = np.uint64(33)
-    values ^= values >> shift
-    values *= np.uint64(0xFF51AFD7ED558CCD)
-    values ^= values >> shift
-    values *= np.uint64(0xC4CEB9FE1A85EC53)
-    values ^= values >> shift
+    shifted = values >> _SHIFT  # the one temporary, refilled for each shift
+    values ^= shifted
+    values *= _MIX1
+    values ^= np.right_shift(values, _SHIFT, out=shifted)
+    values *= _MIX2
+    values ^= np.right_shift(values, _SHIFT, out=shifted)
     return values
 
 
@@ -92,9 +93,11 @@ def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
 def _fnv1a64_block(block: np.ndarray, start: np.ndarray) -> np.ndarray:
     """FNV-1a of each row of an (inputs, length) uint8 block from each (states, 1) start state, as (states, inputs)."""
     out = np.empty((len(start), len(block)), dtype=np.uint64)
+    # one start state digests in the 1-D lane out[0]: a (1, n) view costs about twice as much per ufunc call
+    lanes, start = (out[0], start[0]) if len(start) == 1 else (out, start)
     for first in range(0, len(block), _BLOCK_INPUTS):
         rows = block[first : first + _BLOCK_INPUTS]
-        h = out[:, first : first + len(rows)]
+        h = lanes[..., first : first + len(rows)]
         h[...] = start
         for column in rows.T.astype(np.uint64, order="C"):
             h ^= column
@@ -148,7 +151,8 @@ def digest_rows(row_seeds: Sequence[int], hash_count: int, elements: Sequence[by
     domains = (_DOMAIN_H1,) if hash_count == 1 else (_DOMAIN_H1, _DOMAIN_H2)
     states = [_prefix_state(_check_seed(seed), domain) for domain in domains for seed in row_seeds]
     digests = _mix64_bulk(fnv1a64_bulk(elements, states)).reshape(len(domains), len(row_seeds), len(elements))
-    digests[1:] |= np.uint64(1)  # h2 is odd
+    if hash_count > 1:
+        digests[1] |= np.uint64(1)  # h2 is odd
     return tuple(digests)
 
 

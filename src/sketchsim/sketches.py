@@ -75,7 +75,7 @@ def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
     """
     entries = multiset._entries  # keys are elements, values their positive counts
     counts = np.fromiter(entries.values(), dtype=np.uint64, count=len(entries))
-    return list(entries), np.minimum(counts, COUNTER_MAX + 1).astype(np.int64)
+    return list(entries), np.minimum(counts, COUNTER_MAX + 1, out=counts).view(np.int64)  # every clipped count fits
 
 
 def _clip_saturating(accumulated: np.ndarray) -> np.ndarray:

@@ -217,6 +217,40 @@ class TestProfiles:
         write_profiles(path, profiles)
         assert read_profiles(path) == profiles
 
+    @pytest.mark.parametrize("user, songs, named", [
+        ("", {"s": 1}, "user id ''"),
+        ("u\t1", {"s": 1}, "user id 'u\\t1'"),
+        ("u\n1", {"s": 1}, "user id 'u\\n1'"),
+        ("u\udc80", {"s": 1}, "user id 'u\\udc80'"),
+        ("u", {"ok": 1, "s\t1": 2}, "song b's\\t1' of user 'u'"),
+        ("u", {"ok": 1, "s\n1": 2}, "song b's\\n1' of user 'u'"),
+        ("u", {"ok": 1, b"caf\xe9": 2}, "song b'caf\\xe9' of user 'u'"),
+    ], ids=["empty user", "tab in user", "LF in user", "surrogate user", "tab in song", "LF in song", "latin-1 song"])
+    def test_unreadable_ids_are_refused_before_the_file_is_opened(self, tmp_path, user, songs, named):
+        path, text = tmp_path / "profiles.tsv", io.StringIO()
+        for destination in (path, text):
+            with pytest.raises(ValueError) as info:
+                write_profiles(destination, {"first": Multiset({"s": 1}), user: Multiset(songs)})
+            assert str(info.value).startswith(f"{named} cannot be written")
+        assert not path.exists() and text.getvalue() == ""
+        # write_corpus writes through write_profiles: no file is written
+        out = tmp_path / "corpus"
+        with pytest.raises(ValueError):
+            write_corpus(out, [(user, Multiset({"a": 1}), Multiset(songs))], seed=0, target_unique=1, string_length=1)
+        assert list(out.iterdir()) == []
+
+    def test_ids_with_cr_and_line_separators_round_trip(self, tmp_path):
+        # only a tab or LF ends a field or a line; the reader strips a line end from the count alone
+        profiles = {"u\r": Multiset({"s\r": 1, " \x85": 2}), "\ufeffv": Multiset({"é": 3})}
+        path = tmp_path / "profiles.tsv"
+        write_profiles(path, {"first": Multiset({"s": 1}), **profiles})
+        assert read_profiles(path) == {"first": Multiset({"s": 1}), **profiles}
+
+    def test_in_memory_decode_error_keeps_its_own_type(self):
+        # a text stream decodes ahead in chunks, so the reader cannot tell which line held the byte
+        with pytest.raises(UnicodeDecodeError):
+            read_profiles(io.TextIOWrapper(io.BytesIO(b"u\ts\t1\nu\t\xff\t1\n"), encoding="utf-8"))
+
 
 class TestCorpusManifest:
     def test_round_trip(self, tmp_path):

@@ -55,6 +55,23 @@ def test_bulk_digests_across_blocks_and_length_groups(monkeypatch):
         assert fnv1a64_bulk(datas, states).tolist() == [[fnv1a64(data, state) for data in datas] for state in states]
 
 
+@pytest.mark.parametrize("count", [3, 4, 5, 9])
+@pytest.mark.parametrize("states", [[FNV_OFFSET], [FNV_OFFSET, 0, 2**64 - 1]], ids=["one state", "several"])
+def test_bulk_kernel_for_one_state_and_several_around_the_block_bound(monkeypatch, states, count):
+    # a bound of 4 inputs puts these counts below, at, just past and twice past it; one start state
+    # digests in a 1-D lane, several in a (states, inputs) array
+    monkeypatch.setattr(hashing, "_BLOCK_INPUTS", 4)
+    rng = random.Random(count)
+    single = [rng.randbytes(18) for _ in range(count)]
+    mixed = [rng.randbytes(length) for length in ([1, 18] * count)[:count]]  # two length groups, one past the bound at 9
+    for elements in (single, mixed):
+        assert fnv1a64_bulk(elements, states).tolist() == [[fnv1a64(e, state) for e in elements] for state in states]
+        for hash_count in (1, 2):  # one state per row seed, or two
+            digests = digest_rows(states, hash_count, elements)  # the states serve as row seeds here
+            pairs = [[digest_pair(row_seed, e) for e in elements] for row_seed in states]
+            assert [d.tolist() for d in digests] == [[[pair[i] for pair in row] for row in pairs] for i in range(hash_count)]
+
+
 def test_bulk_digests_of_no_elements():
     assert fnv1a64_bulk([], [FNV_OFFSET, 1]).shape == (2, 0)
     h1, h2 = digest_rows([0, 1, 2], 3, [])

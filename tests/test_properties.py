@@ -14,7 +14,10 @@ bulk hash path gives the scalar digests for many start states and row
 seeds in one call, and `_probe_positions` gives the index formula
 computed in Python ints. The triplet reader sums
 duplicate lines exactly as a plain dict does, in first-seen order, and
-its profiles round-trip through the profile file. A header decodes to
+its profiles round-trip through the profile file. A file's undecodable
+byte, and a gzip stream that breaks off, are parse errors naming the line
+being read, plain or gzip, with or without a BOM, CRLF or blank lines;
+the profile writer lists each user's songs in sorted item order. A header decodes to
 exactly the shapes `SketchParams` accepts, with the counter code of its kind.
 Any small JSON value as a corpus manifest makes `sketchsim grid` exit 1
 with one error line, or 0 for a valid manifest, never a traceback.
@@ -22,6 +25,7 @@ Examples are derandomised, so every run checks the same inputs.
 """
 
 import contextlib
+import gzip
 import io
 import json
 import struct
@@ -44,6 +48,7 @@ from sketchsim import (
     HeaderConsistencyError,
     Multiset,
     SketchParams,
+    TripletParseError,
     UndefinedSimilarityError,
     WireFormatError,
     cbf_cosine,
@@ -438,6 +443,79 @@ def test_triplet_reader_matches_dict_sum(lines):
             assert held == [(user, song, count) for user, songs in songs_by_user.items() for song, count in songs.items()]
         write_profiles(profiles_file, profiles)
         _same_profiles(read_profiles(profiles_file), expected)
+
+
+nonempty_triplet_lines = st.lists(st.tuples(ids, ids, st.integers(1, 2**40), endings), min_size=1, max_size=30)
+# lone continuation bytes, overlong and out-of-range leads, and leads cut short by the next character
+undecodable = st.sampled_from([0x80, 0xBF, 0xC0, 0xC1, 0xC3, 0xE2, 0xED, 0xF0, 0xF4, 0xF5, 0xFF])
+
+
+def _triplet_file(tmp, body: bytes, compress: bool) -> Path:
+    path = Path(tmp) / "triplets.tsv"
+    path.write_bytes(gzip.compress(body, mtime=0) if compress else body)
+    return path
+
+
+@PROPERTY
+@given(nonempty_triplet_lines, st.data(), undecodable, st.booleans(), st.booleans())
+def test_reader_names_the_line_of_an_undecodable_byte(lines, data, bad, bom, compress):
+    texts = [f"{user}\t{song}\t{count}" for user, song, count, _ in lines]
+    target = data.draw(st.integers(0, len(lines) - 1))
+    at = data.draw(st.integers(0, len(texts[target])))  # a character boundary, so the byte starts no valid sequence
+    chunks = [text.encode() for text in texts]
+    chunks[target] = texts[target][:at].encode() + bytes([bad]) + texts[target][at:].encode()
+    physical = [chunk + ending.encode() for chunk, (*_, ending) in zip(chunks, lines)]
+    line_number = 1 + b"".join(physical[:target]).count(b"\n")  # blank lines count
+    with pytest.raises(UnicodeDecodeError) as reference:
+        physical[target].decode("utf-8")  # with its line end: a lead byte before it is cut short
+    assert reference.value.object[reference.value.start] == bad
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _triplet_file(tmp, b"\xef\xbb\xbf" * bom + b"".join(physical), compress)
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(path)
+    assert info.value.line_number == line_number
+    assert str(info.value) == f"line {line_number}: not UTF-8: byte {bad:#04x} ({reference.value.reason})"
+
+
+@PROPERTY
+@given(nonempty_triplet_lines, st.data())
+def test_reader_names_the_line_where_a_gzip_stream_breaks_off(lines, data):
+    body = "".join(f"{user}\t{song}\t{count}{ending}" for user, song, count, ending in lines).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _triplet_file(tmp, body, compress=True)
+        packed = path.read_bytes()
+        path.write_bytes(packed[: data.draw(st.integers(2, len(packed) - 1))])  # the magic kept, the end lost
+        read = 0
+        with gzip.open(path, "rb") as handle, pytest.raises(EOFError):
+            for read, _ in enumerate(handle, 1):
+                pass
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(path)
+    # the line after the last whole one the stream gave up
+    assert info.value.line_number == read + 1
+    assert str(info.value).startswith(f"line {read + 1}: compressed stream is damaged: ")
+
+
+# song ids that are prefixes of one another, and multi-byte UTF-8, which sorts by its bytes
+prefix_songs = st.text(st.sampled_from("ab\ré🎵"), min_size=1, max_size=4)
+
+
+@PROPERTY
+@given(st.dictionaries(st.text(st.sampled_from("u\r é 🎵"), min_size=1, max_size=3),
+                       st.dictionaries(prefix_songs, st.integers(1, COUNT_MAX), min_size=1, max_size=12), max_size=5))
+def test_writer_lists_each_users_songs_in_sorted_item_order(songs_by_user):
+    profiles = {user: Multiset(songs) for user, songs in songs_by_user.items()}
+    # the reference writer: one f-string per line, over the sorted (element, count) items
+    expected = "".join(f"{user}\t{song.decode('utf-8')}\t{count}\n"
+                       for user, profile in profiles.items() for song, count in sorted(profile.items()))
+    text = io.StringIO()
+    write_profiles(text, profiles)
+    assert text.getvalue() == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.tsv"
+        write_profiles(path, profiles)
+        assert path.read_bytes() == expected.encode("utf-8")
+        _same_profiles(read_profiles(path), profiles)
 
 
 json_values = st.recursive(
