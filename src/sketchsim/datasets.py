@@ -8,11 +8,14 @@ the base (T = base cardinality) and is padded to cardinality T with
 fresh random elements. The achieved Dice is then exactly shared/T; the
 manifest's score is recomputed by the exact oracle as it is written.
 
-Listening histories arrive as ``user<TAB>song<TAB>count`` lines, and
-`read_profiles`, their one reader, checks each line once and adds its
-count straight into its user's profile: duplicate lines are summed and
+Listening histories arrive as a file, plain or gzip, of
+``user<TAB>song<TAB>count`` lines. `read_profiles`, their one reader,
+takes the file's path, checks each line once and adds its count
+straight into its user's profile: duplicate lines are summed and
 counted, never dropped, and anything malformed is a TripletParseError
-naming its line. A manifest is checked as it is loaded, sizes included.
+naming its line. `write_profiles` writes such a file as bytes and
+refuses, before it opens the file, any map it could not read back.
+A manifest is checked as it is loaded, sizes included.
 """
 
 from __future__ import annotations
@@ -22,10 +25,9 @@ import json
 import logging
 import reprlib
 import zlib
-from contextlib import nullcontext
 from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Mapping, Sequence
 
 import numpy as np
 
@@ -196,24 +198,21 @@ def generate_synthetic(
     return corpus
 
 
-def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Multiset]:
-    """One multiset per user (song -> summed plays) from ``user<TAB>song<TAB>count`` lines, in one pass.
+def read_profiles(source: str | Path) -> dict[str, Multiset]:
+    """One multiset per user (song -> summed plays) from a file of ``user<TAB>song<TAB>count`` lines, in one pass.
 
-    Users and each user's songs keep first-seen order; blank lines are
-    skipped. A count is ASCII digits between 1 and COUNT_MAX. A malformed
-    line raises TripletParseError with its number. Duplicate (user, song)
+    The file may be gzip-compressed. Users and each user's songs keep
+    first-seen order; blank lines are skipped. A count is ASCII digits
+    between 1 and COUNT_MAX. A malformed line, undecodable UTF-8 included,
+    raises TripletParseError with its number. Duplicate (user, song)
     lines are summed and counted in one warning per call; a sum above
     COUNT_MAX is a parse error at the line that crosses it.
     """
-    opened = isinstance(source, (str, Path))
-    if opened:
-        with open(source, "rb") as raw:
-            magic = raw.read(2)
-        handle = (gzip.open if magic == b"\x1f\x8b" else open)(source, "rb")  # type: ignore[operator]
-        # each line decoded at C speed, still one at a time; -sig drops one leading BOM, from line 1 only
-        lines = chain(map(bytes.decode, islice(handle, 1), ["utf-8-sig"]), map(bytes.decode, handle))
-    else:
-        handle, lines = nullcontext(), source
+    with open(source, "rb") as raw:
+        magic = raw.read(2)
+    handle = (gzip.open if magic == b"\x1f\x8b" else open)(source, "rb")  # type: ignore[operator]
+    # each line decoded at C speed, still one at a time; -sig drops one leading BOM, from line 1 only
+    lines = chain(map(bytes.decode, islice(handle, 1), ["utf-8-sig"]), map(bytes.decode, handle))
     songs_by_user: dict[str, dict[bytes, int]] = {}
     duplicate_lines = line_number = 0
     first_duplicates: list[str] = []
@@ -240,8 +239,7 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
                     raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
                 try:
                     songs = songs_by_user[user]
-                except KeyError:  # the user's first line: its id is checked here, once
-                    user.encode("utf-8")
+                except KeyError:
                     songs = songs_by_user[user] = {}
                 element = song.encode("utf-8")
                 if element in songs:
@@ -253,14 +251,9 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
                         raise TripletParseError(line_number, f"summed play count of {(user, song)!r} exceeds {COUNT_MAX}")
                 songs[element] = count
         except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # raised while line line_number + 1 was read
-            if not opened:  # an in-memory source's own error: the line it was reading is not known
-                raise
             reason = (f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
                       if isinstance(exc, UnicodeDecodeError) else f"compressed stream is damaged: {exc}")
             raise TripletParseError(line_number + 1, reason) from None
-        except UnicodeEncodeError as exc:  # a lone surrogate, which only an in-memory source can hold
-            what = "user id" if exc.object == user else "song id"  # a known user is never the one at fault
-            raise TripletParseError(line_number, f"{what} is not UTF-8 text: {exc.reason}") from None
     if duplicate_lines:
         logger.warning(
             "%d duplicate (user, song) lines; counts summed (first: %s)", duplicate_lines, ", ".join(first_duplicates)
@@ -268,38 +261,44 @@ def read_profiles(source: str | Path | IO[str] | Iterable[str]) -> dict[str, Mul
     return {user: Multiset._from_checked(songs) for user, songs in songs_by_user.items()}
 
 
-def write_profiles(destination: str | Path | IO[str], profiles: Mapping[str, Multiset]) -> None:
-    """Write profiles as triplet TSV, one user's lines at a time, songs sorted so output is reproducible.
+def write_profiles(destination: str | Path, profiles: Mapping[str, Multiset]) -> None:
+    """Write profiles to a triplet TSV file, one user's lines at a time, songs sorted so output is reproducible.
 
-    An id `read_profiles` would not read back as written is a ValueError
-    naming it, raised before the destination is opened: an empty user
-    id, a tab or LF in any id, or an id that is not UTF-8.
+    A map `read_profiles` would not read back as written is a ValueError
+    naming the user id, raised before the file is opened: a user id that
+    is not a str or is empty, a tab or LF in any id, an id that is not
+    UTF-8, an empty profile, or a first user id that begins with U+FEFF.
     """
     for user, profile in profiles.items():
         _check_ids(user, profile._entries)
-    to_file = isinstance(destination, (str, Path))
-    with open(destination, "w", encoding="utf-8", newline="\n") if to_file else nullcontext(destination) as handle:
+    first = next(iter(profiles), "")
+    if first.startswith("\ufeff"):  # read_profiles drops one byte-order mark from line 1
+        raise ValueError(f"user id {_brief(first)} cannot be written first: it begins with U+FEFF")
+    with open(destination, "wb") as handle:
         for user, profile in profiles.items():
             entries = profile._entries
             songs = sorted(entries)  # the keys are unique, so this is the order of the sorted items
             prefix = user.encode("utf-8") + b"\t"
             lines = (b"\n" + prefix).join(map(b"%s\t%d".__mod__, zip(songs, map(entries.__getitem__, songs))))
-            handle.write((prefix + lines + b"\n").decode("utf-8"))
+            handle.write(prefix + lines + b"\n")
 
 
-def _check_ids(user: str, songs: Collection[bytes]) -> None:
-    """A ValueError naming the first of a user's ids that `read_profiles` would not read back as written."""
-    ids = [user.encode("utf-8", "surrogatepass"), *songs]  # a lone surrogate becomes bytes no UTF-8 decoder takes
+def _check_ids(user: object, songs: Collection[bytes]) -> None:
+    """A ValueError naming a user whose ids or profile `read_profiles` would not read back as written."""
+    if not songs:
+        raise ValueError(f"user id {_brief(user)} cannot be written: its profile is empty")
+    # a lone surrogate becomes bytes no UTF-8 decoder takes, and an id that is not a str is refused as empty
+    ids = [user.encode("utf-8", "surrogatepass") if isinstance(user, str) else b"", *songs]
     joined = b"\n".join(ids)  # ASCII separators: the join is UTF-8 iff every id is
     try:
-        if not user or b"\t" in joined or joined.count(b"\n") >= len(ids):
+        if not ids[0] or b"\t" in joined or joined.count(b"\n") >= len(ids):
             raise ValueError
         joined.decode("utf-8")
     except ValueError:  # UnicodeDecodeError included; only this path looks at each id
         bad = next(i for i, data in enumerate(ids) if not data or b"\t" in data or b"\n" in data
                    or data.decode("utf-8", "replace").encode("utf-8") != data)
         what = f"song {_brief(ids[bad])} of user" if bad else "user id"
-        raise ValueError(f"{what} {_brief(user)} cannot be written: ids are non-empty UTF-8 without tab or LF") from None
+        raise ValueError(f"{what} {_brief(user)} cannot be written: ids are non-empty UTF-8 text without tab or LF") from None
 
 
 def write_corpus(

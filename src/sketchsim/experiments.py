@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -280,18 +280,15 @@ def threshold_report(results: Sequence[ComparisonResult], threshold: float) -> T
     return ThresholdReport(threshold, tp, fp, tn, fn, max_overshoot)
 
 
-def _write_csv(destination: str | Path | IO[str], header: list[str], rows: Iterable[list]) -> None:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", encoding="utf-8", newline="") as handle:
-            _write_csv(handle, header, rows)
-        return
-    writer = csv.writer(destination)
-    writer.writerow(header)
-    writer.writerows(rows)
+def _write_csv(destination: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    with open(destination, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_grid_csv(
-    destination: str | Path | IO[str],
+    destination: str | Path,
     cells: dict[tuple[int, int], float | None],
     grid: GridSpec,
 ) -> None:
@@ -304,7 +301,7 @@ def write_grid_csv(
     _write_csv(destination, GRID_COLUMNS, rows)
 
 
-def write_threshold_csv(destination: str | Path | IO[str], report: ThresholdReport) -> None:
+def write_threshold_csv(destination: str | Path, report: ThresholdReport) -> None:
     """Columns: threshold, tp, fp, tn, fn, max_overshoot."""
     row = [
         repr(report.threshold),

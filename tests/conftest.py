@@ -117,6 +117,16 @@ def rd_like_corpus():
     return make_pair_corpus(RD_LIKE_SEED + 1, targets, prefix="rd")
 
 
+@pytest.fixture
+def text_file(tmp_path):
+    """A function that writes a str to triplets.tsv under tmp_path as UTF-8, no newline translated, and returns its path."""
+    def write(text):
+        path = tmp_path / "triplets.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    return write
+
+
 @pytest.fixture(scope="session")
 def child_env():
     """Environment for a child Python that imports the same sketchsim as this process, installed or not."""

@@ -123,6 +123,15 @@ class TestIngest:
         assert code == 1
         assert err.splitlines() == ["sketchsim: error: line 2: not UTF-8: byte 0xe9 (invalid continuation byte)"]
 
+    def test_first_kept_user_with_a_bom_is_data_error(self, tmp_path, capsys):
+        # a BOM survives in a later line's id; once the user before it is dropped, it would lead line 1
+        triplets, out = tmp_path / "bom.tsv", tmp_path / "x.tsv"
+        triplets.write_bytes("a\ts\t1\n\ufeffv\ts\t1\n\ufeffv\tt\t1\n".encode())
+        code, _, err = run(capsys, "ingest", str(triplets), "--out", str(out), "--min-distinct", "2")
+        assert code == 1
+        assert err.splitlines() == ["sketchsim: error: user id '\\ufeffv' cannot be written first: it begins with U+FEFF"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
     def test_damaged_gzip_is_data_error(self, tmp_path, capsys, damage):
         data = bytearray(gzip.compress(FIXTURE.read_bytes()))

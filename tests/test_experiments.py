@@ -1,4 +1,3 @@
-import io
 import math
 import tracemalloc
 
@@ -262,17 +261,17 @@ class TestErrorSimilarityCorrelation:
 
 
 class TestCsvWriters:
-    def test_grid_csv_with_missing_cell(self):
-        out = io.StringIO()
+    def test_grid_csv_with_missing_cell(self, tmp_path):
+        out = tmp_path / "grid.csv"
         grid = GridSpec("cbf", dims=[16, 32], depths=[1])
         write_grid_csv(out, {(16, 1): 0.25, (32, 1): None}, grid)
-        assert out.getvalue().splitlines() == ["dim,depth,rmse", "16,1,0.25", "32,1,"]
+        assert out.read_text().splitlines() == ["dim,depth,rmse", "16,1,0.25", "32,1,"]
 
-    def test_threshold_csv(self):
-        out = io.StringIO()
+    def test_threshold_csv(self, tmp_path):
+        out = tmp_path / "threshold.csv"
         report = threshold_report([_result("p", 0.7, 0.8)], 0.6)
         write_threshold_csv(out, report)
-        assert out.getvalue().splitlines() == ["threshold,tp,fp,tn,fn,max_overshoot", "0.6,1,0,0,0,0.0"]
+        assert out.read_text().splitlines() == ["threshold,tp,fp,tn,fn,max_overshoot", "0.6,1,0,0,0,0.0"]
 
     def test_grid_csv_to_path(self, tmp_path):
         path = tmp_path / "grid.csv"

@@ -13,8 +13,11 @@ cell for cell, the
 bulk hash path gives the scalar digests for many start states and row
 seeds in one call, and `_probe_positions` gives the index formula
 computed in Python ints. The triplet reader sums
-duplicate lines exactly as a plain dict does, in first-seen order, and
-its profiles round-trip through the profile file. A file's undecodable
+duplicate lines exactly as a plain dict does, in first-seen order, plain
+or gzip, with or without a BOM, and its profiles round-trip through the
+profile file. The profile writer refuses, before it makes the file,
+exactly the maps a profile file cannot hold as they are, and every other
+map reads back equal, in the same user order. A file's undecodable
 byte, and a gzip stream that breaks off, are parse errors naming the line
 being read, plain or gzip, with or without a BOM, CRLF or blank lines;
 the profile writer lists each user's songs in sorted item order. A header decodes to
@@ -421,10 +424,16 @@ def _same_profiles(got, expected):
         assert got[user] == profile and got[user].cardinality() == profile.cardinality()
 
 
+def _triplet_file(tmp, body: bytes, compress: bool) -> Path:
+    path = Path(tmp) / "triplets.tsv"
+    path.write_bytes(gzip.compress(body, mtime=0) if compress else body)
+    return path
+
+
 @PROPERTY
 @given(triplet_lines)
 def test_triplet_reader_matches_dict_sum(lines):
-    text = "".join(f"{user}\t{song}\t{count}{ending}" for user, song, count, ending in lines)
+    body = "".join(f"{user}\t{song}\t{count}{ending}" for user, song, count, ending in lines).encode("utf-8")
     model: dict[tuple[str, str], int] = {}
     for user, song, count, _ in lines:
         model[(user, song)] = model.get((user, song), 0) + count
@@ -433,14 +442,15 @@ def test_triplet_reader_matches_dict_sum(lines):
         songs_by_user.setdefault(user, {})[song] = count
     expected = {user: Multiset(songs) for user, songs in songs_by_user.items()}
     with tempfile.TemporaryDirectory() as tmp:
-        triplets, profiles_file = Path(tmp) / "triplets.tsv", Path(tmp) / "profiles.tsv"
-        triplets.write_bytes(text.encode("utf-8"))
-        for source in (io.StringIO(text), triplets):
-            profiles = read_profiles(source)
-            _same_profiles(profiles, expected)
-            # each user's songs in first-seen order, as the model met them
-            held = [(user, song.decode(), count) for user, profile in profiles.items() for song, count in profile.items()]
-            assert held == [(user, song, count) for user, songs in songs_by_user.items() for song, count in songs.items()]
+        profiles_file = Path(tmp) / "profiles.tsv"
+        for bom in (False, True):  # one leading BOM is dropped
+            for compress in (False, True):
+                profiles = read_profiles(_triplet_file(tmp, b"\xef\xbb\xbf" * bom + body, compress))
+                _same_profiles(profiles, expected)
+                # each user's songs in first-seen order, as the model met them
+                held = [(user, song.decode(), count)
+                        for user, profile in profiles.items() for song, count in profile.items()]
+                assert held == [(user, song, count) for user, songs in songs_by_user.items() for song, count in songs.items()]
         write_profiles(profiles_file, profiles)
         _same_profiles(read_profiles(profiles_file), expected)
 
@@ -448,12 +458,6 @@ def test_triplet_reader_matches_dict_sum(lines):
 nonempty_triplet_lines = st.lists(st.tuples(ids, ids, st.integers(1, 2**40), endings), min_size=1, max_size=30)
 # lone continuation bytes, overlong and out-of-range leads, and leads cut short by the next character
 undecodable = st.sampled_from([0x80, 0xBF, 0xC0, 0xC1, 0xC3, 0xE2, 0xED, 0xF0, 0xF4, 0xF5, 0xFF])
-
-
-def _triplet_file(tmp, body: bytes, compress: bool) -> Path:
-    path = Path(tmp) / "triplets.tsv"
-    path.write_bytes(gzip.compress(body, mtime=0) if compress else body)
-    return path
 
 
 @PROPERTY
@@ -508,14 +512,80 @@ def test_writer_lists_each_users_songs_in_sorted_item_order(songs_by_user):
     # the reference writer: one f-string per line, over the sorted (element, count) items
     expected = "".join(f"{user}\t{song.decode('utf-8')}\t{count}\n"
                        for user, profile in profiles.items() for song, count in sorted(profile.items()))
-    text = io.StringIO()
-    write_profiles(text, profiles)
-    assert text.getvalue() == expected
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "profiles.tsv"
         write_profiles(path, profiles)
         assert path.read_bytes() == expected.encode("utf-8")
         _same_profiles(read_profiles(path), profiles)
+
+
+# plain ids hold a CR, U+0085 or a BOM, which a profile file keeps (a BOM past line 1 only); each hostile
+# entry is a user id that is empty, holds a tab, an LF or a lone surrogate, or is no str, a song with a tab,
+# an LF or bytes that are not UTF-8, or a profile that holds no songs
+plain_users = st.text(st.sampled_from("u\r\x85\ufeff"), min_size=1, max_size=3)
+plain_profiles = st.dictionaries(st.text(st.sampled_from("sé\r"), min_size=1, max_size=3), st.integers(1, COUNT_MAX),
+                                 min_size=1, max_size=3).map(Multiset)
+hostile_entries = st.one_of(
+    st.tuples(st.sampled_from(["", "u\t", "u\n", "\ud800", 0, 5]), plain_profiles),
+    st.tuples(plain_users, st.sampled_from([b"s\t", b"\n", b"\xff", b"s\xc3"]).map(lambda song: Multiset({song: 1}))),
+    st.tuples(plain_users, st.just(Multiset())),
+)
+
+
+@st.composite
+def profile_maps(draw):
+    """A map of plain entries with, half the time, one hostile entry placed among them, first place included."""
+    entries = list(draw(st.dictionaries(plain_users, plain_profiles, max_size=4)).items())
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), draw(hostile_entries))
+    return dict(entries)
+
+
+def _reads_back(profiles) -> bool:
+    """Whether a profile file could hold these profiles as they are: judged id by id, then the first line's BOM."""
+    def fits(data: bytes) -> bool:
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+        return bool(data) and b"\t" not in data and b"\n" not in data
+
+    def user_fits(user) -> bool:
+        try:
+            return isinstance(user, str) and fits(user.encode("utf-8"))
+        except UnicodeEncodeError:
+            return False
+
+    first = next(iter(profiles), "")
+    return not (isinstance(first, str) and first.startswith("\ufeff")) and all(
+        user_fits(user) and profile.distinct_count() > 0 and all(map(fits, profile.elements()))
+        for user, profile in profiles.items())
+
+
+one_song = Multiset({"s": 1})
+
+
+@PROPERTY
+@given(profile_maps())
+@example({"": one_song})
+@example({"u\t": one_song})
+@example({"u\n": one_song})
+@example({"u\ud800": one_song})
+@example({"u": one_song, 5: one_song})
+@example({"\ufeffu": one_song, "v": one_song})
+@example({"u": one_song, "\ufeffv": one_song})  # only line 1 loses a BOM
+@example({"u": one_song, "v": Multiset()})
+@example({"u\r": Multiset({b"s\r": 2, "é": 1})})
+def test_writer_refuses_exactly_the_maps_the_reader_would_not_read_back(profiles):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "profiles.tsv"
+        if _reads_back(profiles):
+            write_profiles(path, profiles)
+            _same_profiles(read_profiles(path), profiles)
+        else:
+            with pytest.raises(ValueError, match="cannot be written"):
+                write_profiles(path, profiles)
+            assert not path.exists()
 
 
 json_values = st.recursive(
