@@ -295,8 +295,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, datasets.GenerationError) as exc:
         _log(f"sketchsim: error: {exc}")
         return EXIT_DATA
-    except MemoryError:
-        _log("sketchsim: error: out of memory")
+    except MemoryError as exc:  # numpy's message names the size it asked for
+        _log(f"sketchsim: error: out of memory{f': {exc}' if str(exc) else ''}")
         return EXIT_DATA
 
 

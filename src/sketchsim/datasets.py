@@ -267,9 +267,13 @@ def write_profiles(destination: str | Path, profiles: Mapping[str, Multiset]) ->
     A map `read_profiles` would not read back as written is a ValueError
     naming the user id, raised before the file is opened: a user id that
     is not a str or is empty, a tab or LF in any id, an id that is not
-    UTF-8, an empty profile, or a first user id that begins with U+FEFF.
+    UTF-8, a profile that is not a `Multiset` or is empty, or a first
+    user id that begins with U+FEFF.
     """
     for user, profile in profiles.items():
+        if not isinstance(profile, Multiset):
+            raise ValueError(f"user id {_brief(user)} cannot be written: its profile is a "
+                             f"{type(profile).__name__}, not a Multiset")
         _check_ids(user, profile._entries)
     first = next(iter(profiles), "")
     if first.startswith("\ufeff"):  # read_profiles drops one byte-order mark from line 1

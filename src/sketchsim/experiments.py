@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -170,42 +170,28 @@ class _Columns:
                     _count_rows(table[rows], positions.take(self._element[entries]), owners, self._count[entries])
                 yield table
 
-    def _stage_sums(self, table: np.ndarray) -> tuple:
-        """The metric's row sums of every scored pair, from one row of every profile, in pair order.
-
-        Dice's are uint64 arrays (a pair's joint mass is its two profiles' row
-        totals); cosine's are the `sums` of `metrics.METRICS`, as lists of ints.
-        """
-        left, right, step = self.left, self.right, max(1, _CHUNK_CELLS // table.shape[1])
-        if self.grid.metric == "dice":
-            shared = np.empty(len(left), dtype=np.uint64)
-            for i in range(0, len(left), step):
-                shared[i : i + step] = np.minimum(table[left[i : i + step]], table[right[i : i + step]]).sum(
-                    axis=1, dtype=np.uint64)
-            # a row total is below width * 2^32, so two of them add without wrapping for any width below 2^31
-            totals = table.sum(axis=1, dtype=np.uint64)
-            return shared, totals[left] + totals[right]
-        _, sums, _, _ = metrics.METRICS[self.grid.metric]
-        chunks = [sums(table[left[i : i + step]], table[right[i : i + step]]) for i in range(0, len(left), step)]
-        return tuple(list(chain.from_iterable(parts)) for parts in zip(*chunks))
-
     def _cells(self) -> Iterator[tuple[int, int, np.ndarray]]:
         """(dim, depth, the float64 estimate of each scored pair) of every lattice cell, in lattice order.
 
-        Each dim builds its rows once, up to the largest depth, and each cell
-        is scored by the metric's cell scorer, all pairs at once.
+        Each dim builds its rows once, up to the largest depth. Each stage a
+        cell reads is reduced to the metric's row sums of every pair, chunk by
+        chunk, and each cell is scored by the metric's cell scorer, all pairs
+        at once; both come from `metrics.METRICS`.
         """
-        _, _, _, score_cells = metrics.METRICS[self.grid.metric]
-        depths = dict.fromkeys(self.grid.depths)
+        _, sums, _, score_cells = metrics.METRICS[self.grid.metric]
+        left, right, depths = self.left, self.right, dict.fromkeys(self.grid.depths)
         for dim in dict.fromkeys(self.grid.dims):
-            stages, by_depth = [], {}
+            step, stages, by_depth = max(1, _CHUNK_CELLS // dim), [], {}
             for depth, table in enumerate(self._rows(dim), 1):
-                if self.grid.kind == "cms":
-                    stages.append(self._stage_sums(table))
-                elif depth in depths:
-                    stages = [self._stage_sums(table)]
+                if self.grid.kind == "cbf" and depth not in depths:
+                    continue  # a CBF cell reads only the stage of its own probe count
+                # one chunk at least, so a run with no scored pair still has each sum, empty
+                chunks = [sums(table[left[i : i + step]], table[right[i : i + step]])
+                          for i in range(0, len(left) or 1, step)]
+                stage = tuple(np.concatenate(parts, axis=-1) for parts in zip(*chunks))  # each sum, over every pair
+                stages = [*stages, stage] if self.grid.kind == "cms" else [stage]
                 if depth in depths:
-                    by_depth[depth] = list(stages)
+                    by_depth[depth] = stages
             del table  # this dim's buffer, not to be held while the next dim allocates its own
             for depth in depths:
                 yield dim, depth, score_cells(*zip(*by_depth[depth]))  # each sum, one entry per row

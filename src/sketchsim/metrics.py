@@ -2,7 +2,11 @@
 
 A score reads only the two sketches' tables: the metric of each pair of
 rows, averaged over the rows, so a CBF score is its one row's and a CMS
-score the mean of its per-row scores. `METRICS` is the one metric table.
+score the mean of its per-row scores. `METRICS` is the one metric table,
+and its row sums are the only code that reduces paired rows: Dice's are
+each row pair's sum(min) and sum(max) as uint64 arrays, from which both
+the scalar row mean and the grid engine's cell scorer form the joint
+mass sum(min) + sum(max) = sum(p) + sum(q).
 
 The Dice estimate is exact or an overestimate, never an underestimate:
 a collision only adds mass to a cell, and min(a+c, b+d) >= min(a,b) +
@@ -58,72 +62,70 @@ def _require_comparable(p, q, expected_type: type) -> None:
     check_witnesses(p.params, q.params)
 
 
-def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int]]:
-    """Per-row min-sums and joint masses (sum(min) + sum(max) = sum(p) + sum(q)) of two tables' rows, as exact ints."""
-    shared = np.minimum(a, b).sum(axis=1, dtype=np.uint64).tolist()
-    rest = np.maximum(a, b).sum(axis=1, dtype=np.uint64).tolist()
-    return shared, [low + high for low, high in zip(shared, rest)]
+def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row sum(min(p_i, q_i)) and sum(max(p_i, q_i)) of two tables' paired rows, as uint64 arrays."""
+    return np.minimum(a, b).sum(axis=1, dtype=np.uint64), np.maximum(a, b).sum(axis=1, dtype=np.uint64)
 
 
-def _dice_score(shared, mass) -> float:
-    """Mean over rows of 2 * sum_i min(p_i, q_i) / sum_i (p_i + q_i).
+def _dice_score(shared, rest) -> float:
+    """Mean over rows of 2 * sum_i min(p_i, q_i) / sum_i (p_i + q_i), from each row's min-sum and max-sum as ints.
 
-    A row pair with zero denominator (both rows empty) is an error, not
-    a skipped row: silently dropping rows would bias the average.
+    The denominator is the joint mass sum(min) + sum(max). A row pair
+    with zero mass (both rows empty) is an error, not a skipped row:
+    silently dropping rows would bias the average.
     """
     values = []
-    for row, (common, total) in enumerate(zip(shared, mass)):
-        if total == 0:
+    for row, (low, high) in enumerate(zip(shared, rest)):
+        if not high:
             raise UndefinedSimilarityError(f"Dice undefined: row {row} is all-zero in both sketches")
-        values.append(2 * common / total)
+        values.append(2 * low / (low + high))
     return values[0] if len(values) == 1 else max(math.fsum(values) / len(values), min(values))
 
 
-def _dice_cells(shared, mass) -> np.ndarray:
-    """`_dice_score` of many pairs at once, equal to it bit for bit: shared and mass are rows x pairs uint64 sums.
+def _dice_cells(shared, rest) -> np.ndarray:
+    """`_dice_score` of many pairs at once, equal to it bit for bit: each sum holds, per row, a uint64 array of pairs.
 
-    While every mass is in [1, 2^53), both operands are exact in float64,
-    so one division rounds as Python's int / int does; any other batch
-    goes to `_dice_score` pair by pair.
+    While every max-sum is in [1, 2^52), each joint mass is below 2^53,
+    so both operands of the division are exact in float64 and it rounds
+    as Python's int / int does; any other batch goes to `_dice_score`
+    pair by pair.
     """
-    shared, mass = np.asarray(shared, dtype=np.uint64), np.asarray(mass, dtype=np.uint64)
-    if not mass.all() or int(mass.max(initial=0)) >= 2**53:
-        return np.array([_dice_score(*pair) for pair in zip(shared.T.tolist(), mass.T.tolist())], dtype=np.float64)
-    values = 2.0 * shared / mass
+    shared, rest = np.asarray(shared, dtype=np.uint64), np.asarray(rest, dtype=np.uint64)  # rows x pairs
+    if not rest.all() or int(rest.max(initial=0)) >= 2**52:
+        return np.array([_dice_score(*pair) for pair in zip(shared.T.tolist(), rest.T.tolist())], dtype=np.float64)
+    values = 2.0 * shared / (shared + rest)
     if len(values) == 1:
         return values[0]
     means = np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
     return np.maximum(means, values.min(axis=0))
 
 
-def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """Per-row dot products and squared norms of two tables' rows, from one Gram: in int64 while exact, else Python ints."""
+def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray]:
+    """Each row pair's Gram: a 4 x rows array of sum(pp), sum(pq), sum(qp), sum(qq), int64 while exact, else ints."""
     rows = np.array((a, b), dtype=np.int64).swapaxes(0, 1)  # (rows, 2, width)
     if int(rows.max(initial=0)) ** 2 * a.shape[1] >= 2**63:
         rows = rows.astype(object)
-    norm_sq_p, dots, _, norm_sq_q = (rows @ rows.swapaxes(1, 2)).reshape(-1, 4).T.tolist()
-    return dots, norm_sq_p, norm_sq_q
+    return ((rows @ rows.swapaxes(1, 2)).reshape(-1, 4).T,)
 
 
-def _cosine_score(dots, norms_sq_p, norms_sq_q) -> float:
-    """Mean over rows of the cosine of each pair of rows."""
+def _cosine_score(gram) -> float:
+    """Mean over rows of the cosine of each pair of rows, from their Gram as `_cosine_sums` lays it out, in ints."""
     values = []
-    for dot, norm_sq_p, norm_sq_q in zip(dots, norms_sq_p, norms_sq_q):
+    for norm_sq_p, dot, _, norm_sq_q in zip(*gram):
         if norm_sq_p == 0 or norm_sq_q == 0:
             raise UndefinedSimilarityError("cosine of an all-zero counter vector is undefined")
         values.append(dot / _exact_sqrt(norm_sq_p * norm_sq_q))
     return math.fsum(values) / len(values)
 
 
-def _cosine_cells(dots, norms_sq_p, norms_sq_q) -> np.ndarray:
-    """`_cosine_score` of each of many pairs: every argument holds, per row, that sum of each pair."""
-    return np.array([_cosine_score(*pair) for pair in zip(*(zip(*rows) for rows in (dots, norms_sq_p, norms_sq_q)))],
-                    dtype=np.float64)
+def _cosine_cells(gram) -> np.ndarray:
+    """`_cosine_score` of each of many pairs: the Gram holds, per row, a 4 x pairs array."""
+    return np.array([_cosine_score(pair) for pair in np.asarray(gram).T.tolist()], dtype=np.float64)
 
 
-# The one metric table: metric -> (exact oracle, row sums of paired table rows, row mean over those
-# sums, cell scorer: the row mean of many pairs at once); the named scorers, the grid engine and the
-# CLI all read it.
+# The one metric table: metric -> (exact oracle, row sums of paired table rows as a tuple of arrays
+# with the row axis last, row mean over those sums as ints, cell scorer: the row mean of many pairs
+# at once); the named scorers, the grid engine and the CLI all read it.
 METRICS = {"dice": (dice, _dice_sums, _dice_score, _dice_cells),
            "cosine": (cosine, _cosine_sums, _cosine_score, _cosine_cells)}
 
@@ -132,7 +134,7 @@ def score(metric: str, p: CounterTable, q: CounterTable, sketch_type: type = Cou
     """The sketch estimate of `metric` for two comparable counter tables of `sketch_type`."""
     _require_comparable(p, q, sketch_type)
     _, sums, row_mean, _ = METRICS[metric]
-    return row_mean(*sums(p.table, q.table))
+    return row_mean(*[rows.tolist() for rows in sums(p.table, q.table)])  # ints: squared norms multiply past int64
 
 
 def cbf_dice(p: CountingBloomFilter, q: CountingBloomFilter) -> float:

@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -25,9 +26,10 @@ from sketchsim import (
     write_corpus,
     write_profiles,
 )
-from sketchsim.cli import main
+from sketchsim.cli import build_parser, main
 
 FIXTURE = Path(__file__).parent / "data" / "fixture_triplets.tsv"
+README = Path(__file__).parent.parent / "README.md"
 GRID_CSVS = Path(__file__).parent / "data" / "grid"  # recorded by earlier engines, so a faster one must match them
 
 
@@ -552,15 +554,19 @@ class TestGridAndThreshold:
         assert err.rstrip("\n").endswith(expected)
 
     def test_out_of_memory_is_data_error(self, tmp_path, capsys, corpus, monkeypatch):
-        def run_grid(*args):
-            raise MemoryError
-        monkeypatch.setattr(experiments, "run_grid", run_grid)
-        out = tmp_path / "grid.csv"
-        code, _, err = run(capsys, "grid", "--corpus", str(corpus), "--out", str(out))
-        assert code == 1
-        assert err.splitlines()[-1] == "sketchsim: error: out of memory"
-        assert err.count("sketchsim:") == 1 and "Traceback" not in err
-        assert not out.exists()
+        # numpy's wording for `grid --dims 2000000000`, raised here without allocating
+        size = "Unable to allocate 7.29 TiB for an array with shape (1002, 2000000000) and data type uint32"
+        for error, line in [(MemoryError, "sketchsim: error: out of memory"),
+                            (MemoryError(size), f"sketchsim: error: out of memory: {size}")]:
+            def run_grid(*args):
+                raise error
+            monkeypatch.setattr(experiments, "run_grid", run_grid)
+            out = tmp_path / "grid.csv"
+            code, _, err = run(capsys, "grid", "--corpus", str(corpus), "--out", str(out))
+            assert code == 1
+            assert err.splitlines()[-1] == line
+            assert err.count("sketchsim:") == 1 and "Traceback" not in err
+            assert not out.exists()
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "grid", "--corpus", str(tmp_path / "nope.json"),
@@ -569,6 +575,15 @@ class TestGridAndThreshold:
 
 
 class TestUsage:
+    def test_readme_cli_examples_parse(self):
+        # every `sketchsim ...` line of the README's CLI block, continuations joined and comments dropped
+        block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+        commands = [argv[1:] for argv in commands if argv[:1] == ["sketchsim"]]
+        assert len(commands) == 8
+        for argv in commands:
+            assert build_parser().parse_args(argv).command == argv[0]
+
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 64
 

@@ -26,6 +26,7 @@ from sketchsim import (
     write_threshold_csv,
 )
 from sketchsim.experiments import _Columns
+from sketchsim.metrics import METRICS
 from sketchsim.sketches import SKETCH_KINDS
 
 
@@ -205,8 +206,10 @@ class TestRunGrid:
 
     def test_all_failing_cell_is_none(self):
         corpus = [("bad", Multiset(), Multiset())]
-        cells = run_grid(corpus, GridSpec("cbf", dims=[16, 32], depths=[1, 2]))
-        assert cells == {(16, 1): None, (16, 2): None, (32, 1): None, (32, 2): None}
+        for kind in ("cbf", "cms"):
+            for metric in METRICS:
+                cells = run_grid(corpus, GridSpec(kind, dims=[16, 32], depths=[1, 2], metric=metric))
+                assert cells == {(16, 1): None, (16, 2): None, (32, 1): None, (32, 2): None}
 
     def test_failures_reported_once(self):
         ok = Multiset({"a": 1})

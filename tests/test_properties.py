@@ -6,8 +6,8 @@ equal a Python reference that adds one probe at a time (saturation
 included), envelopes round-trip in cells and in the cell-derived
 saturation flag, decode fails only with typed errors, sketch Dice never
 undershoots the exact Dice, a sketch score is undefined exactly when the
-exact score is, the Dice cell scorer
-and every grid cell equal the scalar row mean bit for bit, sketches of
+exact score is, the Dice cell scorer (on both sides of its float64
+guard) and every grid cell equal the scalar row mean bit for bit, sketches of
 the shared part and the two remainders satisfy min(p, q) = s + min(a, b)
 cell for cell, the
 bulk hash path gives the scalar digests for many start states and row
@@ -23,7 +23,8 @@ being read, plain or gzip, with or without a BOM, CRLF or blank lines;
 the profile writer lists each user's songs in sorted item order. A header decodes to
 exactly the shapes `SketchParams` accepts, with the counter code of its kind.
 Any small JSON value as a corpus manifest makes `sketchsim grid` exit 1
-with one error line, or 0 for a valid manifest, never a traceback.
+with one error line, or 0 for a valid manifest, never a traceback, and
+any argv drawn from a grammar of the real CLI flags exits 0, 1, 2 or 64.
 Examples are derandomised, so every run checks the same inputs.
 """
 
@@ -184,14 +185,16 @@ table_pairs = st.tuples(st.integers(1, 4), widths).flatmap(
 def test_row_sums_match_python_sums(tables):
     p, q = tables
     a, b = (np.array(t, dtype=np.uint32) for t in tables)
-    shared, mass = _dice_sums(a, b)
-    assert shared == [sum(map(min, x, y)) for x, y in zip(p, q)]
-    assert mass == [sum(x) + sum(y) for x, y in zip(p, q)]
-    dots, norms_sq_p, norms_sq_q = _cosine_sums(a, b)
-    assert dots == [sum(map(int.__mul__, x, y)) for x, y in zip(p, q)]
+    shared, rest = _dice_sums(a, b)
+    assert shared.dtype == rest.dtype == np.uint64
+    assert shared.tolist() == [sum(map(min, x, y)) for x, y in zip(p, q)]
+    assert rest.tolist() == [sum(map(max, x, y)) for x, y in zip(p, q)]
+    (gram,) = _cosine_sums(a, b)
+    norms_sq_p, dots, dots_qp, norms_sq_q = gram.tolist()
+    assert dots == dots_qp == [sum(map(int.__mul__, x, y)) for x, y in zip(p, q)]
     assert norms_sq_p == [sum(v * v for v in x) for x in p]
     assert norms_sq_q == [sum(v * v for v in y) for y in q]
-    assert all(type(v) is int for v in shared + mass + dots + norms_sq_p + norms_sq_q)
+    assert all(type(v) is int for v in dots + norms_sq_p + norms_sq_q)
 
 
 # plausible headers: small fields, any kind and counter code, payloads of any length
@@ -291,7 +294,7 @@ def _row_mean(metric, a, b):
     """The scalar reference: the row mean of `metrics.METRICS` for two tables, or the message it raises."""
     _, sums, row_mean, _ = METRICS[metric]
     try:
-        return row_mean(*sums(a, b))
+        return row_mean(*[rows.tolist() for rows in sums(a, b)])
     except UndefinedSimilarityError as exc:
         return str(exc)
 
@@ -299,9 +302,9 @@ def _row_mean(metric, a, b):
 def _dice_cells_or_error(pairs):
     """The Dice cell scorer over (a, b) table pairs, or the message it raises."""
     per_pair = [_dice_sums(a, b) for a, b in pairs]
-    shared, mass = (np.array([sums[i] for sums in per_pair], dtype=np.uint64).T for i in (0, 1))  # rows x pairs
+    shared, rest = (np.array([sums[i] for sums in per_pair]).T for i in (0, 1))  # rows x pairs
     try:
-        return _dice_cells(shared, mass).tolist()
+        return _dice_cells(shared, rest).tolist()
     except UndefinedSimilarityError as exc:
         return str(exc)
 
@@ -337,16 +340,24 @@ def test_dice_cell_scorer_is_the_row_mean_of_each_pair(batch):
     assert _dice_cells_or_error(batch) == (errors[0] if errors else expected)
 
 
+GUARD_WIDTH = 2**20 + 64
+BELOW_GUARD = (2**52 - 1) // GUARD_WIDTH  # the largest cell value whose row of GUARD_WIDTH cells sums below 2^52
+
+
 @settings(deadline=None, max_examples=12, derandomize=True)
 @given(st.integers(1, 2), st.integers(1, 3), st.lists(st.integers(0, 1000), min_size=2, max_size=2),
-       st.lists(st.tuples(st.integers(0, 1), st.integers(0, 2**20 + 63), cells), max_size=8))
+       st.lists(st.tuples(st.integers(0, 1), st.integers(0, GUARD_WIDTH - 1), cells), max_size=8))
+# a max-sum just past 2^52 with a joint mass below 2^53 (the exact fallback), and one just below 2^52 (float64)
+@example(1, 1, [COUNTER_MAX - BELOW_GUARD - 1, COUNTER_MAX - BELOW_GUARD + 1], [])
+@example(1, 1, [COUNTER_MAX - BELOW_GUARD, COUNTER_MAX - BELOW_GUARD + 1], [])
 def test_dice_cell_scorer_past_the_float64_guard(rows, pair_count, deficits, overrides):
-    # two rows of 2^20 + 64 cells near COUNTER_MAX hold a joint mass past 2^53, so exact ints decide
-    a, b = (np.full((rows, 2**20 + 64), COUNTER_MAX - deficit, dtype=np.uint32) for deficit in deficits)
+    # rows of 2^20 + 64 cells near COUNTER_MAX hold a max-sum near or past 2^52, where the float64 division stops
+    a, b = (np.full((rows, GUARD_WIDTH), COUNTER_MAX - deficit, dtype=np.uint32) for deficit in deficits)
     for side, cell, value in overrides:
         (a, b)[side][:, cell] = value
     batch = [(a, b), (b, a), (a, a)][:pair_count]
-    assert all(mass >= 2**53 for pair in batch for mass in _dice_sums(*pair)[1])
+    if deficits[0] <= 1000:  # drawn, not an example: every row pair is past the guard
+        assert all(high >= 2**52 for pair in batch for high in _dice_sums(*pair)[1].tolist())
     assert _dice_cells_or_error(batch) == [_row_mean("dice", *pair) for pair in batch]
 
 
@@ -521,7 +532,7 @@ def test_writer_lists_each_users_songs_in_sorted_item_order(songs_by_user):
 
 # plain ids hold a CR, U+0085 or a BOM, which a profile file keeps (a BOM past line 1 only); each hostile
 # entry is a user id that is empty, holds a tab, an LF or a lone surrogate, or is no str, a song with a tab,
-# an LF or bytes that are not UTF-8, or a profile that holds no songs
+# an LF or bytes that are not UTF-8, a profile that holds no songs, or a profile that is a plain dict
 plain_users = st.text(st.sampled_from("u\r\x85\ufeff"), min_size=1, max_size=3)
 plain_profiles = st.dictionaries(st.text(st.sampled_from("sé\r"), min_size=1, max_size=3), st.integers(1, COUNT_MAX),
                                  min_size=1, max_size=3).map(Multiset)
@@ -529,6 +540,7 @@ hostile_entries = st.one_of(
     st.tuples(st.sampled_from(["", "u\t", "u\n", "\ud800", 0, 5]), plain_profiles),
     st.tuples(plain_users, st.sampled_from([b"s\t", b"\n", b"\xff", b"s\xc3"]).map(lambda song: Multiset({song: 1}))),
     st.tuples(plain_users, st.just(Multiset())),
+    st.tuples(plain_users, st.just({"s": 1})),
 )
 
 
@@ -558,7 +570,8 @@ def _reads_back(profiles) -> bool:
 
     first = next(iter(profiles), "")
     return not (isinstance(first, str) and first.startswith("\ufeff")) and all(
-        user_fits(user) and profile.distinct_count() > 0 and all(map(fits, profile.elements()))
+        user_fits(user) and isinstance(profile, Multiset) and profile.distinct_count() > 0
+        and all(map(fits, profile.elements()))
         for user, profile in profiles.items())
 
 
@@ -575,6 +588,7 @@ one_song = Multiset({"s": 1})
 @example({"\ufeffu": one_song, "v": one_song})
 @example({"u": one_song, "\ufeffv": one_song})  # only line 1 loses a BOM
 @example({"u": one_song, "v": Multiset()})
+@example({"u": {"s": 1}})
 @example({"u\r": Multiset({b"s\r": 2, "é": 1})})
 def test_writer_refuses_exactly_the_maps_the_reader_would_not_read_back(profiles):
     with tempfile.TemporaryDirectory() as tmp:
@@ -637,3 +651,77 @@ def test_hostile_manifest_fields_are_one_data_error_or_a_grid(manifest):
     else:
         assert code == 0 and err.startswith("grid: cbf 5x5 cells over"), err
     assert "Traceback" not in err
+
+
+# a grammar of the real CLI flags: every value is valid and small, junk, 0, negative, or past 2^32 - 1;
+# a size past 2^32 - 1 is drawn only for the shape flags and grid's --dims and --depths, which refuse it
+# before any profile or corpus is read or any table is built
+BAD = ["", "x", "1.5", "0", "-1", "-4294967296"]
+size_args = st.sampled_from(["1", "2", "16", "1024", *BAD, "4294967296", "18446744073709551616"])
+seed_args = st.sampled_from(["0", "7", "4294967296", "18446744073709551615", "18446744073709551616", "-1", "x", ""])
+size_list_args = st.lists(size_args, min_size=1, max_size=3).map(",".join) | st.sampled_from([",", "1,,2", "1;2"])
+metric_args = st.sampled_from(["dice", "cosine", "jaccard", ""])
+kind_args = st.sampled_from(["cbf", "cms", "bf", "x"])
+user_args = st.sampled_from(["u1", "u2", "nobody", ""])
+# {root} is the fixture directory: inputs of every kind, one missing; outputs in a directory that is or is not there
+input_args = st.sampled_from(["{root}/corpus/manifest.json", "{root}/profiles.tsv", "{root}/one.tsv",
+                              "{root}/cbf.env", "{root}/cms.env", "{root}/nope", "{root}"])
+output_args = st.sampled_from(["{root}/out/result", "{root}/nope/result", "{root}/out"])
+envelope_args = st.sampled_from(["{root}/cbf.env", "{root}/cms.env"]) | input_args  # two envelopes, half the time
+SHAPE = {"--kind": kind_args, "--length": size_args, "--width": size_args, "--hashes": size_args,
+         "--depth": size_args, "--seed": seed_args}
+COMMANDS = {  # command -> (its positional and required arguments, its optional flags; None for a switch)
+    "gen": ([st.just("--out"), st.sampled_from(["{root}/gen", "{root}/nope/gen", "{root}/one.tsv"]),
+             st.just("--pairs"), st.sampled_from(["1", "3", "20", *BAD])],  # never the default 1,001 pairs
+            {"--unique": st.sampled_from(["1", "5", "67", *BAD]), "--strlen": st.sampled_from(["1", "8", *BAD]),
+             "--seed": seed_args}),
+    "ingest": ([input_args, st.just("--out"), output_args],
+               {"--min-distinct": st.sampled_from(["0", "1", "2", "50", "4294967296", "-1", "x"])}),
+    "sketch": ([input_args, st.just("--out"), output_args], {"--user": user_args, **SHAPE}),
+    "compare": ([envelope_args, envelope_args],
+                {"--user-a": user_args, "--user-b": user_args, "--metric": metric_args, "--truth": st.none(), **SHAPE}),
+    "grid": ([st.just("--corpus"), input_args, st.just("--out"), output_args],
+             {"--kind": kind_args, "--dims": size_list_args, "--depths": size_list_args, "--metric": metric_args,
+              "--seed": seed_args}),
+    "threshold": ([st.just("--corpus"), input_args, st.just("--out"), output_args],
+                  {"--threshold": st.sampled_from(["0.1", "0.6", "0", "-0.5", "1", "1.5", "nan", "x"]),
+                   "--metric": metric_args, **SHAPE}),
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A subcommand, its arguments, and any of its flags, each once, in drawn order."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(sorted(optional)), unique=True, max_size=4))
+    argv = [command, *(draw(argument) for argument in required)]
+    for flag in flags:
+        value = draw(optional[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """A three-pair corpus, a two-user and a one-user profile file, a CBF and a CMS envelope, an output directory."""
+    root = tmp_path_factory.mktemp("cli")
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["gen", "--out", str(root / "corpus"), "--pairs", "3", "--unique", "5", "--strlen", "6"]) == 0
+    write_profiles(root / "profiles.tsv", {"u1": Multiset({"s": 1, "t": 2}), "u2": Multiset({"s": 2, "u": 1})})
+    write_profiles(root / "one.tsv", {"u1": Multiset({"s": 1, "t": 2})})
+    (root / "cbf.env").write_bytes(encode(CountingBloomFilter.from_multiset(Multiset({"s": 1}), 16, 1, 0)))
+    (root / "cms.env").write_bytes(encode(CountMinSketch.from_multiset(Multiset({"s": 1}), 16, 2, 0)))
+    (root / "out").mkdir()
+    return root
+
+
+@settings(PROPERTY, max_examples=300)
+@given(argv=cli_argvs())
+def test_any_flags_exit_with_a_documented_code(cli_files, argv):
+    # no draw builds a large table: valid size_args are at most 1,024, and larger ones are refused first
+    argv = [argument.replace("{root}", str(cli_files)) for argument in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(argv)
+    assert code in (0, 1, 2, 64), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
