@@ -5,7 +5,7 @@ Run with: python demos/01_sketch_basics.py
 
 import numpy as np
 
-from sketchsim import CountMinSketch, CountingBloomFilter, Multiset, cms_to_cbf
+from sketchsim import CountMinSketch, CountingBloomFilter, Multiset
 
 # A listening history is a multiset: the same song can be played many times.
 history = Multiset()
@@ -32,10 +32,12 @@ print("\nCMS table:")
 print(cms.table)
 print("estimate(blue-train) =", cms.estimate_count("blue-train"))
 
-# Summing the CMS rows column-wise yields a CBF, and a one-row CMS *is*
-# the one-hash CBF for the same seed, cell for cell:
+# A one-row CMS *is* the one-hash CBF for the same seed, cell for cell.
+# Deeper sketches are not CBFs: summing the 4 rows column-wise keeps 4x
+# the mass, but no 4-hash CBF places its cells that way, so a CMS is
+# only ever compared with a CMS of its own shape.
 one_row = CountMinSketch.from_multiset(history, width=32, depth=1, seed=1)
 one_hash = CountingBloomFilter.from_multiset(history, length=32, hash_count=1, seed=1)
 print("\none-row CMS == one-hash CBF:", np.array_equal(one_row.table[0], one_hash.counters))
 print("projection of the 4-row CMS keeps 4x the mass:",
-      int(cms_to_cbf(cms).counters.sum()), "==", 4 * history.cardinality())
+      int(cms.table.sum()), "==", 4 * history.cardinality())

@@ -26,7 +26,6 @@ from .sketches import (
     CountMinSketch,
     CountingBloomFilter,
     SketchParams,
-    cms_to_cbf,
 )
 from .metrics import (
     IncompatibleSketchError,

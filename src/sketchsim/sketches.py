@@ -5,12 +5,13 @@ width `table` of cells. `SketchParams` is the only check of the shape
 rules and `SKETCH_KINDS` the only kind -> class table; two sketches are
 comparable iff their shapes are equal.
 
-There is one placement path. Every cell comes from `Sketch._positions`
-(`hashing._probe_positions` over one `digest_rows` call), every counter
-add goes through `_count_rows`, and `_clip_saturating` is the only
-clamp. `from_multiset` and `insert` are both `_add`: an insert is the
-bulk build of a one-element multiset. So a one-row Count-Min sketch is
-cell for cell the one-hash CBF of the same seed.
+There is one placement path. Every build's counts come from
+`_multiset_arrays`, every cell from `Sketch._positions`
+(`_probe_positions` over one `digest_rows` call), and every add goes
+through `_count_rows`, which holds the one clamp. `from_multiset` and
+`insert` are both `_add`: an insert is the bulk build of a one-element
+multiset. So a one-row Count-Min sketch is cell for cell the one-hash CBF
+of the same seed; no sketch is converted to another kind.
 
 Counters saturate at COUNTER_MAX instead of raising, and a sketch is
 `saturated` when a cell sits there, which both ends of an envelope can
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hashing import _check_seed, _probe_positions, _row_seed, digest_rows
-from .multiset import Multiset, _check_times, as_element
+from .multiset import Multiset, as_element
 
 COUNTER_MAX = 2**32 - 1
 _FIELD_MAX = 2**32 - 1  # width, depth and hash_count travel as uint32 header fields
@@ -78,11 +79,6 @@ def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
     return list(entries), np.minimum(counts, COUNTER_MAX + 1, out=counts).view(np.int64)  # every clipped count fits
 
 
-def _clip_saturating(accumulated: np.ndarray) -> np.ndarray:
-    """Exact int64 counter sums as uint32 cells, each past COUNTER_MAX stuck at it."""
-    return np.minimum(accumulated, COUNTER_MAX).astype(np.uint32)
-
-
 def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, counts: np.ndarray) -> None:
     """The one accumulator: add counts into a C-contiguous rows x width uint32 table in place, saturating.
 
@@ -96,7 +92,7 @@ def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, co
         return
     accumulated = table.astype(np.int64)
     np.add.at(accumulated.reshape(-1), cells, values)
-    table[...] = _clip_saturating(accumulated)
+    table[...] = np.minimum(accumulated, COUNTER_MAX)  # exact sums; each past COUNTER_MAX is stuck at it
 
 
 class Sketch:
@@ -128,7 +124,7 @@ class Sketch:
 
     def insert(self, element: bytes | str, times: int = 1) -> None:
         """Add `times` instances of one element: the bulk build of a one-element multiset, into this table."""
-        self._add([as_element(element)], np.array([min(_check_times(times), COUNTER_MAX + 1)], dtype=np.int64))
+        self._add(*_multiset_arrays(Multiset([(element, times)])))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -220,16 +216,3 @@ def _from_state(params: SketchParams, table: np.ndarray) -> Sketch:
     sketch = object.__new__(SKETCH_KINDS[params.kind])
     vars(sketch).update(params=params, table=table)
     return sketch
-
-
-def cms_to_cbf(sketch: CountMinSketch) -> CountingBloomFilter:
-    """Column-wise row sum of a Count-Min sketch, as a CBF.
-
-    For depth 1 this is exactly the one-hash CBF of the same seed. For
-    deeper sketches it is a lossy projection: the counter vector is the
-    column sums, but no k-function double-hashing family ever produced
-    it, so point queries against it answer for the projection, not for
-    a natively built CBF.
-    """
-    table = _clip_saturating(sketch.table.sum(axis=0, dtype=np.int64, keepdims=True))
-    return _from_state(SketchParams("cbf", sketch.width, 1, sketch.depth, sketch.seed), table)

@@ -16,6 +16,15 @@ from sketchsim import (
 from sketchsim.hashing import _probe_positions, digest_rows
 from sketchsim.multiset import as_element
 
+
+def pytest_collection_modifyitems(items):
+    """Every warning in a test under this directory is an error, so a numpy overflow or a deprecation fails it."""
+    here = Path(__file__).parent
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error"))
+
+
 # One pinned seed per corpus so every run of the suite sees identical data.
 SD_SEED = 7
 REAL_LIKE_SEED = 11

@@ -5,6 +5,7 @@ and sketch seeds are fixed in conftest so results are reproducible."""
 import csv
 import os
 import random
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -271,3 +272,47 @@ def test_c10_collision_free_exactness():
         assert abs(cbf_dice(p, q) - dice(x, y)) <= 1e-12
         checked += 1
     _report("C10 collision-free exactness", f"collision-free seed {seed}, 100 pairs, <= 1e-12")
+
+
+# All 1,225 pairs of the bundled fixture's 50 users, as measured (seed 0): the median user holds 50
+# distinct songs and the median pair 94 in its union, and no true Dice exceeds 0.184. Each RMSE band
+# is the measured value widened by FIXTURE_MARGIN at both ends; the fixture and seed are fixed.
+FIXTURE_RMSE = {1: {128: 0.195, 256: 0.111, 512: 0.059, 1024: 0.036},
+                2: {128: 0.303, 256: 0.185, 512: 0.105, 1024: 0.058}}
+FIXTURE_MARGIN = 0.05
+# threshold -> true positives, and false positives at n = 128 and 1024 (k = 1)
+FIXTURE_CONFUSION = {0.05: (648, {128: 571, 1024: 271}),
+                     0.10: (128, {128: 1068, 1024: 303}),
+                     0.15: (5, {128: 1067, 1024: 77})}
+
+
+def test_c11_fixture_user_pairs():
+    """On real user pairs the k=1 CBF's RMSE at n = 128 exceeds every true Dice; it falls as n grows, FN = 0."""
+    profiles = read_profiles(FIXTURE)
+    corpus = [(f"{a}|{b}", profiles[a], profiles[b]) for a, b in combinations(sorted(profiles), 2)]
+    assert len(corpus) == 1225
+    lengths = sorted(FIXTURE_RMSE[1])
+    failures = []
+    cells = run_grid(corpus, GridSpec("cbf", dims=lengths, depths=[1, 2], seed=SKETCH_SEED), failures)
+    assert not failures
+    for k, bands in FIXTURE_RMSE.items():
+        series = [cells[(n, k)] for n in lengths]
+        assert series == sorted(series, reverse=True) and len(set(series)) == len(series), (k, series)
+        for n, measured in bands.items():
+            assert measured * (1 - FIXTURE_MARGIN) <= cells[(n, k)] <= measured * (1 + FIXTURE_MARGIN), (n, k)
+    assert all(cells[(n, 2)] > cells[(n, 1)] for n in lengths)
+
+    for n in (128, 1024):
+        run = run_pairwise(corpus, SketchParams("cbf", n, seed=SKETCH_SEED), "dice")
+        assert not run.failures and len(run.results) == len(corpus)
+        assert min(r.error for r in run.results) >= 0
+        largest_truth = max(r.truth for r in run.results)
+        assert 0.18 <= largest_truth < cells[(128, 1)]  # at n = 128 the error outgrows every similarity
+        for threshold, (true_positives, false_positives) in FIXTURE_CONFUSION.items():
+            report = threshold_report(run.results, threshold)
+            assert report.false_negatives == 0
+            assert report.true_positives == true_positives, (n, threshold)
+            measured = false_positives[n]
+            assert measured * (1 - FIXTURE_MARGIN) <= report.false_positives <= measured * (1 + FIXTURE_MARGIN)
+    _report("C11 fixture user pairs", "k=1 RMSE at n = 128, 256, 512, 1024: "
+            + ", ".join(f"{cells[(n, 1)]:.3f}" for n in lengths) + f"; largest truth {largest_truth:.3f}, fn=0")

@@ -481,8 +481,14 @@ class TestGridAndThreshold:
           "multisets": {"u1": {"cardinality": 1}}}, "entry 'u1' needs a int field 'distinct'"),
         ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": "u1", "b": "u1"}],
           "multisets": {"u9": {"distinct": 1, "cardinality": 1}}}, "entry 'u9' names no profile"),
+        ({"schema": "sketchsim-corpus-v2", "profiles_file": "profiles.tsv",
+          "pairs": [{"pair_id": "p", "a": "u1", "b": "u1"}]},
+         "unsupported corpus manifest schema: 'sketchs...orpus-v2'"),
+        ({"profiles_file": "profiles.tsv", "pairs": [{"pair_id": "p", "a": "u1", "b": "u9"}]},
+         "manifest pair 0 references unknown profile 'u9'"),
     ], ids=["not-an-object", "no-profiles-file", "no-pairs", "no-pair-id", "profiles-file-int", "a-list",
-            "empty-pairs", "multisets-list", "multisets-no-distinct", "multisets-unknown-profile"])
+            "empty-pairs", "multisets-list", "multisets-no-distinct", "multisets-unknown-profile", "schema-v2",
+            "pair-unknown-profile"])
     def test_malformed_manifest_is_data_error(self, tmp_path, capsys, manifest, field):
         write_profiles(tmp_path / "profiles.tsv", {"u1": Multiset({"s": 1})})
         if isinstance(manifest, dict):

@@ -114,9 +114,15 @@ class TestIngest:
             assert info.value.line_number == 2
             assert repr(count_text) in str(info.value)
 
-    def test_wrong_field_count(self, text_file):
-        with pytest.raises(TripletParseError):
-            read_profiles(text_file("u1\ts9\n"))
+    @pytest.mark.parametrize("line, reason", [
+        ("u1\ts9\n", "expected 3 tab-separated fields, got 2"),
+        ("\ts1\t1\n", "empty user or song id"),
+        ("u1\t\t1\n", "empty user or song id"),
+    ], ids=["two fields", "empty user", "empty song"])
+    def test_malformed_line_is_parse_error(self, text_file, line, reason):
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(text_file(line))
+        assert str(info.value) == f"line 1: {reason}"
 
     def test_three_users_two_songs(self, text_file):
         lines = [f"u{u}\ts{s}\t{u + s}\n" for u in range(1, 4) for s in range(1, 3)]

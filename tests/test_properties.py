@@ -607,20 +607,35 @@ json_values = st.recursive(
     lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
     max_leaves=10,
 )
-# manifests past the schema check, so the fields behind it meet hostile values too
-profile_names = st.sampled_from(["u1", "u2", "nobody"]) | json_values
-pair_entries = st.fixed_dictionaries({}, optional={"pair_id": st.sampled_from(["x", "y"]) | json_values,
-                                                   "a": profile_names, "b": profile_names})
-near_manifests = st.fixed_dictionaries({"schema": st.just(MANIFEST_SCHEMA)}, optional={
-    "profiles_file": st.sampled_from(["profiles.tsv", "nope.tsv", "", ".", "a\x00b", MANIFEST_NAME]) | json_values,
-    "pairs": st.lists(pair_entries, max_size=3) | json_values,
-    # u1 holds 1 distinct song and 1 play, u2 2 and 3, so small counts hit both a match and a mismatch
-    "multisets": st.dictionaries(
-        st.sampled_from(["u1", "u2", "nobody"]) | st.text(max_size=6),
-        st.fixed_dictionaries({}, optional={"distinct": st.integers(0, 3) | json_values,
-                                            "cardinality": st.integers(0, 4) | json_values}) | json_values,
-        max_size=3,
-    ) | json_values,
+
+
+def mostly(usable, hostile):
+    """`usable` in about three draws of four, `hostile` in the others."""
+    return st.sampled_from([usable, usable, usable, hostile]).flatmap(lambda strategy: strategy)
+
+
+# manifests past the schema check. Each field is usable in most draws and hostile in the rest, so draws
+# reach the pairs' profile lookups, the `multisets` comparison and a grid; a missing key is test_cli's case
+profile_names = mostly(st.sampled_from(["u1", "u2"]), st.just("nobody"))
+pair_entries = st.fixed_dictionaries({"pair_id": st.sampled_from(["x", "y"]), "a": profile_names,
+                                     "b": profile_names})
+hostile_pair_entries = st.fixed_dictionaries({}, optional={"pair_id": st.sampled_from(["x", "y"]) | json_values,
+                                                           "a": profile_names | json_values,
+                                                           "b": profile_names | json_values})
+# u1 holds 1 distinct song and 1 play, u2 2 and 3, so small counts hit both a match and a mismatch
+multiset_records = mostly(
+    st.fixed_dictionaries({"distinct": st.integers(0, 3), "cardinality": st.integers(0, 4)}),
+    st.fixed_dictionaries({}, optional={"distinct": st.integers(0, 3) | json_values,
+                                        "cardinality": st.integers(0, 4) | json_values}) | json_values)
+near_manifests = st.fixed_dictionaries({
+    "schema": st.just(MANIFEST_SCHEMA),
+    "profiles_file": mostly(st.just("profiles.tsv"),
+                            st.sampled_from(["nope.tsv", "", ".", "a\x00b", MANIFEST_NAME]) | json_values),
+    "pairs": mostly(st.lists(pair_entries, min_size=1, max_size=3),
+                    st.lists(hostile_pair_entries, min_size=1, max_size=3) | json_values),
+}, optional={
+    "multisets": mostly(st.dictionaries(mostly(st.sampled_from(["u1", "u2"]), st.text(max_size=6)),
+                                        multiset_records, max_size=2), json_values),
 })
 
 
@@ -642,8 +657,18 @@ def test_any_json_value_as_manifest_is_one_data_error(manifest):
     assert "Traceback" not in err
 
 
+def _manifest(pairs, **fields):
+    """A manifest of these (pair_id, a, b) pairs over profiles.tsv, plus any other fields."""
+    return {"schema": MANIFEST_SCHEMA, "profiles_file": "profiles.tsv",
+            "pairs": [{"pair_id": pair_id, "a": a, "b": b} for pair_id, a, b in pairs], **fields}
+
+
 @PROPERTY
 @given(near_manifests)
+@example(_manifest([("x", "u1", "u2")]))  # exits 0
+@example(_manifest([("x", "u1", "u9")]))  # a pair names an absent profile
+@example(_manifest([("x", "u1", "u2"), ("x", "u2", "u1")]))  # a repeated pair_id
+@example(_manifest([("x", "u1", "u2")], multisets={"u1": {"distinct": 1, "cardinality": 2}}))  # u1 holds 1 play
 def test_hostile_manifest_fields_are_one_data_error_or_a_grid(manifest):
     code, err = _grid_on(manifest)
     if code == 1:

@@ -13,7 +13,6 @@ from sketchsim import (
     GridSpec,
     Multiset,
     SketchParams,
-    cms_to_cbf,
     encode,
 )
 from sketchsim.experiments import _Columns
@@ -82,6 +81,9 @@ class TestCountingBloomFilter:
         cbf = CountingBloomFilter(16)
         with pytest.raises(ValueError):
             cbf.insert("a", 0)
+        with pytest.raises(OverflowError):  # an insert takes the counts a Multiset takes
+            cbf.insert("a", 2**64)
+        assert not cbf.counters.any()
 
     def test_estimate_zero_for_fresh(self):
         assert CountingBloomFilter(64, hash_count=2).estimate_count("never") == 0
@@ -179,39 +181,6 @@ class TestCountMinSketch:
         for element, count in m.items():
             manual.insert(element, count)
         assert bulk == manual
-
-
-class TestProjection:
-    def test_depth_one_projection_is_identity(self):
-        m = Multiset({f"s{i}": i + 1 for i in range(20)})
-        cms = CountMinSketch.from_multiset(m, 64, 1, seed=5)
-        projected = cms_to_cbf(cms)
-        assert np.array_equal(projected.counters, cms.table[0])
-        native = CountingBloomFilter.from_multiset(m, 64, hash_count=1, seed=5)
-        assert projected == native
-
-    def test_zero_cms_projects_to_zero_cbf(self):
-        assert not cms_to_cbf(CountMinSketch(16, 3)).counters.any()
-
-    def test_depth_two_projection_doubles_mass(self):
-        m = Multiset({f"s{i}": 2 for i in range(10)})
-        projected = cms_to_cbf(CountMinSketch.from_multiset(m, 32, 2, seed=1))
-        assert int(projected.counters.sum()) == 2 * m.cardinality()
-        assert projected.hash_count == 2
-
-    def test_projection_saturation_flag(self):
-        cms = CountMinSketch(1, 2, seed=0)
-        cms.insert("x", COUNTER_MAX)
-        projected = cms_to_cbf(cms)
-        assert projected.saturated
-        assert int(projected.counters[0]) == COUNTER_MAX
-
-    def test_projection_saturates_when_column_sums_clip(self):
-        cms = CountMinSketch(1, 4, seed=0)
-        cms.insert("x", 2**31)
-        assert not cms.saturated
-        projected = cms_to_cbf(cms)
-        assert projected.saturated
 
 
 def test_validation():
