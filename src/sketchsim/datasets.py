@@ -13,19 +13,24 @@ Listening histories arrive as a file, plain or gzip, of
 takes the file's path, checks each line once and adds its count
 straight into its user's profile: duplicate lines are summed and
 counted, never dropped, and anything malformed is a TripletParseError
-naming its line. `write_profiles` writes such a file as bytes and
-refuses, before it opens the file, any map it could not read back.
+naming its line. It reads bytes in blocks of `_BLOCK_LINES` lines,
+checks each block's UTF-8 with one decode of the joined block, and
+splits and checks each line as bytes; songs stay bytes from file to
+Multiset, and each distinct user id is decoded once, at the end.
+`write_profiles` writes such a file as bytes and refuses, before it
+opens the file, any map it could not read back.
 A manifest is checked as it is loaded, sizes included.
 """
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import json
 import logging
 import reprlib
 import zlib
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Collection, Mapping, Sequence
 
@@ -39,6 +44,7 @@ logger = logging.getLogger(__name__)
 # survive the TSV profile format unescaped.
 _ALPHABET = np.frombuffer(bytes(range(0x21, 0x7F)), dtype=np.uint8)
 _FRESH_TRIES = 1000
+_BLOCK_LINES = 1024  # triplet lines read, UTF-8-checked and parsed together
 
 MANIFEST_SCHEMA = "sketchsim-corpus-v1"
 MANIFEST_NAME = "manifest.json"
@@ -211,54 +217,67 @@ def read_profiles(source: str | Path) -> dict[str, Multiset]:
     with open(source, "rb") as raw:
         magic = raw.read(2)
     handle = (gzip.open if magic == b"\x1f\x8b" else open)(source, "rb")  # type: ignore[operator]
-    # each line decoded at C speed, still one at a time; -sig drops one leading BOM, from line 1 only
-    lines = chain(map(bytes.decode, islice(handle, 1), ["utf-8-sig"]), map(bytes.decode, handle))
-    songs_by_user: dict[str, dict[bytes, int]] = {}
+    songs_by_user: dict[bytes, dict[bytes, int]] = {}
     duplicate_lines = line_number = 0
     first_duplicates: list[str] = []
+    last_user, songs = None, {}
     with handle:
-        try:
-            for line_number, line in enumerate(lines, 1):
-                parts = line.split("\t")  # split first: only the count field or a blank or bad line needs rstrip
-                if len(parts) != 3:
-                    if not line.rstrip("\r\n"):
+        while True:
+            block: list[bytes] = []
+            broken = ""  # why the line after the block's last one cannot be read
+            try:
+                block.extend(islice(handle, _BLOCK_LINES))  # keeps the lines read before a damaged stream raised
+            except (EOFError, zlib.error) as exc:
+                broken = f"compressed stream is damaged: {exc}"
+            if not line_number and block and block[0].startswith(codecs.BOM_UTF8):
+                block[0] = block[0][3:]  # one byte-order mark dropped, from line 1 only
+            joined = b"".join(block)
+            try:
+                joined.decode("utf-8")  # the block's one UTF-8 check; its ids stay bytes
+            except UnicodeDecodeError as exc:  # lines end at LF, so no byte sequence spans two lines
+                broken = f"not UTF-8: byte {joined[exc.start]:#04x} ({exc.reason})"
+                del block[joined.count(b"\n", 0, exc.start):]  # the lines before it are parsed first
+            for line_number, line in enumerate(block, line_number + 1):
+                try:  # split first: only the count field or a blank or bad line needs rstrip
+                    user, song, count_text = line.split(b"\t")
+                except ValueError:
+                    if not line.rstrip(b"\r\n"):
                         continue
-                    raise TripletParseError(line_number, f"expected 3 tab-separated fields, got {len(parts)}")
-                user, song, count_text = parts
+                    fields = len(line.split(b"\t"))
+                    raise TripletParseError(line_number, f"expected 3 tab-separated fields, got {fields}") from None
                 if not user or not song:
                     raise TripletParseError(line_number, "empty user or song id")
-                count_text = count_text.rstrip("\r\n")
+                count_text = count_text.rstrip(b"\r\n")
                 try:
-                    # int() alone would also take "1_000", " 7 " and non-ASCII digits
-                    if not (count_text.isascii() and count_text.isdigit()):
+                    # bytes.isdigit takes ASCII digits only; int() alone would also take "1_000" and " 7 "
+                    if not count_text.isdigit():
                         raise ValueError(count_text)
                     count = int(count_text)  # still raises on a digit string past int's length limit
                 except ValueError:
-                    raise TripletParseError(line_number, f"play count is not an integer: {count_text!r}") from None
+                    raise TripletParseError(line_number, f"play count is not an integer: "
+                                                         f"{_brief(count_text.decode())}") from None
                 if not 1 <= count <= COUNT_MAX:
-                    raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {count}")
-                try:
-                    songs = songs_by_user[user]
-                except KeyError:
-                    songs = songs_by_user[user] = {}
-                element = song.encode("utf-8")
-                if element in songs:
+                    raise TripletParseError(line_number, f"play count must be in [1, {COUNT_MAX}], got {_brief(count)}")
+                if user != last_user:  # a user's lines mostly come together
+                    last_user, songs = user, songs_by_user.setdefault(user, {})
+                if song in songs:
                     duplicate_lines += 1
                     if len(first_duplicates) < 3:
-                        first_duplicates.append(f"line {line_number} {(user, song)!r}")
-                    count += songs[element]
+                        first_duplicates.append(f"line {line_number} {_brief((user.decode(), song.decode()))}")
+                    count += songs[song]
                     if count > COUNT_MAX:
-                        raise TripletParseError(line_number, f"summed play count of {(user, song)!r} exceeds {COUNT_MAX}")
-                songs[element] = count
-        except (UnicodeDecodeError, EOFError, zlib.error) as exc:  # raised while line line_number + 1 was read
-            reason = (f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
-                      if isinstance(exc, UnicodeDecodeError) else f"compressed stream is damaged: {exc}")
-            raise TripletParseError(line_number + 1, reason) from None
+                        raise TripletParseError(line_number, f"summed play count of "
+                                                             f"{_brief((user.decode(), song.decode()))} exceeds {COUNT_MAX}")
+                songs[song] = count
+            if broken:
+                raise TripletParseError(line_number + 1, broken)
+            if len(block) < _BLOCK_LINES:
+                break
     if duplicate_lines:
         logger.warning(
             "%d duplicate (user, song) lines; counts summed (first: %s)", duplicate_lines, ", ".join(first_duplicates)
         )
-    return {user: Multiset._from_checked(songs) for user, songs in songs_by_user.items()}
+    return {user.decode(): Multiset._from_checked(songs) for user, songs in songs_by_user.items()}
 
 
 def write_profiles(destination: str | Path, profiles: Mapping[str, Multiset]) -> None:

@@ -1,9 +1,13 @@
 """Evaluation engine: pairwise runs, RMSE grids, threshold classification.
 
 A run sketches both sides of every corpus pair with one shape and seed,
-scores the chosen metric, and attaches the exact oracle's score as the
-truth. A pair whose truth is undefined is a `PairFailure`, never fatal;
-its estimate is undefined exactly when its truth is. Every estimate
+scores the chosen metric, and attaches the exact score as the truth.
+The truths come from the run's interned columns, all pairs at once:
+each pair's exact sums are array sums of the unclipped counts, scored
+by the metric's cell scorer, which equals the scalar oracle bit for bit
+for one row. Only a pair with an empty side calls the oracle. A pair
+whose truth is undefined is a `PairFailure`, never fatal; its estimate
+is undefined exactly when its truth is. Every estimate
 equals `metrics.score` of sketches built one pair at a time, bit for
 bit, and `run_pairwise` is the one-cell grid of its shape. Metrics come
 from the one table `metrics.METRICS`. Runs are deterministic for a fixed
@@ -15,7 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -25,7 +29,7 @@ from . import metrics
 from .datasets import Corpus
 from .hashing import _probe_positions, digest_rows
 from .multiset import Multiset, UndefinedSimilarityError
-from .sketches import SketchParams, _count_rows, _multiset_arrays
+from .sketches import SketchParams, _clip_counts, _count_rows
 
 GRID_COLUMNS = ["dim", "depth", "rmse"]
 THRESHOLD_COLUMNS = ["threshold", "tp", "fp", "tn", "fn", "max_overshoot"]
@@ -104,8 +108,11 @@ _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bou
 class _Columns:
     """One run's fixed state, built once from its corpus and lattice and never grown.
 
-    A pair whose truth is undefined becomes its `PairFailure` here and
-    is never interned, so `pair_ids`, `truths`, `left` and `right` (each
+    Every pair's sides are interned first. Each pair's truth then comes
+    from its exact sums, taken over the interned columns and scored by the
+    metric's cell scorer; a pair with an empty side goes to the scalar
+    oracle instead, and one whose truth is undefined becomes the oracle's
+    own `PairFailure`. `pair_ids`, `truths`, `left` and `right` (each
     pair's profile numbers) cover the scored pairs only: a non-empty
     profile puts mass in every sketch row, so a pair's estimate is
     undefined exactly when its truth is.
@@ -114,22 +121,23 @@ class _Columns:
     def __init__(self, corpus: Corpus, grid: GridSpec):
         if not corpus:
             raise ValueError("corpus must be non-empty")
-        self.grid, self.failures, scored = grid, [], []
-        oracle, _, _, _ = metrics.METRICS[grid.metric]
-        for pair_id, x, y in corpus:
-            try:
-                scored.append((pair_id, x, y, oracle(x, y)))
-            except UndefinedSimilarityError as exc:
-                self.failures.append(PairFailure(pair_id, str(exc)))
-        self.pair_ids = [pair_id for pair_id, _, _, _ in scored]
-        self.truths = [truth for _, _, _, truth in scored]
-        elements = self._intern([profile for _, x, y, _ in scored for profile in (x, y)])
+        self.grid = grid
+        elements, exact = self._intern([profile for _, x, y in corpus for profile in (x, y)])
+        truths = self._truths(corpus, grid.metric, exact)
+        del exact  # the unclipped counts, not to be held through the digest pass
+        scored = [number for number, truth in enumerate(truths) if not isinstance(truth, PairFailure)]
+        self.failures = [truth for truth in truths if isinstance(truth, PairFailure)]
+        self.pair_ids, self.truths = [corpus[number][0] for number in scored], [truths[number] for number in scored]
+        self.left, self.right = self.left[scored], self.right[scored]
         largest = grid.params_for(max(grid.dims), max(grid.depths))
         # per row seed, its (h1,) or (h1, h2) rows, one column per element id
         self._digests = list(zip(*digest_rows(largest.row_seeds, largest.hash_count, elements)))
 
-    def _intern(self, sides: list[Multiset]) -> list[bytes]:
-        """The profile columns of every pair's sides (two per pair, in order); returns the vocabulary in id order.
+    def _intern(self, sides: list[Multiset]) -> tuple[list[bytes], np.ndarray]:
+        """The profile columns of every pair's sides (two per pair, in order).
+
+        Returns the vocabulary in id order and each entry's count as it is,
+        uint64; the columns keep the counts clipped for the sketches.
 
         A method of its own, so none of its temporaries lives through the
         digest pass, the largest transient of a run.
@@ -138,14 +146,74 @@ class _Columns:
         numbers = [index.setdefault(id(profile), len(index)) for profile in sides]
         self.left, self.right = np.array(numbers[0::2], dtype=np.intp), np.array(numbers[1::2], dtype=np.intp)
         self.profiles = list({id(profile): profile for profile in sides}.values())
-        arrays = [_multiset_arrays(profile) for profile in self.profiles]
-        lengths = [len(counts) for _, counts in arrays]
+        entries = [profile._entries for profile in self.profiles]  # element -> positive count
+        self._lengths = np.fromiter(map(len, entries), np.intp, len(entries))
+        self._offsets = np.concatenate(([0], np.cumsum(self._lengths)))  # profile p owns entries offsets[p]:offsets[p + 1]
         vocabulary: dict[bytes, int] = {}
-        ids = (vocabulary.setdefault(e, len(vocabulary)) for elements, _ in arrays for e in elements)
-        self._element = np.fromiter(ids, np.int64, sum(lengths))
-        self._count = np.concatenate([counts for _, counts in arrays] or [np.empty(0, np.int64)])
-        self._offsets = list(accumulate(lengths, initial=0))  # profile p owns entries offsets[p]:offsets[p + 1]
-        return list(vocabulary)
+        ids = (vocabulary.setdefault(e, len(vocabulary)) for profile in entries for e in profile)
+        self._element = np.fromiter(ids, np.int64, self._offsets[-1])
+        exact = np.fromiter(chain.from_iterable(map(dict.values, entries)), np.uint64, self._offsets[-1])
+        self._count = _clip_counts(exact)
+        return list(vocabulary), exact
+
+    def _truths(self, corpus: Corpus, metric: str, exact: np.ndarray) -> list[float | PairFailure]:
+        """Each pair's exact score, bit for bit the oracle's, or the oracle's `PairFailure` for it, in corpus order.
+
+        Dice takes each pair's sum(min) of the two sides' counts and forms
+        sum(max) = |a| + |b| - sum(min); cosine takes the Gram entries: both
+        squared norms and the dot product. The sums are uint64 while none can
+        reach 2^64 (each is at most the largest cardinality, doubled or
+        squared), else Python ints in object arrays. A pair with an empty
+        side is the oracle's alone.
+        """
+        oracle, _, _, score_cells = metrics.METRICS[metric]
+        cardinalities = [profile.cardinality() for profile in self.profiles]
+        largest = max(cardinalities) ** 2 if metric == "cosine" else 2 * max(cardinalities)
+        counts = exact if largest < 2**64 else exact.astype(object)
+        empty_side = (self._lengths[self.left] == 0) | (self._lengths[self.right] == 0)
+        full = np.flatnonzero(~empty_side)
+        left, right = self.left[full], self.right[full]
+        if metric == "cosine":
+            norms = _segment_sums(counts * counts, self._lengths)
+            dots = self._pair_sums(left, right, counts, np.multiply)
+            exact = score_cells((np.stack((norms[left], dots, dots, norms[right])),))
+        else:
+            shared = self._pair_sums(left, right, counts, np.minimum)
+            sizes = np.array(cardinalities, dtype=counts.dtype)
+            exact = score_cells((shared,), (sizes[left] + sizes[right] - shared,))
+        truths: list[float | PairFailure] = [0.0] * len(corpus)
+        for number, truth in zip(full.tolist(), exact.tolist()):
+            truths[number] = truth
+        for number in np.flatnonzero(empty_side).tolist():
+            pair_id, x, y = corpus[number]
+            try:
+                truths[number] = oracle(x, y)
+            except UndefinedSimilarityError as exc:
+                truths[number] = PairFailure(pair_id, str(exc))
+        return truths
+
+    def _pair_sums(self, left: np.ndarray, right: np.ndarray, counts: np.ndarray, combine) -> np.ndarray:
+        """Per pair, the sum of combine(left count, right count) over the right profile's entries, in counts' dtype.
+
+        One dense vocabulary buffer holds a left profile's counts (0 for an
+        element it lacks): it is filled once per distinct left profile and
+        gathered at the entries of that profile's pairs' right profiles.
+        """
+        element, offsets = self._element, self._offsets
+        buffer = np.zeros(int(element.max(initial=-1)) + 1, counts.dtype)
+        sums = np.zeros(len(left), counts.dtype)
+        order = np.argsort(left, kind="stable")  # the pairs of each left profile, together
+        starts = np.flatnonzero(np.diff(left[order], prepend=-1)).tolist()
+        for first, last in zip(starts, [*starts[1:], len(order)]):
+            pairs = order[first:last]
+            own = slice(*offsets[left[pairs[0]] : left[pairs[0]] + 2])
+            buffer[element[own]] = counts[own]
+            lengths = self._lengths[right[pairs]]
+            # each right entry's index: its profile's first entry plus its place in that profile
+            entries = np.repeat(offsets[right[pairs]] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
+            sums[pairs] = _segment_sums(combine(buffer[element[entries]], counts[entries]), lengths)
+            buffer[element[own]] = 0
+        return sums
 
     def _rows(self, dim: int) -> Iterator[np.ndarray]:
         """Every profile's sketch rows at width `dim`, up to the largest depth, in one reused uint32 buffer.
@@ -197,6 +265,15 @@ class _Columns:
                 yield dim, depth, score_cells(*zip(*by_depth[depth]))  # each sum, one entry per row
 
 
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sum of each run of `lengths` consecutive entries of `values`, in its dtype; 0 for an empty run."""
+    sums = np.zeros(len(lengths), values.dtype)
+    filled = lengths > 0
+    if filled.any():  # the runs between two filled starts are empty, so each filled run ends at the next start
+        sums[filled] = np.add.reduceat(values, (np.cumsum(lengths) - lengths)[filled])
+    return sums
+
+
 def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> PairwiseRun:
     """Compare every corpus pair under one sketch configuration: the one-cell grid of `params`.
 
@@ -232,8 +309,8 @@ def run_grid(
 ) -> dict[tuple[int, int], float | None]:
     """RMSE per (dim, depth) cell, in lattice order; a cell with no scored pair is None.
 
-    Hashing and the exact oracle run once per element and pair for the
-    whole lattice. A pair whose truth is undefined fails in every cell;
+    Hashing runs once per element and the exact truths once per pair, for
+    the whole lattice. A pair whose truth is undefined fails in every cell;
     when `failures` is given, those pairs are appended to it once.
     """
     columns = _Columns(corpus, grid)

@@ -83,16 +83,18 @@ def _dice_score(shared, rest) -> float:
 
 
 def _dice_cells(shared, rest) -> np.ndarray:
-    """`_dice_score` of many pairs at once, equal to it bit for bit: each sum holds, per row, a uint64 array of pairs.
+    """`_dice_score` of many pairs at once, equal to it bit for bit: each sum holds, per row, an array of pairs.
 
-    While every max-sum is in [1, 2^52), each joint mass is below 2^53,
-    so both operands of the division are exact in float64 and it rounds
-    as Python's int / int does; any other batch goes to `_dice_score`
-    pair by pair.
+    The arrays are uint64, or object arrays of Python ints where a sum may
+    pass uint64's range. While every max-sum is in [1, 2^52), each joint
+    mass is below 2^53, so both operands of the division are exact in
+    float64 and it rounds as Python's int / int does; any other batch
+    goes to `_dice_score` pair by pair.
     """
-    shared, rest = np.asarray(shared, dtype=np.uint64), np.asarray(rest, dtype=np.uint64)  # rows x pairs
+    shared, rest = np.asarray(shared), np.asarray(rest)  # rows x pairs, uint64 or (past its range) Python ints
     if not rest.all() or int(rest.max(initial=0)) >= 2**52:
         return np.array([_dice_score(*pair) for pair in zip(shared.T.tolist(), rest.T.tolist())], dtype=np.float64)
+    shared, rest = shared.astype(np.uint64, copy=False), rest.astype(np.uint64, copy=False)
     values = 2.0 * shared / (shared + rest)
     if len(values) == 1:
         return values[0]

@@ -5,10 +5,11 @@ width `table` of cells. `SketchParams` is the only check of the shape
 rules and `SKETCH_KINDS` the only kind -> class table; two sketches are
 comparable iff their shapes are equal.
 
-There is one placement path. Every build's counts come from
-`_multiset_arrays`, every cell from `Sketch._positions`
-(`_probe_positions` over one `digest_rows` call), and every add goes
-through `_count_rows`, which holds the one clamp. `from_multiset` and
+There is one placement path. Every build's counts pass `_clip_counts`,
+the one count clip (through `_multiset_arrays`, or in the grid engine's
+columns), every cell comes from `Sketch._positions` (`_probe_positions`
+over one `digest_rows` call), and every add goes through `_count_rows`,
+which holds the one clamp. `from_multiset` and
 `insert` are both `_add`: an insert is the bulk build of a one-element
 multiset. So a one-row Count-Min sketch is cell for cell the one-hash CBF
 of the same seed; no sketch is converted to another kind.
@@ -69,14 +70,18 @@ class SketchParams:
 
 
 def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
-    """A multiset's elements and their int64 counts, each clipped to COUNTER_MAX + 1.
+    """A multiset's elements and their `_clip_counts` counts: the only Multiset -> array step of every build."""
+    entries = multiset._entries  # keys are elements, values their positive counts
+    return list(entries), _clip_counts(np.fromiter(entries.values(), dtype=np.uint64, count=len(entries)))
+
+
+def _clip_counts(counts: np.ndarray) -> np.ndarray:
+    """uint64 counts as int64 counts for a build, each clipped to COUNTER_MAX + 1: the one count clip.
 
     The clip keeps int64 sums exact while a clipped count still saturates
-    its cell. The only Multiset -> array step of every build.
+    its cell.
     """
-    entries = multiset._entries  # keys are elements, values their positive counts
-    counts = np.fromiter(entries.values(), dtype=np.uint64, count=len(entries))
-    return list(entries), np.minimum(counts, COUNTER_MAX + 1, out=counts).view(np.int64)  # every clipped count fits
+    return np.minimum(counts, COUNTER_MAX + 1).view(np.int64)  # every clipped count fits
 
 
 def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, counts: np.ndarray) -> None:

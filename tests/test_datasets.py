@@ -18,6 +18,7 @@ from sketchsim import (
     write_corpus,
     write_profiles,
 )
+from sketchsim import datasets
 from sketchsim.cli import main
 
 
@@ -156,6 +157,73 @@ class TestIngest:
             read_profiles(text_file(f"u1\ts1\t{COUNT_MAX}\nu1\ts2\t1\nu1\ts1\t1\n"))
         assert info.value.line_number == 3
         assert read_profiles(text_file(f"u1\ts1\t{COUNT_MAX - 1}\nu1\ts1\t1\n"))["u1"].count("s1") == COUNT_MAX
+
+    def test_count_past_the_int_digit_limit_is_a_short_parse_error(self, text_file):
+        # int() refuses a digit string past 4,300 digits; the error quotes the count in a bounded repr
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(text_file(f"u1\ts9\t3\nu1\ts2\t{'9' * 100_000}\nu1\ts3\t1\n"))
+        assert info.value.line_number == 2
+        assert str(info.value).startswith("line 2: play count is not an integer: '9")
+        assert len(str(info.value)) < 200
+        with pytest.raises(TripletParseError) as info:  # below the limit: a range error, quoted the same way
+            read_profiles(text_file(f"u1\ts2\t{'9' * 4_000}\n"))
+        assert str(info.value).startswith(f"line 1: play count must be in [1, {COUNT_MAX}], got 99")
+        assert len(str(info.value)) < 200
+
+    def test_long_ids_are_quoted_briefly(self, caplog, text_file):
+        user, song = "u" * 10_000, "s" * 10_000
+        with caplog.at_level("WARNING"):
+            read_profiles(text_file(f"{user}\t{song}\t1\n{user}\t{song}\t1\n"))
+        assert len(caplog.messages) == 1 and len(caplog.messages[0]) < 200
+        assert caplog.messages[0].startswith("1 duplicate (user, song) lines; counts summed (first: line 2 ('uuu")
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(text_file(f"{user}\t{song}\t{COUNT_MAX}\n{user}\t{song}\t1\n"))
+        assert info.value.line_number == 2 and len(str(info.value)) < 200
+        assert str(info.value).startswith("line 2: summed play count of ('uuu")
+
+    def test_bad_count_ends_a_block_before_an_undecodable_line(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(datasets, "_BLOCK_LINES", 2)
+        path = tmp_path / "triplets.tsv"
+        path.write_bytes(b"u1\ts1\t1\nu1\ts2\tx\nu1\ts\xff\t1\n")  # lines 1-2, then line 3 opens the next block
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(path)
+        assert str(info.value) == "line 2: play count is not an integer: 'x'"
+        path.write_bytes(b"u1\ts1\t1\nu1\ts2\t2\nu1\ts\xff\t1\n")
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(path)
+        assert str(info.value) == "line 3: not UTF-8: byte 0xff (invalid start byte)"
+
+    def test_summed_overflow_precedes_a_later_undecodable_line_of_its_block(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(datasets, "_BLOCK_LINES", 3)
+        path = tmp_path / "triplets.tsv"
+        path.write_bytes(b"u1\ts1\t%d\nu1\ts1\t1\nu1\ts\xff\t1\n" % COUNT_MAX)  # one block of three lines
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(path)
+        assert str(info.value) == f"line 2: summed play count of ('u1', 's1') exceeds {COUNT_MAX}"
+
+    @pytest.mark.parametrize("bad_line", [False, True], ids=["whole lines", "bad count before the break"])
+    def test_gzip_stream_breaking_mid_block(self, monkeypatch, tmp_path, bad_line):
+        monkeypatch.setattr(datasets, "_BLOCK_LINES", 3)
+        lines = [b"u%d\ts%d\t%d\n" % (i % 7, i, i + 1) for i in range(400)]
+        if bad_line:
+            lines[300] = b"u1\ts1\tmany\n"  # line 301 opens a block
+        packed = gzip.compress(b"".join(lines), mtime=0)
+        path = tmp_path / "triplets.tsv.gz"
+        for end in range(len(packed) // 2, len(packed)):  # the first cut that gives up line 301
+            path.write_bytes(packed[:end])
+            read = 0
+            with gzip.open(path, "rb") as handle, pytest.raises(EOFError):
+                for read, _ in enumerate(handle, 1):
+                    pass
+            if read >= 301:
+                break
+        assert read in (301, 302)  # the break is in line 301's block, after it
+        with pytest.raises(TripletParseError) as info:
+            read_profiles(path)
+        if bad_line:
+            assert str(info.value) == "line 301: play count is not an integer: 'many'"
+        else:
+            assert str(info.value).startswith(f"line {read + 1}: compressed stream is damaged: ")
 
     def test_gzip_transparently_decompressed(self, tmp_path):
         path = tmp_path / "triplets.tsv.gz"

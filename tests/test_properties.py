@@ -7,7 +7,9 @@ included), envelopes round-trip in cells and in the cell-derived
 saturation flag, decode fails only with typed errors, sketch Dice never
 undershoots the exact Dice, a sketch score is undefined exactly when the
 exact score is, the Dice cell scorer (on both sides of its float64
-guard) and every grid cell equal the scalar row mean bit for bit, sketches of
+guard) and every grid cell equal the scalar row mean bit for bit, the grid's
+array truths equal the scalar oracle's pair by pair (failures included, on
+both sides of their uint64 guard), sketches of
 the shared part and the two remainders satisfy min(p, q) = s + min(a, b)
 cell for cell, the
 bulk hash path gives the scalar digests for many start states and row
@@ -71,7 +73,7 @@ from sketchsim import (
 )
 from sketchsim.cli import main
 from sketchsim.datasets import MANIFEST_NAME, MANIFEST_SCHEMA
-from sketchsim.experiments import _Columns
+from sketchsim.experiments import PairFailure, _Columns
 from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, score
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
@@ -371,6 +373,38 @@ def test_grid_cells_equal_the_scalar_score(kind, metric, pairs, dims, depths, se
     for dim, depth, estimates in _Columns([(f"p{i}", x, y) for i, (x, y) in enumerate(pairs)], grid)._cells():
         params = grid.params_for(dim, depth)
         assert estimates.tolist() == [score(metric, params.sketch(x), params.sketch(y)) for x, y in pairs]
+
+
+@st.composite
+def pooled_corpora(draw):
+    """Pairs over a pool of profile objects: sides repeat, a pair may hold one object twice, profiles may be empty."""
+    pool = draw(st.lists(multisets(edge_counts, min_size=0), min_size=1, max_size=5))
+    sides = st.integers(0, len(pool) - 1)
+    pairs = draw(st.lists(st.tuples(sides, sides), min_size=1, max_size=8))
+    return [(f"p{i}", pool[a], pool[b]) for i, (a, b) in enumerate(pairs)]
+
+
+huge = Multiset({b"a": COUNT_MAX, b"b": 1})  # past the uint64 guard of both metrics
+small, empty = Multiset({b"a": 2, b"c": 5}), Multiset()
+
+
+@PROPERTY
+@given(pooled_corpora(), st.sampled_from(list(METRICS)))
+@example([("same", huge, huge), ("mixed", huge, small), ("one-empty", small, empty), ("both-empty", empty, empty),
+          ("again", small, small)], "dice")
+@example([("same", huge, huge), ("mixed", small, huge), ("one-empty", empty, small), ("again", small, small)], "cosine")
+@example([("one-empty", small, empty), ("below", small, Multiset({b"c": 1}))], "cosine")
+def test_grid_truths_equal_the_oracle(corpus, metric):
+    # the grid's array truths, pair by pair in corpus order, are the scalar oracle's bit for bit, failures included
+    oracle, expected, failures = METRICS[metric][0], [], []
+    for pair_id, x, y in corpus:
+        try:
+            expected.append((pair_id, oracle(x, y).hex()))
+        except UndefinedSimilarityError as exc:
+            failures.append(PairFailure(pair_id, str(exc)))
+    columns = _Columns(corpus, GridSpec("cbf", [8], [1], metric))
+    assert list(zip(columns.pair_ids, (truth.hex() for truth in columns.truths))) == expected
+    assert columns.failures == failures
 
 
 @PROPERTY
