@@ -17,7 +17,10 @@ sums, so scores are deterministic across platforms, and the cell
 scorers equal the row mean bit for bit.
 
 Two sketches are scored only when their shapes (`sketches.SketchParams`)
-are equal; `check_witnesses` names every field in which they differ.
+are equal; `check_witnesses` names every field in which they differ, and
+passes one shape object (what two envelopes with one header decode to)
+without comparing fields. Each named scorer is one call of `score`: the
+type and shape checks, then the `METRICS` row sums and row mean.
 """
 
 from __future__ import annotations
@@ -51,15 +54,9 @@ def check_witnesses(a: SketchParams, b: SketchParams) -> SketchParams:
 
     Unequal shapes raise, naming every field in which they differ.
     """
-    if a != b:
+    if a is not b and a != b:  # equal headers decode to one shape object
         raise IncompatibleSketchError([f.name for f in fields(SketchParams) if getattr(a, f.name) != getattr(b, f.name)])
     return a
-
-
-def _require_comparable(p, q, expected_type: type) -> None:
-    if not isinstance(p, expected_type) or not isinstance(q, expected_type):
-        raise TypeError(f"expected two {expected_type.__name__} instances")
-    check_witnesses(p.params, q.params)
 
 
 def _dice_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,10 +93,14 @@ def _dice_cells(shared, rest) -> np.ndarray:
         return np.array([_dice_score(*pair) for pair in zip(shared.T.tolist(), rest.T.tolist())], dtype=np.float64)
     shared, rest = shared.astype(np.uint64, copy=False), rest.astype(np.uint64, copy=False)
     values = 2.0 * shared / (shared + rest)
+    return np.maximum(_row_means(values), values.min(axis=0))
+
+
+def _row_means(values: np.ndarray) -> np.ndarray:
+    """Each pair's math.fsum mean of its row scores (rows x pairs), as the scalar row means take it."""
     if len(values) == 1:
         return values[0]
-    means = np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
-    return np.maximum(means, values.min(axis=0))
+    return np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
 
 
 def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray]:
@@ -121,8 +122,21 @@ def _cosine_score(gram) -> float:
 
 
 def _cosine_cells(gram) -> np.ndarray:
-    """`_cosine_score` of each of many pairs: the Gram holds, per row, a 4 x pairs array."""
-    return np.array([_cosine_score(pair) for pair in np.asarray(gram).T.tolist()], dtype=np.float64)
+    """`_cosine_score` of many pairs at once, equal to it bit for bit: the Gram holds, per row, a 4 x pairs array.
+
+    While every squared norm is positive and every product of two is below
+    2^53, the product is exact in float64, and its correctly rounded square
+    root is `_exact_sqrt`'s (a perfect square's integer root included); the
+    dot product, at most that root, is exact too, so each division rounds
+    as the scalar one. Any other batch, an object Gram included, goes to
+    `_cosine_score` pair by pair.
+    """
+    gram = np.asarray(gram)  # rows x 4 x pairs, int64, uint64 or (past their range) Python ints
+    norms_sq_p, dots, norms_sq_q = gram[:, 0], gram[:, 1], gram[:, 3]
+    if (gram.dtype == object or not (norms_sq_p.all() and norms_sq_q.all())
+            or int(norms_sq_p.max(initial=0)) * int(norms_sq_q.max(initial=0)) >= 2**53):
+        return np.array([_cosine_score(pair) for pair in gram.T.tolist()], dtype=np.float64)
+    return _row_means(dots / np.sqrt((norms_sq_p * norms_sq_q).astype(np.float64)))
 
 
 # The one metric table: metric -> (exact oracle, row sums of paired table rows as a tuple of arrays
@@ -134,7 +148,9 @@ METRICS = {"dice": (dice, _dice_sums, _dice_score, _dice_cells),
 
 def score(metric: str, p: CounterTable, q: CounterTable, sketch_type: type = CounterTable) -> float:
     """The sketch estimate of `metric` for two comparable counter tables of `sketch_type`."""
-    _require_comparable(p, q, sketch_type)
+    if not isinstance(p, sketch_type) or not isinstance(q, sketch_type):
+        raise TypeError(f"expected two {sketch_type.__name__} instances")
+    check_witnesses(p.params, q.params)
     _, sums, row_mean, _ = METRICS[metric]
     return row_mean(*[rows.tolist() for rows in sums(p.table, q.table)])  # ints: squared norms multiply past int64
 

@@ -214,10 +214,3 @@ class CountMinSketch(CounterTable):
 
 
 SKETCH_KINDS = {sketch_type.kind: sketch_type for sketch_type in (BloomFilter, CountingBloomFilter, CountMinSketch)}
-
-
-def _from_state(params: SketchParams, table: np.ndarray) -> Sketch:
-    """A sketch of a checked shape holding `table` (depth x width, its kind's cell type) as is, no zeros to overwrite."""
-    sketch = object.__new__(SKETCH_KINDS[params.kind])
-    vars(sketch).update(params=params, table=table)
-    return sketch

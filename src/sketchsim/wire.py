@@ -8,6 +8,13 @@ A header decodes to a `sketches.SketchParams`, whose constructor is the
 one check of the shape fields, and its counter width code must be the
 kind's. A BF's padding bits must be zero, so each sketch has exactly one
 envelope. Saturation is not a wire field: both ends derive it from the cells.
+
+Only bytes, bytearray and memoryview are parsed. Each distinct valid
+header is checked once into a decode plan (shape, sketch class, payload
+length, table shape) kept in a bounded memo that never holds an error,
+so a decode is the length and magic checks, one memo lookup, the
+payload-length check and one owning copy of the payload, and every
+decode of one header carries the same `SketchParams` object.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ import struct
 import numpy as np
 
 from .metrics import witness_of
-from .sketches import Sketch, SketchParams, _from_state
+from .sketches import SKETCH_KINDS, BloomFilter, Sketch, SketchParams
 
 MAGIC = b"SKSM"
 VERSION = 1
 _HEADER = struct.Struct("<4sBBIIIQB")
 HEADER_SIZE = _HEADER.size  # 27
-_HEADER_MEMO = 256  # distinct validated headers kept by decode_header
+_PLAN_MEMO = 256  # distinct valid headers whose decode plans are kept
 
 _KIND_CODES = {"bf": 0, "cbf": 1, "cms": 2}
 _KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
@@ -65,17 +72,25 @@ def encode(sketch: Sketch) -> bytes:
 
 def decode_header(data: bytes) -> SketchParams:
     """Parse and validate the 27-byte header into the sketch's shape."""
+    return _plan_of(data)[0]
+
+
+def _plan_of(data: bytes) -> tuple[SketchParams, type, int, tuple[int, int]]:
+    """The decode plan of an envelope's header, after the checks that need no memo: type, length and magic."""
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TypeError(f"an envelope is bytes, bytearray or memoryview, not {type(data).__name__}")
     if len(data) < 4:
         raise TruncatedPayloadError(f"expected at least 4 bytes of header, got {len(data)}")
     if data[:4] != MAGIC:
         raise BadMagicError(f"bad magic {bytes(data[:4])!r}, expected {MAGIC!r}")
     if len(data) < HEADER_SIZE:
         raise TruncatedPayloadError(f"expected {HEADER_SIZE}-byte header, got {len(data)}")
-    return _header_shape(bytes(data[:HEADER_SIZE]))
+    return _plan(bytes(data[:HEADER_SIZE]))
 
 
-@functools.lru_cache(maxsize=_HEADER_MEMO)  # an exception raised is never cached
-def _header_shape(header: bytes) -> SketchParams:
+@functools.lru_cache(maxsize=_PLAN_MEMO)  # an exception raised is never cached
+def _plan(header: bytes) -> tuple[SketchParams, type, int, tuple[int, int]]:
+    """A valid header's decode plan: its shape, its sketch class, its payload length and its table's shape."""
     _, version, kind_code, width, depth, hash_count, seed, counter_code = _HEADER.unpack(header)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported envelope version {version}")
@@ -85,25 +100,27 @@ def _header_shape(header: bytes) -> SketchParams:
     if counter_code != _COUNTER_CODES[kind]:
         raise HeaderConsistencyError(f"{kind} envelopes use counter width code {_COUNTER_CODES[kind]}, got {counter_code}")
     try:
-        return SketchParams(kind, width, depth, hash_count, seed)
+        params = SketchParams(kind, width, depth, hash_count, seed)
     except ValueError as exc:
         raise HeaderConsistencyError(str(exc)) from exc
+    return params, SKETCH_KINDS[kind], (width + 7) // 8 if kind == "bf" else depth * width * 4, (depth, width)
 
 
 def decode(data: bytes) -> Sketch:
-    """Parse an envelope (any bytes-like object) into a sketch that owns a copy of its cells."""
-    params = decode_header(data)
-    packed = params.kind == "bf"
-    expected = (params.width + 7) // 8 if packed else params.depth * params.width * 4
+    """Parse an envelope (bytes, bytearray or memoryview) into a sketch that owns a copy of its cells."""
+    params, sketch_type, expected, shape = _plan_of(data)
     if len(data) - HEADER_SIZE != expected:
         raise TruncatedPayloadError(f"expected {expected} payload bytes, got {len(data) - HEADER_SIZE}")
-    if packed:
+    if sketch_type is BloomFilter:
         unpacked = np.unpackbits(np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE), bitorder="little")
         if unpacked[params.width :].any():
             raise WireFormatError(f"padding bits past the {params.width} bits of the BF must be zero")
-        return _from_state(params, unpacked[None, : params.width].astype(bool))
-    table = np.frombuffer(data, dtype="<u4", offset=HEADER_SIZE).astype(np.uint32)  # copies: never share the caller's buffer
-    return _from_state(params, table.reshape(params.depth, params.width))
+        table = unpacked[None, : params.width].astype(bool)
+    else:
+        table = np.ndarray(shape, "<u4", data, HEADER_SIZE).astype(np.uint32)  # copies: never share the caller's buffer
+    sketch = object.__new__(sketch_type)
+    sketch.params, sketch.table = params, table
+    return sketch
 
 
 __all__ = [

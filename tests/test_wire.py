@@ -209,11 +209,24 @@ class TestHeaderMemo:
                 decode(header + b"\x00" * 16)
 
     def test_memo_stays_within_its_bound(self):
-        bound = wire._header_shape.cache_info().maxsize
+        bound = wire._plan.cache_info().maxsize
         for seed in range(bound + 10):
             sketch = CountingBloomFilter(2, 1, seed)
             assert decode(encode(sketch)) == sketch
-        assert wire._header_shape.cache_info().currsize <= bound
+        assert wire._plan.cache_info().currsize <= bound
+
+    @pytest.mark.parametrize("data", [
+        encode(CountingBloomFilter(8, 1, 0)).decode("latin-1"),  # a str that spells a valid envelope
+        list(encode(CountingBloomFilter(8, 1, 0))),  # so does this list of ints
+        7,
+        None,
+        np.frombuffer(encode(CountingBloomFilter(8, 1, 0)), dtype=np.uint8),
+    ], ids=["str", "list", "int", "None", "ndarray"])
+    def test_only_bytes_like_input_is_parsed(self, data):
+        message = f"^an envelope is bytes, bytearray or memoryview, not {type(data).__name__}$"
+        for parse in (decode, decode_header):
+            with pytest.raises(TypeError, match=message):
+                parse(data)
 
     def test_bytes_like_inputs_decode_alike(self):
         rng = random.Random(7)
@@ -272,7 +285,9 @@ class TestCompatibility:
         other = dataclasses.replace(base, **{field: value})
         m = Multiset({"a": 2, "b": 1})
         a, b = base.sketch(m), other.sketch(m)
-        for shapes in ((witness_of(a), witness_of(b)), (decode_header(encode(a)), decode_header(encode(b)))):
+        memoised = decode(encode(a)).params, decode(encode(b)).params
+        assert memoised[0] is decode_header(encode(a)) and memoised[1] is decode_header(encode(b))  # the memo's own
+        for shapes in ((witness_of(a), witness_of(b)), memoised):
             with pytest.raises(IncompatibleSketchError) as info:
                 check_witnesses(*shapes)
             assert info.value.mismatched_fields == [field]
