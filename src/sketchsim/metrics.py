@@ -93,14 +93,10 @@ def _dice_cells(shared, rest) -> np.ndarray:
         return np.array([_dice_score(*pair) for pair in zip(shared.T.tolist(), rest.T.tolist())], dtype=np.float64)
     shared, rest = shared.astype(np.uint64, copy=False), rest.astype(np.uint64, copy=False)
     values = 2.0 * shared / (shared + rest)
-    return np.maximum(_row_means(values), values.min(axis=0))
-
-
-def _row_means(values: np.ndarray) -> np.ndarray:
-    """Each pair's math.fsum mean of its row scores (rows x pairs), as the scalar row means take it."""
     if len(values) == 1:
         return values[0]
-    return np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
+    means = np.array(list(map(math.fsum, values.T.tolist())), dtype=np.float64) / len(values)
+    return np.maximum(means, values.min(axis=0))
 
 
 def _cosine_sums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray]:
@@ -122,21 +118,8 @@ def _cosine_score(gram) -> float:
 
 
 def _cosine_cells(gram) -> np.ndarray:
-    """`_cosine_score` of many pairs at once, equal to it bit for bit: the Gram holds, per row, a 4 x pairs array.
-
-    While every squared norm is positive and every product of two is below
-    2^53, the product is exact in float64, and its correctly rounded square
-    root is `_exact_sqrt`'s (a perfect square's integer root included); the
-    dot product, at most that root, is exact too, so each division rounds
-    as the scalar one. Any other batch, an object Gram included, goes to
-    `_cosine_score` pair by pair.
-    """
-    gram = np.asarray(gram)  # rows x 4 x pairs, int64, uint64 or (past their range) Python ints
-    norms_sq_p, dots, norms_sq_q = gram[:, 0], gram[:, 1], gram[:, 3]
-    if (gram.dtype == object or not (norms_sq_p.all() and norms_sq_q.all())
-            or int(norms_sq_p.max(initial=0)) * int(norms_sq_q.max(initial=0)) >= 2**53):
-        return np.array([_cosine_score(pair) for pair in gram.T.tolist()], dtype=np.float64)
-    return _row_means(dots / np.sqrt((norms_sq_p * norms_sq_q).astype(np.float64)))
+    """`_cosine_score` of each of many pairs: the Gram holds, per row, a 4 x pairs array."""
+    return np.array([_cosine_score(pair) for pair in np.asarray(gram).T.tolist()], dtype=np.float64)
 
 
 # The one metric table: metric -> (exact oracle, row sums of paired table rows as a tuple of arrays

@@ -9,7 +9,8 @@ one check of the shape fields, and its counter width code must be the
 kind's. A BF's padding bits must be zero, so each sketch has exactly one
 envelope. Saturation is not a wire field: both ends derive it from the cells.
 
-Only bytes, bytearray and memoryview are parsed. Each distinct valid
+Only bytes, bytearray and memoryview are parsed, a memoryview as the
+bytes it holds whatever its shape or format. Each distinct valid
 header is checked once into a decode plan (shape, sketch class, payload
 length, table shape) kept in a bounded memo that never holds an error,
 so a decode is the length and magic checks, one memo lookup, the
@@ -72,13 +73,20 @@ def encode(sketch: Sketch) -> bytes:
 
 def decode_header(data: bytes) -> SketchParams:
     """Parse and validate the 27-byte header into the sketch's shape."""
-    return _plan_of(data)[0]
+    return _plan_of(_octets(data))[0]
+
+
+def _octets(data: bytes) -> bytes:
+    """An envelope whose lengths and slices count bytes: a memoryview of any shape, format or strides is cast."""
+    if isinstance(data, (bytes, bytearray)):
+        return data
+    if isinstance(data, memoryview):
+        return data.cast("B") if data.c_contiguous else data.tobytes()
+    raise TypeError(f"an envelope is bytes, bytearray or memoryview, not {type(data).__name__}")
 
 
 def _plan_of(data: bytes) -> tuple[SketchParams, type, int, tuple[int, int]]:
-    """The decode plan of an envelope's header, after the checks that need no memo: type, length and magic."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError(f"an envelope is bytes, bytearray or memoryview, not {type(data).__name__}")
+    """The decode plan of an envelope's header, after the checks that need no memo: length and magic."""
     if len(data) < 4:
         raise TruncatedPayloadError(f"expected at least 4 bytes of header, got {len(data)}")
     if data[:4] != MAGIC:
@@ -108,6 +116,7 @@ def _plan(header: bytes) -> tuple[SketchParams, type, int, tuple[int, int]]:
 
 def decode(data: bytes) -> Sketch:
     """Parse an envelope (bytes, bytearray or memoryview) into a sketch that owns a copy of its cells."""
+    data = _octets(data)
     params, sketch_type, expected, shape = _plan_of(data)
     if len(data) - HEADER_SIZE != expected:
         raise TruncatedPayloadError(f"expected {expected} payload bytes, got {len(data) - HEADER_SIZE}")

@@ -6,10 +6,10 @@ equal a Python reference that adds one probe at a time (saturation
 included), envelopes round-trip in cells and in the cell-derived
 saturation flag, decode fails only with typed errors, sketch Dice never
 undershoots the exact Dice, a sketch score is undefined exactly when the
-exact score is, the Dice and cosine cell scorers (on both sides of their
-float64 guards) and every grid cell equal the scalar row mean bit for bit,
-two decoded envelopes score through each named scorer as the built
-sketches do, from any bytes-like input, cold memo or fresh shape, the grid's
+exact score is, the Dice cell scorer (on both sides of its float64
+guard) and every grid cell equal the scalar row mean bit for bit, two
+decoded envelopes score through each named scorer as the built sketches
+do, from any bytes-like input, cold memo or fresh shape, the grid's
 array truths equal the scalar oracle's pair by pair (failures included, on
 both sides of their uint64 guard), sketches of
 the shared part and the two remainders satisfy min(p, q) = s + min(a, b)
@@ -78,7 +78,7 @@ from sketchsim import metrics, wire
 from sketchsim.cli import main
 from sketchsim.datasets import MANIFEST_NAME, MANIFEST_SCHEMA
 from sketchsim.experiments import PairFailure, _Columns
-from sketchsim.metrics import METRICS, _cosine_sums, _dice_sums, score
+from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, score
 from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
@@ -323,14 +323,12 @@ def _row_mean(metric, a, b):
         return str(exc)
 
 
-def _cells_or_error(metric, pairs):
-    """The metric's cell scorer over (a, b) table pairs, or the message it raises."""
-    _, sums, _, score_cells = METRICS[metric]
-    per_pair = [sums(a, b) for a, b in pairs]
-    # each sum with its row axis first and its pair axis last, as the grid engine passes it
-    stacked = [np.array([pair_sums[i] for pair_sums in per_pair]).T for i in range(len(per_pair[0]))]
+def _dice_cells_or_error(pairs):
+    """The Dice cell scorer over (a, b) table pairs, or the message it raises."""
+    per_pair = [_dice_sums(a, b) for a, b in pairs]
+    shared, rest = (np.array([sums[i] for sums in per_pair]).T for i in (0, 1))  # rows x pairs
     try:
-        return score_cells(*stacked).tolist()
+        return _dice_cells(shared, rest).tolist()
     except UndefinedSimilarityError as exc:
         return str(exc)
 
@@ -363,18 +361,7 @@ def test_dice_cell_scorer_is_the_row_mean_of_each_pair(batch):
     # bit for bit, saturated cells included; a zero-mass row raises in both, for the first pair that has one
     expected = [_row_mean("dice", a, b) for a, b in batch]
     errors = [value for value in expected if isinstance(value, str)]
-    assert _cells_or_error("dice", batch) == (errors[0] if errors else expected)
-
-
-@PROPERTY
-@given(table_batches())
-# one-cell rows keep an int64 Gram, whose norm product, near 2^124, would wrap in int64
-@example([(np.full((1, 1), 2**31 + 1, dtype=np.uint32), np.full((1, 1), 2**31 - 1, dtype=np.uint32))])
-def test_cosine_cell_scorer_is_the_row_mean_of_each_pair(batch):
-    # bit for bit, on both sides of the int64 guard of the Gram; an all-zero row raises in both, for the first pair
-    expected = [_row_mean("cosine", a, b) for a, b in batch]
-    errors = [value for value in expected if isinstance(value, str)]
-    assert _cells_or_error("cosine", batch) == (errors[0] if errors else expected)
+    assert _dice_cells_or_error(batch) == (errors[0] if errors else expected)
 
 
 GUARD_WIDTH = 2**20 + 64
@@ -395,27 +382,7 @@ def test_dice_cell_scorer_past_the_float64_guard(rows, pair_count, deficits, ove
     batch = [(a, b), (b, a), (a, a)][:pair_count]
     if deficits[0] <= 1000:  # drawn, not an example: every row pair is past the guard
         assert all(high >= 2**52 for pair in batch for high in _dice_sums(*pair)[1].tolist())
-    assert _cells_or_error("dice", batch) == [_row_mean("dice", *pair) for pair in batch]
-
-
-NEAR_ROOT = 6889  # a two-cell row of cells near it has a squared norm near 2^26.5: two of them multiply to near 2^53
-near_root_rows = st.integers(1, 3).flatmap(lambda rows: st.tuples(*(
-    st.lists(st.lists(st.integers(NEAR_ROOT - 60, NEAR_ROOT + 60) | st.just(0), min_size=2, max_size=2),
-             min_size=rows, max_size=rows) for _ in range(2))))
-
-
-@settings(deadline=None, max_examples=30, derandomize=True)
-@given(near_root_rows, st.integers(1, 3))
-# norm products 2,943,375 below 2^53 (the float64 path) and 1,583,104 past it (pair by pair), neither a square
-@example(([[9136, 4769]], [[9209, 0]]), 1)
-@example(([[9428, 3940]], [[9288, 0]]), 1)
-def test_cosine_cell_scorer_past_the_float64_guard(tables, pair_count):
-    # the product of two squared norms is exact in float64 below 2^53, where the array path takes over from _exact_sqrt
-    a, b = (np.array(t, dtype=np.uint32) for t in tables)
-    batch = [(a, b), (b, a), (a, a)][:pair_count]
-    expected = [_row_mean("cosine", *pair) for pair in batch]
-    errors = [value for value in expected if isinstance(value, str)]
-    assert _cells_or_error("cosine", batch) == (errors[0] if errors else expected)
+    assert _dice_cells_or_error(batch) == [_row_mean("dice", *pair) for pair in batch]
 
 
 @PROPERTY

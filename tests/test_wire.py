@@ -229,13 +229,21 @@ class TestHeaderMemo:
                 parse(data)
 
     def test_bytes_like_inputs_decode_alike(self):
+        # a memoryview's lengths and offsets count bytes, whatever its shape, format or strides
         rng = random.Random(7)
         for _ in range(30):
             data = encode(_random_sketch(rng))
             expected = decode(data)
-            assert decode(bytearray(data)) == expected
-            assert decode(memoryview(data)) == expected
-            assert decode_header(memoryview(data)) == decode_header(data)
+            strided = np.repeat(np.frombuffer(data, dtype=np.uint8), 2)[::2]
+            for same in (bytearray(data), memoryview(data), memoryview(data).cast("B", (1, len(data))),
+                         memoryview(strided)):
+                assert decode(same) == expected
+                assert decode_header(same) == decode_header(data)
+        whole_words = encode(BloomFilter.from_multiset(Multiset({"a": 1}), 40, 2, 3))  # 27 + 5 bytes
+        assert decode(memoryview(whole_words).cast("I")) == decode(whole_words)
+        padded = encode(CountMinSketch(8, 2, 0)) + b"\x00"  # 27 + 64 + 1 bytes
+        with pytest.raises(TruncatedPayloadError, match="^expected 64 payload bytes, got 65$"):
+            decode(memoryview(padded).cast("I"))
 
     @pytest.mark.parametrize("sketch", [
         CountingBloomFilter.from_multiset(Multiset({"a": 3, "b": 1}), 8, 2, 1),
