@@ -226,16 +226,17 @@ class _Columns:
         hash_count = self.grid.params_for(dim, max(self.grid.depths)).hash_count
         step = max(1, _CHUNK_CELLS // (dim + int(np.diff(offsets).max(initial=0))))
         bounds = [(first, min(first + step, profiles)) for first in range(0, profiles, step)]
-        chunks = [(slice(first, last), slice(offsets[first], offsets[last]),  # rows, entries, each entry's row
-                   np.repeat(np.arange(last - first, dtype=np.int32), np.diff(offsets[first : last + 1])))
+        # rows, entries, and the flat index of each entry's row's first cell
+        chunks = [(slice(first, last), slice(offsets[first], offsets[last]),
+                   np.repeat(np.arange(last - first, dtype=np.int32) * dim, np.diff(offsets[first : last + 1])))
                   for first, last in bounds]
         table = np.empty((profiles, dim), dtype=np.uint32)
         for digests in self._digests:
             table.fill(0)
             for probe in range(hash_count):
                 (positions,) = _probe_positions(digests, probe + 1, dim, probe)  # this probe's column of each element
-                for rows, entries, owners in chunks:
-                    _count_rows(table[rows], positions.take(self._element[entries]), owners, self._count[entries])
+                for rows, entries, firsts in chunks:
+                    _count_rows(table[rows], firsts + positions.take(self._element[entries]), self._count[entries])
                 yield table
 
     def _cells(self) -> Iterator[tuple[int, int, np.ndarray]]:

@@ -12,8 +12,13 @@ and row r of a Count-Min sketch hashes with `derive_row_seed(base, r)`,
 row 0 keeping the base seed, so a one-row CMS is the one-hash CBF.
 
 `digest_pair` is the scalar reference digest, and `digest_rows` gives
-the same values for many elements under many row seeds in one call.
-`_probe_positions` is the only implementation of the index formula.
+the same values for many elements under many row seeds in one call: the
+rows' FNV start states (`_start_states`), then `_digests`, one
+`fnv1a64_bulk` pass from those states and the mix. A sketch shape keeps
+its start states, so its builds call `_digests` alone. The bulk kernel
+lays out its lanes, one per (start state, input), by their count (see
+`_fnv1a64_block`). `_probe_positions` is the only implementation of the
+index formula.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ _DOMAIN_ROW = b"\x03"
 _PRIME = np.array(FNV_PRIME, dtype=np.uint64)  # 0-d: a numpy scalar operand costs more per ufunc call
 _SHIFT, _MIX1, _MIX2 = (np.array(value, dtype=np.uint64) for value in (33, 0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53))
 _BLOCK_INPUTS = 2**13  # inputs widened to uint64 at once; bounds the kernel's transient memory
+_FLAT_LANES = 2**11  # (state, input) lanes of several states that fold as one flat lane, at most
 
 
 def fnv1a64(data: bytes, state: int = FNV_OFFSET) -> int:
@@ -69,18 +75,18 @@ def _mix64_bulk(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
+def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int] | np.ndarray) -> np.ndarray:
     """A (len(states), len(datas)) uint64 array whose entry [s, i] is fnv1a64(datas[i], states[s]).
 
     The inputs of each length digest as one byte block, every state at once.
     """
-    start = np.array(states, dtype=np.uint64)[:, None]
+    start = np.asarray(states, dtype=np.uint64)
     joined = np.frombuffer(b"".join(datas), dtype=np.uint8)
     lengths = set(map(len, datas))
     if len(lengths) == 1:
         (length,) = lengths
         return _fnv1a64_block(joined.reshape(len(datas), length), start)
-    out = np.empty((len(states), len(datas)), dtype=np.uint64)
+    out = np.empty((len(start), len(datas)), dtype=np.uint64)
     sizes = np.fromiter(map(len, datas), dtype=np.intp, count=len(datas))
     starts = np.cumsum(sizes) - sizes
     for length in lengths:
@@ -91,18 +97,36 @@ def fnv1a64_bulk(datas: Sequence[bytes], states: Sequence[int]) -> np.ndarray:
 
 
 def _fnv1a64_block(block: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """FNV-1a of each row of an (inputs, length) uint8 block from each (states, 1) start state, as (states, inputs)."""
+    """FNV-1a of each row of an (inputs, length) uint8 block from each start state, as (states, inputs).
+
+    The lanes, one per (state, input), are laid out by their count. Up to
+    `_FLAT_LANES` lanes of several states fold as one flat lane, each byte
+    column widened once per state; one state folds into a 1-D lane, and
+    more lanes of several states into a (states, inputs) array that
+    broadcasts each column, `_BLOCK_INPUTS` inputs at a time.
+    """
     out = np.empty((len(start), len(block)), dtype=np.uint64)
-    # one start state digests in the 1-D lane out[0]: a (1, n) view costs about twice as much per ufunc call
-    lanes, start = (out[0], start[0]) if len(start) == 1 else (out, start)
+    if len(start) > 1 and out.size <= _FLAT_LANES:
+        out[...] = start[:, None]
+        columns = np.empty((block.shape[1], *out.shape), dtype=np.uint64)
+        columns[...] = block.T[:, None]  # a broadcast column costs more per ufunc call than a widened one
+        _fnv1a64_fold(out.reshape(-1), columns.reshape(len(columns), out.size))
+        return out
+    # a (1, n) view costs about twice as much per ufunc call as a 1-D lane
+    lanes, start = (out[0], start[0]) if len(start) == 1 else (out, start[:, None])
     for first in range(0, len(block), _BLOCK_INPUTS):
         rows = block[first : first + _BLOCK_INPUTS]
         h = lanes[..., first : first + len(rows)]
         h[...] = start
-        for column in rows.T.astype(np.uint64, order="C"):
-            h ^= column
-            h *= _PRIME  # uint64 wraparound, matching the scalar masking
+        _fnv1a64_fold(h, rows.T.astype(np.uint64, order="C"))
     return out
+
+
+def _fnv1a64_fold(lanes: np.ndarray, columns: np.ndarray) -> None:
+    """Fold each uint64 byte column, one entry per lane (or broadcast over the states), into the lanes in place."""
+    for column in columns:
+        lanes ^= column
+        lanes *= _PRIME  # uint64 wraparound, matching the scalar masking
 
 
 def _check_seed(seed: int) -> int:
@@ -148,9 +172,20 @@ def digest_rows(row_seeds: Sequence[int], hash_count: int, elements: Sequence[by
     len(elements)) uint64 array whose entry [r, i] is that digest of
     digest_pair(row_seeds[r], elements[i]).
     """
+    return _digests(_start_states(row_seeds, hash_count), hash_count, elements)
+
+
+def _start_states(row_seeds: Sequence[int], hash_count: int) -> np.ndarray:
+    """The FNV start state of every digest the rows need, as one uint64 array: each row's h1, then each row's h2."""
     domains = (_DOMAIN_H1,) if hash_count == 1 else (_DOMAIN_H1, _DOMAIN_H2)
     states = [_prefix_state(_check_seed(seed), domain) for domain in domains for seed in row_seeds]
-    digests = _mix64_bulk(fnv1a64_bulk(elements, states)).reshape(len(domains), len(row_seeds), len(elements))
+    return np.array(states, dtype=np.uint64)
+
+
+def _digests(states: np.ndarray, hash_count: int, elements: Sequence[bytes]) -> tuple[np.ndarray, ...]:
+    """`digest_rows` from the rows' `_start_states`: one FNV pass, then mix64, then h2 made odd."""
+    domains = 1 if hash_count == 1 else 2
+    digests = _mix64_bulk(fnv1a64_bulk(elements, states)).reshape(domains, len(states) // domains, len(elements))
     if hash_count > 1:
         digests[1] |= np.uint64(1)  # h2 is odd
     return tuple(digests)

@@ -5,11 +5,23 @@ width `table` of cells. `SketchParams` is the only check of the shape
 rules and `SKETCH_KINDS` the only kind -> class table; two sketches are
 comparable iff their shapes are equal.
 
+Every sketch takes its shape from `_shape`, a bounded memo of
+`SketchParams` keyed by the constructor's arguments and their types, so
+an argument equal to a valid one but of another type (128.0, True,
+np.int64(128)) is checked, and refused, on every call; an error is never
+kept, and an unhashable argument is checked without the memo. The
+envelope decoder takes its shapes from the same memo. Each
+shape object carries its build plan (`SketchParams._plan`), made at its
+first build: the FNV start states of its rows' digests as one uint64
+array and the flat index of each row's first cell.
+
 There is one placement path. Every build's counts pass `_clip_counts`,
 the one count clip (through `_multiset_arrays`, or in the grid engine's
-columns), every cell comes from `Sketch._positions` (`_probe_positions`
-over one `digest_rows` call), and every add goes through `_count_rows`,
-which holds the one clamp. `from_multiset` and
+columns), every cell comes from `_probe_positions` over digests from
+`hashing._digests` (from the rows' start states, which `digest_rows`
+derives and a plan keeps), and every add goes through `_count_rows`, which
+holds the one clamp. A build is `_multiset_arrays`, one FNV pass, the
+mix, the probe columns and one `_count_rows` call. `from_multiset` and
 `insert` are both `_add`: an insert is the bulk build of a one-element
 multiset. So a one-row Count-Min sketch is cell for cell the one-hash CBF
 of the same seed; no sketch is converted to another kind.
@@ -23,14 +35,16 @@ read. Queries are one-sided: `estimate_count` never undercounts and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .hashing import _check_seed, _probe_positions, _row_seed, digest_rows
+from .hashing import _check_seed, _digests, _probe_positions, _row_seed, _start_states
 from .multiset import Multiset, as_element
 
 COUNTER_MAX = 2**32 - 1
 _FIELD_MAX = 2**32 - 1  # width, depth and hash_count travel as uint32 header fields
+_SHAPE_MEMO = 256  # distinct valid shapes kept as one SketchParams each
 
 
 @dataclass(frozen=True)
@@ -53,6 +67,8 @@ class SketchParams:
             raise ValueError(f"a cms probes each row once: hash_count must be 1, got {self.hash_count}")
         if self.kind != "cms" and self.depth != 1:
             raise ValueError(f"a {self.kind} is one row: depth must be 1, got {self.depth}")
+        # set with the fields: an attribute added later through __dict__ would slow every field read after it
+        object.__setattr__(self, "_plan_arrays", None)
 
     @property
     def row_seeds(self) -> tuple[int, ...]:
@@ -63,10 +79,38 @@ class SketchParams:
         """
         return tuple(_row_seed(self.seed, row) for row in range(self.depth))
 
+    @property
+    def _plan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The build plan, made at this shape's first build and only read after: (start states, row offsets).
+
+        The start states are the FNV start state of each digest the rows
+        need, as one uint64 array; the row offsets are the flat index of
+        each row's first cell, shape (depth, 1).
+        """
+        if self._plan_arrays is None:
+            plan = (_start_states(self.row_seeds, self.hash_count),
+                    np.arange(0, self.depth * self.width, self.width).reshape(-1, 1))
+            for array in plan:
+                array.flags.writeable = False  # every build of this shape shares it
+            object.__setattr__(self, "_plan_arrays", plan)
+        return self._plan_arrays
+
     def sketch(self, multiset: Multiset) -> Sketch:
         """This shape's sketch of a multiset, built by `from_multiset`."""
         # every constructor takes (width, k or d, seed), and one of depth and hash count is 1
         return SKETCH_KINDS[self.kind].from_multiset(multiset, self.width, self.depth * self.hash_count, self.seed)
+
+
+# typed, so 128.0, True or np.int64(128) is checked on every call, never matched to 128's shape
+_shape_memo = lru_cache(maxsize=_SHAPE_MEMO, typed=True)(SketchParams)  # an exception raised is never cached
+
+
+def _shape(kind: str, width: int, depth: int, hash_count: int, seed: int) -> SketchParams:
+    """The shape every sketch constructor and envelope header takes: one `SketchParams` per memoised shape."""
+    try:
+        return _shape_memo(kind, width, depth, hash_count, seed)
+    except TypeError:  # an unhashable argument has no memo key: SketchParams checks it alone
+        return SketchParams(kind, width, depth, hash_count, seed)
 
 
 def _multiset_arrays(multiset: Multiset) -> tuple[list[bytes], np.ndarray]:
@@ -84,14 +128,14 @@ def _clip_counts(counts: np.ndarray) -> np.ndarray:
     return np.minimum(counts, COUNTER_MAX + 1).view(np.int64)  # every clipped count fits
 
 
-def _count_rows(table: np.ndarray, positions: np.ndarray, owners: np.ndarray, counts: np.ndarray) -> None:
+def _count_rows(table: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> None:
     """The one accumulator: add counts into a C-contiguous rows x width uint32 table in place, saturating.
 
-    Each entry of `positions` adds its entry of `counts` (same shape) in
-    its row of `owners` (broadcast against `positions`). Indices are
-    flat: np.add.at with 2-D indices and broadcast values varies by numpy.
+    Each entry of `cells`, a flat index (row * width + column), adds its
+    entry of `counts` (same shape). Indices are flat: np.add.at with 2-D
+    indices and broadcast values varies by numpy.
     """
-    cells, values = (owners * table.shape[1] + positions).ravel(), counts.ravel()
+    cells, values = cells.ravel(), counts.ravel()
     if int(table.max(initial=0)) + int(values.sum()) <= COUNTER_MAX:
         np.add.at(table.reshape(-1), cells, values.astype(np.uint32))  # int64 values would take numpy's slow path
         return
@@ -107,7 +151,7 @@ class Sketch:
     _dtype: type = np.uint32
 
     def __init__(self, width: int, depth: int = 1, hash_count: int = 1, seed: int = 0):
-        self.params = SketchParams(self.kind, width, depth, hash_count, seed)
+        self.params = _shape(self.kind, width, depth, hash_count, seed)
         self.table = np.zeros((depth, width), dtype=self._dtype)
 
     width = property(lambda self: self.params.width)
@@ -115,10 +159,10 @@ class Sketch:
     hash_count = property(lambda self: self.params.hash_count)
     seed = property(lambda self: self.params.seed)
 
-    def _positions(self, elements: list[bytes]) -> np.ndarray:
-        """The column of every probe of each element in each row, shape (hash_count, depth, len(elements))."""
-        return _probe_positions(digest_rows(self.params.row_seeds, self.hash_count, elements), self.hash_count,
-                                self.width)
+    def _cells(self, elements: list[bytes]) -> np.ndarray:
+        """The flat table index of every probe of each element in each row, shape (hash_count, depth, len(elements))."""
+        states, row_offsets = self.params._plan
+        return _probe_positions(_digests(states, self.hash_count, elements), self.hash_count, self.width) + row_offsets
 
     @classmethod
     def from_multiset(cls, multiset: Multiset, *args, **kwargs):
@@ -159,11 +203,11 @@ class BloomFilter(Sketch):
     bits = property(lambda self: self.table[0], doc="The bit vector, a view of table[0].")
 
     def _add(self, elements: list[bytes], counts: np.ndarray) -> None:
-        self.bits[self._positions(elements)] = True  # counts ignored: a BF records membership only
+        self.bits[self._cells(elements)] = True  # one row: its cells are its columns; counts ignored
 
     def contains(self, element: bytes | str) -> bool:
         """False means definitely never inserted; True means inserted or collision."""
-        return bool(self.bits[self._positions([as_element(element)])].all())
+        return bool(self.bits[self._cells([as_element(element)])].all())
 
     __contains__ = contains
 
@@ -182,14 +226,14 @@ class CounterTable(Sketch):
         return bool((self.table == COUNTER_MAX).any())
 
     def _add(self, elements: list[bytes], counts: np.ndarray) -> None:
-        positions = self._positions(elements)
-        probe_counts = np.empty_like(positions)  # each probe of an element adds the element's count
+        cells = self._cells(elements)
+        probe_counts = np.empty_like(cells)  # each probe of an element adds the element's count
         probe_counts[...] = counts
-        _count_rows(self.table, positions, np.arange(self.depth)[:, None], probe_counts)
+        _count_rows(self.table, cells, probe_counts)
 
     def estimate_count(self, element: bytes | str) -> int:
         """Upper-bound estimate: minimum counter across the element's probed cells."""
-        return int(self.table[np.arange(self.depth)[:, None], self._positions([as_element(element)])].min())
+        return int(self.table.take(self._cells([as_element(element)])).min())
 
 
 class CountingBloomFilter(CounterTable):

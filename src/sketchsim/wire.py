@@ -14,8 +14,10 @@ bytes it holds whatever its shape or format. Each distinct valid
 header is checked once into a decode plan (shape, sketch class, payload
 length, table shape) kept in a bounded memo that never holds an error,
 so a decode is the length and magic checks, one memo lookup, the
-payload-length check and one owning copy of the payload, and every
-decode of one header carries the same `SketchParams` object.
+payload-length check and one owning copy of the payload. The plan's
+`SketchParams` comes from the shape memo every build goes through
+(`sketches._shape`), so each decode of one header, and each sketch built
+in that shape, carries the same object while the memos hold it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import struct
 import numpy as np
 
 from .metrics import witness_of
-from .sketches import SKETCH_KINDS, BloomFilter, Sketch, SketchParams
+from .sketches import SKETCH_KINDS, BloomFilter, Sketch, SketchParams, _shape
 
 MAGIC = b"SKSM"
 VERSION = 1
@@ -108,7 +110,7 @@ def _plan(header: bytes) -> tuple[SketchParams, type, int, tuple[int, int]]:
     if counter_code != _COUNTER_CODES[kind]:
         raise HeaderConsistencyError(f"{kind} envelopes use counter width code {_COUNTER_CODES[kind]}, got {counter_code}")
     try:
-        params = SketchParams(kind, width, depth, hash_count, seed)
+        params = _shape(kind, width, depth, hash_count, seed)  # the object each build of this shape carries
     except ValueError as exc:
         raise HeaderConsistencyError(str(exc)) from exc
     return params, SKETCH_KINDS[kind], (width + 7) // 8 if kind == "bf" else depth * width * 4, (depth, width)

@@ -55,12 +55,16 @@ def test_bulk_digests_across_blocks_and_length_groups(monkeypatch):
         assert fnv1a64_bulk(datas, states).tolist() == [[fnv1a64(data, state) for data in datas] for state in states]
 
 
-@pytest.mark.parametrize("count", [3, 4, 5, 9])
-@pytest.mark.parametrize("states", [[FNV_OFFSET], [FNV_OFFSET, 0, 2**64 - 1]], ids=["one state", "several"])
-def test_bulk_kernel_for_one_state_and_several_around_the_block_bound(monkeypatch, states, count):
-    # a bound of 4 inputs puts these counts below, at, just past and twice past it; one start state
-    # digests in a 1-D lane, several in a (states, inputs) array
+@pytest.mark.parametrize("flat_lanes", [0, 2**11], ids=["array lanes", "flat lanes"])
+@pytest.mark.parametrize("count", [0, 3, 4, 5, 9])
+@pytest.mark.parametrize("states", [[FNV_OFFSET], [FNV_OFFSET, 0, 2**64 - 1], [FNV_OFFSET, 0, 1, 2, 2**64 - 1]],
+                         ids=["one state", "several", "more than the bound"])
+def test_bulk_kernel_for_one_state_and_several_around_the_block_bound(monkeypatch, states, count, flat_lanes):
+    # a bound of 4 inputs puts these counts below, at, just past and twice past it. One start state
+    # digests in a 1-D lane; several digest in one flat lane of (state, input) entries while there are
+    # at most _FLAT_LANES of them, else in a (states, inputs) array, _BLOCK_INPUTS inputs at a time
     monkeypatch.setattr(hashing, "_BLOCK_INPUTS", 4)
+    monkeypatch.setattr(hashing, "_FLAT_LANES", flat_lanes)
     rng = random.Random(count)
     single = [rng.randbytes(18) for _ in range(count)]
     mixed = [rng.randbytes(length) for length in ([1, 18] * count)[:count]]  # two length groups, one past the bound at 9

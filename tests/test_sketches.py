@@ -15,6 +15,7 @@ from sketchsim import (
     SketchParams,
     encode,
 )
+from sketchsim import sketches
 from sketchsim.experiments import _Columns
 from sketchsim.hashing import _probe_positions, digest_rows
 
@@ -192,6 +193,19 @@ def test_validation():
         BloomFilter(0)
     with pytest.raises(ValueError):
         CountingBloomFilter(4, hash_count=0)
+    # each of these equals a valid shape memoised just before it, or cannot be a memo key, and is refused on every call
+    CountingBloomFilter(128, 1), CountMinSketch(128, 4), CountingBloomFilter(128, 1, 2**64 - 1)
+    for build in (lambda: CountingBloomFilter(128, True), lambda: CountingBloomFilter(128.0),
+                  lambda: CountMinSketch(np.int64(128), 4), lambda: CountingBloomFilter(128, 1, -1),
+                  lambda: CountingBloomFilter(128, 1, 2**64), lambda: CountingBloomFilter([128]),
+                  lambda: CountMinSketch(np.array(128), 4), lambda: CountingBloomFilter(128, 1, [0])):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                build()
+    bound = sketches._shape_memo.cache_info().maxsize
+    for seed in range(bound + 10):
+        assert CountingBloomFilter(2, 1, seed).seed == seed
+    assert sketches._shape_memo.cache_info().currsize <= bound
 
 
 def test_sketch_params_fit_the_header():

@@ -215,6 +215,27 @@ class TestHeaderMemo:
             assert decode(encode(sketch)) == sketch
         assert wire._plan.cache_info().currsize <= bound
 
+    def test_built_and_decoded_sketches_share_one_shape(self, monkeypatch):
+        wire._plan.cache_clear()  # a plan kept from an earlier test may hold a shape the shape memo has since dropped
+        m = Multiset({"a": 3, "b": 1})
+        built = [CountingBloomFilter.from_multiset(m, 128, 1, 11), CountMinSketch.from_multiset(m, 128, 4, 11),
+                 BloomFilter.from_multiset(m, 13, 2, 11)]
+        decoded = [decode(encode(sketch)) for sketch in built]
+        assert all(d.params is s.params for s, d in zip(built, decoded))
+        assert decode_header(encode(built[0])) is built[0].params
+        # so the shape check passes them without comparing a field
+        monkeypatch.setattr(SketchParams, "__eq__", lambda a, b: pytest.fail("shapes compared field by field"))
+        for sketch, other in zip(built, decoded):
+            assert check_witnesses(sketch.params, other.params) is sketch.params
+
+    def test_shape_too_large_to_plan_is_rejected_by_its_payload_length(self):
+        # a valid header of 2^32 - 1 rows: the decode must not derive its rows before it checks the payload
+        header = struct.pack("<4sBBIIIQB", b"SKSM", 1, 2, 1, 2**32 - 1, 1, 0, 2)
+        for _ in range(2):
+            with pytest.raises(TruncatedPayloadError):
+                decode(header + b"\x00" * 4)
+        assert decode_header(header).depth == 2**32 - 1
+
     @pytest.mark.parametrize("data", [
         encode(CountingBloomFilter(8, 1, 0)).decode("latin-1"),  # a str that spells a valid envelope
         list(encode(CountingBloomFilter(8, 1, 0))),  # so does this list of ints
