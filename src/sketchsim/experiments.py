@@ -2,16 +2,18 @@
 
 A run sketches both sides of every corpus pair with one shape and seed,
 scores the chosen metric, and attaches the exact score as the truth.
-The truths come from the run's interned columns, all pairs at once:
-each pair's exact sums are array sums of the unclipped counts, scored
-by the metric's cell scorer, which equals the scalar oracle bit for bit
-for one row. Only a pair with an empty side calls the oracle. A pair
-whose truth is undefined is a `PairFailure`, never fatal; its estimate
-is undefined exactly when its truth is. Every estimate
-equals `metrics.score` of sketches built one pair at a time, bit for
-bit, and `run_pairwise` is the one-cell grid of its shape. Metrics come
-from the one table `metrics.METRICS`. Runs are deterministic for a fixed
-corpus and seed.
+A Dice run takes its truths from the run's interned columns, all pairs
+at once: each pair's exact sums are array sums of the unclipped counts,
+scored by the metric's cell scorer, which equals the scalar oracle bit
+for bit for one row. A cosine pair, and a pair with an empty side, calls
+the oracle. The vocabulary is digested once, from the largest cell
+shape's `SketchParams._plan` start states, as a sender build digests its
+elements. A pair whose truth is undefined is a `PairFailure`, never
+fatal; its estimate is undefined exactly when its truth is. Every
+estimate equals `metrics.score` of sketches built one pair at a time,
+bit for bit, and `run_pairwise` is the one-cell grid of its shape.
+Metrics come from the one table `metrics.METRICS`. Runs are
+deterministic for a fixed corpus and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import metrics
 from .datasets import Corpus
-from .hashing import _probe_positions, digest_rows
+from .hashing import _digests, _probe_positions
 from .multiset import Multiset, UndefinedSimilarityError
 from .sketches import SketchParams, _clip_counts, _count_rows
 
@@ -108,14 +110,14 @@ _CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bou
 class _Columns:
     """One run's fixed state, built once from its corpus and lattice and never grown.
 
-    Every pair's sides are interned first. Each pair's truth then comes
-    from its exact sums, taken over the interned columns and scored by the
-    metric's cell scorer; a pair with an empty side goes to the scalar
-    oracle instead, and one whose truth is undefined becomes the oracle's
-    own `PairFailure`. `pair_ids`, `truths`, `left` and `right` (each
-    pair's profile numbers) cover the scored pairs only: a non-empty
-    profile puts mass in every sketch row, so a pair's estimate is
-    undefined exactly when its truth is.
+    Every pair's sides are interned first. Each Dice pair's truth then
+    comes from its exact sums, taken over the interned columns and scored
+    by the metric's cell scorer; a cosine pair, or one with an empty side,
+    goes to the scalar oracle instead, and one whose truth is undefined
+    becomes the oracle's own `PairFailure`. `pair_ids`, `truths`, `left`
+    and `right` (each pair's profile numbers) cover the scored pairs only:
+    a non-empty profile puts mass in every sketch row, so a pair's
+    estimate is undefined exactly when its truth is.
     """
 
     def __init__(self, corpus: Corpus, grid: GridSpec):
@@ -131,7 +133,7 @@ class _Columns:
         self.left, self.right = self.left[scored], self.right[scored]
         largest = grid.params_for(max(grid.dims), max(grid.depths))
         # per row seed, its (h1,) or (h1, h2) rows, one column per element id
-        self._digests = list(zip(*digest_rows(largest.row_seeds, largest.hash_count, elements)))
+        self._digests = list(zip(*_digests(largest._plan[0], largest.hash_count, elements)))
 
     def _intern(self, sides: list[Multiset]) -> tuple[list[bytes], np.ndarray]:
         """The profile columns of every pair's sides (two per pair, in order).
@@ -160,31 +162,24 @@ class _Columns:
         """Each pair's exact score, bit for bit the oracle's, or the oracle's `PairFailure` for it, in corpus order.
 
         Dice takes each pair's sum(min) of the two sides' counts and forms
-        sum(max) = |a| + |b| - sum(min); cosine takes the Gram entries: both
-        squared norms and the dot product. The sums are uint64 while none can
-        reach 2^64 (each is at most the largest cardinality, doubled or
-        squared), else Python ints in object arrays. A pair with an empty
-        side is the oracle's alone.
+        sum(max) = |a| + |b| - sum(min). The sums are uint64 while none can
+        reach 2^64 (each is at most twice the largest cardinality), else
+        Python ints in object arrays. A cosine pair, and a pair with an
+        empty side, is the oracle's alone.
         """
-        oracle, _, _, score_cells = metrics.METRICS[metric]
+        oracle, dice_cells = metrics.METRICS[metric][0], metrics.METRICS["dice"][3]
         cardinalities = [profile.cardinality() for profile in self.profiles]
-        largest = max(cardinalities) ** 2 if metric == "cosine" else 2 * max(cardinalities)
-        counts = exact if largest < 2**64 else exact.astype(object)
-        empty_side = (self._lengths[self.left] == 0) | (self._lengths[self.right] == 0)
-        full = np.flatnonzero(~empty_side)
+        counts = exact if 2 * max(cardinalities) < 2**64 else exact.astype(object)
+        by_oracle = (self._lengths[self.left] == 0) | (self._lengths[self.right] == 0) | (metric != "dice")
+        full = np.flatnonzero(~by_oracle)
         left, right = self.left[full], self.right[full]
-        if metric == "cosine":
-            norms = _segment_sums(counts * counts, self._lengths)
-            dots = self._pair_sums(left, right, counts, np.multiply)
-            exact = score_cells((np.stack((norms[left], dots, dots, norms[right])),))
-        else:
-            shared = self._pair_sums(left, right, counts, np.minimum)
-            sizes = np.array(cardinalities, dtype=counts.dtype)
-            exact = score_cells((shared,), (sizes[left] + sizes[right] - shared,))
+        shared = self._pair_sums(left, right, counts)
+        sizes = np.array(cardinalities, dtype=counts.dtype)
+        exact = dice_cells((shared,), (sizes[left] + sizes[right] - shared,))
         truths: list[float | PairFailure] = [0.0] * len(corpus)
         for number, truth in zip(full.tolist(), exact.tolist()):
             truths[number] = truth
-        for number in np.flatnonzero(empty_side).tolist():
+        for number in np.flatnonzero(by_oracle).tolist():
             pair_id, x, y = corpus[number]
             try:
                 truths[number] = oracle(x, y)
@@ -192,8 +187,8 @@ class _Columns:
                 truths[number] = PairFailure(pair_id, str(exc))
         return truths
 
-    def _pair_sums(self, left: np.ndarray, right: np.ndarray, counts: np.ndarray, combine) -> np.ndarray:
-        """Per pair, the sum of combine(left count, right count) over the right profile's entries, in counts' dtype.
+    def _pair_sums(self, left: np.ndarray, right: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        """Per pair, the sum of min(left count, right count) over the right profile's entries, in counts' dtype.
 
         One dense vocabulary buffer holds a left profile's counts (0 for an
         element it lacks): it is filled once per distinct left profile and
@@ -211,7 +206,7 @@ class _Columns:
             lengths = self._lengths[right[pairs]]
             # each right entry's index: its profile's first entry plus its place in that profile
             entries = np.repeat(offsets[right[pairs]] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-            sums[pairs] = _segment_sums(combine(buffer[element[entries]], counts[entries]), lengths)
+            sums[pairs] = _segment_sums(np.minimum(buffer[element[entries]], counts[entries]), lengths)
             buffer[element[own]] = 0
         return sums
 

@@ -11,19 +11,18 @@ byte (README "Hash procedure"):
 and row r of a Count-Min sketch hashes with `derive_row_seed(base, r)`,
 row 0 keeping the base seed, so a one-row CMS is the one-hash CBF.
 
-`digest_pair` is the scalar reference digest, and `digest_rows` gives
-the same values for many elements under many row seeds in one call: the
-rows' FNV start states (`_start_states`), then `_digests`, one
-`fnv1a64_bulk` pass from those states and the mix. A sketch shape keeps
-its start states, so its builds call `_digests` alone. The bulk kernel
-lays out its lanes, one per (start state, input), by their count (see
-`_fnv1a64_block`). `_probe_positions` is the only implementation of the
-index formula.
+`digest_pair` is the scalar reference digest. The bulk path gives the
+same values for many elements under many row seeds: the rows' FNV start
+states (`_start_states`), then `_digests`, one `fnv1a64_bulk` pass from
+those states and the mix. A sketch shape (`SketchParams._plan`) is the one
+place these start states are kept; both the sender's builds and the grid
+digest from it. The bulk kernel lays out its lanes, one per (start state,
+input), by their count (see `_fnv1a64_block`). `_probe_positions` is the
+only implementation of the index formula.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -130,12 +129,11 @@ def _fnv1a64_fold(lanes: np.ndarray, columns: np.ndarray) -> None:
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, int) or not 0 <= seed <= SEED_MAX:
+    if type(seed) is not int or not 0 <= seed <= SEED_MAX:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     return seed
 
 
-@lru_cache(maxsize=1024)
 def _prefix_state(seed: int, domain: bytes) -> int:
     return fnv1a64(seed.to_bytes(8, "little") + domain)
 
@@ -152,27 +150,11 @@ def digest_pair(seed: int, element: bytes | str) -> tuple[int, int]:
 def derive_row_seed(base_seed: int, row: int) -> int:
     """Seed of a Count-Min row family; row 0 is the base seed itself."""
     _check_seed(base_seed)
-    if not isinstance(row, int) or row < 0:
+    if type(row) is not int or row < 0:
         raise ValueError(f"row must be a non-negative integer, got {row!r}")
-    return _row_seed(base_seed, row)
-
-
-@lru_cache(maxsize=1024)
-def _row_seed(base_seed: int, row: int) -> int:
-    # checked arguments only: the cache key treats 1.0 and 1 as one key
     if not row:
         return base_seed
     return fnv1a64(row.to_bytes(4, "little"), _prefix_state(base_seed, _DOMAIN_ROW))
-
-
-def digest_rows(row_seeds: Sequence[int], hash_count: int, elements: Sequence[bytes]) -> tuple[np.ndarray, ...]:
-    """The digests rows with these seeds need, from one pass over the element bytes.
-
-    (h1,) for one probe per row, else (h1, h2), each a (len(row_seeds),
-    len(elements)) uint64 array whose entry [r, i] is that digest of
-    digest_pair(row_seeds[r], elements[i]).
-    """
-    return _digests(_start_states(row_seeds, hash_count), hash_count, elements)
 
 
 def _start_states(row_seeds: Sequence[int], hash_count: int) -> np.ndarray:
@@ -183,7 +165,12 @@ def _start_states(row_seeds: Sequence[int], hash_count: int) -> np.ndarray:
 
 
 def _digests(states: np.ndarray, hash_count: int, elements: Sequence[bytes]) -> tuple[np.ndarray, ...]:
-    """`digest_rows` from the rows' `_start_states`: one FNV pass, then mix64, then h2 made odd."""
+    """The digests rows need, from their `_start_states`: one FNV pass, then mix64, then h2 made odd.
+
+    (h1,) for one probe per row, else (h1, h2), each a (rows, len(elements))
+    uint64 array whose entry [r, i] is that digest of
+    digest_pair(row_seeds[r], elements[i]).
+    """
     domains = 1 if hash_count == 1 else 2
     digests = _mix64_bulk(fnv1a64_bulk(elements, states)).reshape(domains, len(states) // domains, len(elements))
     if hash_count > 1:

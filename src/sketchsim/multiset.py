@@ -36,12 +36,6 @@ def as_element(value: bytes | str) -> bytes:
     return value
 
 
-def _check_times(times: int) -> int:  # the one check of an insert count, for multisets and sketches
-    if not isinstance(times, int) or times < 1:
-        raise ValueError(f"times must be a positive integer, got {times!r}")
-    return times
-
-
 class Multiset:
     """A multiset: element -> positive count, with exact similarity math.
 
@@ -70,7 +64,9 @@ class Multiset:
     def insert(self, element: bytes | str, times: int = 1) -> None:
         """Add `times` instances of `element`."""
         key = as_element(element)
-        new = self._entries.get(key, 0) + _check_times(times)
+        if not isinstance(times, int) or times < 1:  # the one check of an insert count, for multisets and sketches
+            raise ValueError(f"times must be a positive integer, got {times!r}")
+        new = self._entries.get(key, 0) + times
         if new > COUNT_MAX:
             raise OverflowError(f"count for {key!r} exceeds 64-bit range")
         self._entries[key] = new

@@ -13,18 +13,20 @@ kept, and an unhashable argument is checked without the memo. The
 envelope decoder takes its shapes from the same memo. Each
 shape object carries its build plan (`SketchParams._plan`), made at its
 first build: the FNV start states of its rows' digests as one uint64
-array and the flat index of each row's first cell.
+array and the flat index of each row's first cell. The plan is the only
+memo of digest state: `hashing` keeps none, and the grid engine digests
+its vocabulary from its largest shape's plan, as a build does.
 
 There is one placement path. Every build's counts pass `_clip_counts`,
 the one count clip (through `_multiset_arrays`, or in the grid engine's
 columns), every cell comes from `_probe_positions` over digests from
-`hashing._digests` (from the rows' start states, which `digest_rows`
-derives and a plan keeps), and every add goes through `_count_rows`, which
-holds the one clamp. A build is `_multiset_arrays`, one FNV pass, the
-mix, the probe columns and one `_count_rows` call. `from_multiset` and
-`insert` are both `_add`: an insert is the bulk build of a one-element
-multiset. So a one-row Count-Min sketch is cell for cell the one-hash CBF
-of the same seed; no sketch is converted to another kind.
+`hashing._digests` (from the start states a plan keeps), and every add
+goes through `_count_rows`, which holds the one clamp. A build is
+`_multiset_arrays`, one FNV pass, the mix, the probe columns and one
+`_count_rows` call. `from_multiset` and `insert` are both `_add`: an
+insert is the bulk build of a one-element multiset. So a one-row
+Count-Min sketch is cell for cell the one-hash CBF of the same seed; no
+sketch is converted to another kind.
 
 Counters saturate at COUNTER_MAX instead of raising, and a sketch is
 `saturated` when a cell sits there, which both ends of an envelope can
@@ -39,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .hashing import _check_seed, _digests, _probe_positions, _row_seed, _start_states
+from .hashing import _check_seed, _digests, _probe_positions, _start_states, derive_row_seed
 from .multiset import Multiset, as_element
 
 COUNTER_MAX = 2**32 - 1
@@ -74,10 +76,10 @@ class SketchParams:
     def row_seeds(self) -> tuple[int, ...]:
         """The seed each row hashes with, derive_row_seed(seed, r) for r < depth.
 
-        The seed was checked when the shape was made, so each row comes
-        from the cached `_row_seed`, with no check per row.
+        Derived afresh on each call; a shape's `_plan` calls this once and
+        keeps the start states the rows' digests begin from.
         """
-        return tuple(_row_seed(self.seed, row) for row in range(self.depth))
+        return tuple(derive_row_seed(self.seed, row) for row in range(self.depth))
 
     @property
     def _plan(self) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import os
+import warnings
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +15,17 @@ from sketchsim import (
     generate_synthetic,
     random_multiset,
 )
-from sketchsim.hashing import _probe_positions, digest_rows
+from sketchsim.hashing import _digests, _probe_positions, _start_states
 from sketchsim.multiset import as_element
+
+
+# When a property fails, Hypothesis's pytest plugin imports its patch writer (and libcst) inside that
+# test's filterwarnings("error"), where a DeprecationWarning from libcst's own imports becomes an
+# INTERNALERROR that ends the session. Importing it here once, outside every test, lets its import
+# warnings pass; every warning a test raises stays an error.
+with warnings.catch_warnings(), suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def pytest_collection_modifyitems(items):
@@ -78,7 +89,8 @@ def find_collision_free_seed(elements, size, hash_count=1, start_seed=0, max_tri
     keys = list(dict.fromkeys(as_element(e) for e in elements))  # a repeated element only meets itself
     for seed in range(start_seed, start_seed + max_tries):
         claimed = set()
-        for cells in _probe_positions(digest_rows([seed], hash_count, keys), hash_count, size)[:, 0].T.tolist():
+        digests = _digests(_start_states([seed], hash_count), hash_count, keys)
+        for cells in _probe_positions(digests, hash_count, size)[:, 0].T.tolist():
             if not claimed.isdisjoint(cells):
                 break  # the first cell two elements share rules the seed out
             claimed.update(cells)

@@ -6,7 +6,7 @@ import pytest
 from conftest import find_collision_free_seed
 from sketchsim import derive_row_seed, digest_pair, fnv1a64
 from sketchsim import hashing
-from sketchsim.hashing import FNV_OFFSET, _probe_positions, digest_rows, fnv1a64_bulk
+from sketchsim.hashing import FNV_OFFSET, _digests, _probe_positions, _start_states, fnv1a64_bulk
 
 
 # Published FNV-1a 64-bit vectors (reference test suite of the FNV spec).
@@ -34,7 +34,7 @@ def test_bulk_digests_match_scalar():
     elements = [data for data in datas[:300] if data]
     for depth, hash_count in ((1, 1), (1, 2), (4, 1), (3, 5), (10, 8)):
         row_seeds = [derive_row_seed(1234, row) for row in range(depth)]
-        digests = digest_rows(row_seeds, hash_count, elements)
+        digests = _digests(_start_states(row_seeds, hash_count), hash_count, elements)
         assert len(digests) == min(hash_count, 2)
         assert all(d.shape == (depth, len(elements)) for d in digests)
         for r, seed in enumerate(row_seeds):
@@ -71,14 +71,15 @@ def test_bulk_kernel_for_one_state_and_several_around_the_block_bound(monkeypatc
     for elements in (single, mixed):
         assert fnv1a64_bulk(elements, states).tolist() == [[fnv1a64(e, state) for e in elements] for state in states]
         for hash_count in (1, 2):  # one state per row seed, or two
-            digests = digest_rows(states, hash_count, elements)  # the states serve as row seeds here
+            # the states serve as row seeds here
+            digests = _digests(_start_states(states, hash_count), hash_count, elements)
             pairs = [[digest_pair(row_seed, e) for e in elements] for row_seed in states]
             assert [d.tolist() for d in digests] == [[[pair[i] for pair in row] for row in pairs] for i in range(hash_count)]
 
 
 def test_bulk_digests_of_no_elements():
     assert fnv1a64_bulk([], [FNV_OFFSET, 1]).shape == (2, 0)
-    h1, h2 = digest_rows([0, 1, 2], 3, [])
+    h1, h2 = _digests(_start_states([0, 1, 2], 3), 3, [])
     assert h1.shape == h2.shape == (3, 0)
     assert _probe_positions((h1, h2), 3, 16).shape == (3, 3, 0)
 
@@ -92,7 +93,8 @@ def test_h2_is_always_odd():
 
 def _positions(seed, hash_count, size, elements):
     """Every element's probe cells, one column per element, from one bulk call."""
-    return _probe_positions(digest_rows([seed], hash_count, elements), hash_count, size).reshape(hash_count, -1)
+    digests = _digests(_start_states([seed], hash_count), hash_count, elements)
+    return _probe_positions(digests, hash_count, size).reshape(hash_count, -1)
 
 
 def test_positions_shape_and_range():
@@ -130,11 +132,11 @@ def test_empirical_uniformity():
 
 def test_validation():
     # the shape checks (seed, size, hash count) are SketchParams' own: see test_sketch_params_validation
-    for seed in (-1, 2**64, 1.0):
+    for seed in (-1, 2**64, 1.0, True):
         with pytest.raises(ValueError):
             digest_pair(seed, b"a")
         with pytest.raises(ValueError):
-            digest_rows([0, seed], 2, [b"a"])
+            _digests(_start_states([0, seed], 2), 2, [b"a"])
     with pytest.raises(ValueError):
         digest_pair(0, b"")
     for size, hash_count in ((0, 1), (1, 0)):
@@ -150,13 +152,12 @@ def test_row_seed_derivation():
     assert derive_row_seed(98, 3) != derive_row_seed(99, 3)
 
 
-def test_row_seed_cache_keeps_validation():
-    # row seeds are memoised; a cache keyed by (1, 3) must not answer for 1.0 == 1
+def test_row_seed_validation():
+    # a value equal to a valid int but of another type is refused: 1.0 == 1, and True would be row 1
     derive_row_seed(1, 3)
-    with pytest.raises(ValueError):
-        derive_row_seed(1.0, 3)
-    with pytest.raises(ValueError):
-        derive_row_seed(1, 3.0)
+    for seed, row in ((1.0, 3), (1, 3.0), (True, 3), (0, True), (0, False)):
+        with pytest.raises(ValueError):
+            derive_row_seed(seed, row)
 
 
 def test_find_collision_free_seed():

@@ -79,7 +79,7 @@ from sketchsim.cli import main
 from sketchsim.datasets import MANIFEST_NAME, MANIFEST_SCHEMA
 from sketchsim.experiments import PairFailure, _Columns
 from sketchsim.metrics import METRICS, _cosine_sums, _dice_cells, _dice_sums, score
-from sketchsim.hashing import _probe_positions, digest_rows, fnv1a64, fnv1a64_bulk
+from sketchsim.hashing import _digests, _probe_positions, _start_states, fnv1a64, fnv1a64_bulk
 from sketchsim.sketches import SKETCH_KINDS
 from sketchsim.wire import HEADER_SIZE, MAGIC
 
@@ -451,7 +451,7 @@ sizes = st.one_of(st.just(1), st.integers(2, 1000), st.sampled_from([2**10, 2**3
 def test_bulk_hashing_matches_scalar(elements, seed, depth, hash_count, size, states):
     assert fnv1a64_bulk(elements, states).tolist() == [[fnv1a64(e, state) for e in elements] for state in states]
     row_seeds = [derive_row_seed(seed, row) for row in range(depth)]
-    digests = digest_rows(row_seeds, hash_count, elements)
+    digests = _digests(_start_states(row_seeds, hash_count), hash_count, elements)
     pairs = [[digest_pair(row_seed, element) for element in elements] for row_seed in row_seeds]
     assert digests[0].tolist() == [[h1 for h1, _ in row] for row in pairs]
     if hash_count > 1:
@@ -467,7 +467,8 @@ def test_bulk_hashing_matches_scalar(elements, seed, depth, hash_count, size, st
 def test_bulk_hashing_of_one_length_matches_scalar(elements, states, hash_count):
     # inputs of one length are digested as one byte block, a path mixed lengths almost never take
     assert fnv1a64_bulk(elements, states).tolist() == [[fnv1a64(e, state) for e in elements] for state in states]
-    digests = digest_rows(states, hash_count, elements)  # the drawn states serve as row seeds here
+    # the drawn states serve as row seeds here
+    digests = _digests(_start_states(states, hash_count), hash_count, elements)
     pairs = [[digest_pair(row_seed, element) for element in elements] for row_seed in states]
     assert digests[0].tolist() == [[h1 for h1, _ in row] for row in pairs]
     if hash_count > 1:

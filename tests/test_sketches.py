@@ -13,11 +13,13 @@ from sketchsim import (
     GridSpec,
     Multiset,
     SketchParams,
+    derive_row_seed,
+    digest_pair,
     encode,
 )
 from sketchsim import sketches
 from sketchsim.experiments import _Columns
-from sketchsim.hashing import _probe_positions, digest_rows
+from sketchsim.hashing import _digests, _probe_positions, _start_states
 
 
 def _random_multiset(rng, max_distinct=40, max_count=9):
@@ -101,7 +103,7 @@ class TestCountingBloomFilter:
         # search a pair of elements sharing their single cell in a 4-cell table
         rng = random.Random(0)
         elements = [rng.randbytes(6) for _ in range(5)]  # 5 distinct elements in 4 cells: two share one
-        cells = _probe_positions(digest_rows([0], 1, elements), 1, 4).ravel().tolist()
+        cells = _probe_positions(_digests(_start_states([0], 1), 1, elements), 1, 4).ravel().tolist()
         a, b = next((x, y) for (x, p), (y, q) in combinations(zip(elements, cells), 2) if p == q)
         cbf = CountingBloomFilter(4, hash_count=1, seed=0)
         cbf.insert(a, 2)
@@ -198,7 +200,9 @@ def test_validation():
     for build in (lambda: CountingBloomFilter(128, True), lambda: CountingBloomFilter(128.0),
                   lambda: CountMinSketch(np.int64(128), 4), lambda: CountingBloomFilter(128, 1, -1),
                   lambda: CountingBloomFilter(128, 1, 2**64), lambda: CountingBloomFilter([128]),
-                  lambda: CountMinSketch(np.array(128), 4), lambda: CountingBloomFilter(128, 1, [0])):
+                  lambda: CountMinSketch(np.array(128), 4), lambda: CountingBloomFilter(128, 1, [0]),
+                  lambda: CountingBloomFilter(128, 1, True), lambda: CountingBloomFilter(128, 1, False),
+                  lambda: CountMinSketch(128, 4, True), lambda: SketchParams("cbf", 128, seed=True)):
         for _ in range(2):
             with pytest.raises(ValueError):
                 build()
@@ -254,3 +258,16 @@ def test_from_multiset_of_one_id_length_matches_inserts(kind, probes):
     for element, count in m.items():
         manual.insert(element, count)
     assert sketch_type.from_multiset(m, 128, probes, 0) == manual
+
+
+@pytest.mark.parametrize("params", [SketchParams("cbf", 128, hash_count=k, seed=9) for k in (1, 2, 3)]
+                         + [SketchParams("cms", 128, depth=d, seed=9) for d in (1, 4)],
+                         ids=lambda params: f"{params.kind}-k{params.hash_count}-d{params.depth}")
+def test_plan_start_states_digest_as_digest_pair(params):
+    # the sender's builds and the grid both digest from the start states a shape's plan keeps
+    elements = [f"e{i}".encode() for i in range(40)] + [b"SO" + bytes(16)]
+    digests = _digests(params._plan[0], params.hash_count, elements)
+    pairs = [[digest_pair(derive_row_seed(params.seed, row), e) for e in elements] for row in range(params.depth)]
+    assert len(digests) == min(params.hash_count, 2)
+    for i, digest in enumerate(digests):
+        assert digest.tolist() == [[pair[i] for pair in row] for row in pairs]
