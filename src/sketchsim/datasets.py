@@ -431,8 +431,8 @@ _brief = _BRIEF.repr
 
 
 def _field(record: object, name: str, kind: type, where: str):
-    """record[name] if record is a JSON object holding a `kind` there, else a ValueError naming the field."""
+    """record[name] if record is a JSON object holding exactly a `kind` there (no bool for int), else a ValueError."""
     value = record.get(name) if isinstance(record, dict) else None
-    if not isinstance(value, kind):
+    if type(value) is not kind:
         raise ValueError(f"{where} needs a {kind.__name__} field {name!r}, got {_brief(value)}")
     return value

@@ -31,7 +31,7 @@ from . import metrics
 from .datasets import Corpus
 from .hashing import _digests, _probe_positions
 from .multiset import Multiset, UndefinedSimilarityError
-from .sketches import SketchParams, _clip_counts, _count_rows
+from .sketches import COUNTER_MAX, SketchParams, _clip_counts, _count_rows
 
 GRID_COLUMNS = ["dim", "depth", "rmse"]
 THRESHOLD_COLUMNS = ["threshold", "tp", "fp", "tn", "fn", "max_overshoot"]
@@ -104,7 +104,7 @@ class ThresholdReport:
     max_overshoot: float
 
 
-_CHUNK_CELLS = 2**15  # counters and probes per accumulation or gather step; bounds a cell's working memory
+_CHUNK_CELLS = 2**15  # cells gathered per side in one row-sum step: the pair gathers grow with pairs x dim
 
 
 class _Columns:
@@ -139,7 +139,8 @@ class _Columns:
         """The profile columns of every pair's sides (two per pair, in order).
 
         Returns the vocabulary in id order and each entry's count as it is,
-        uint64; the columns keep the counts clipped for the sketches.
+        uint64. The columns keep the counts for the sketches: uint32, which
+        `_count_rows` adds without a copy, unless one needs `_clip_counts`.
 
         A method of its own, so none of its temporaries lives through the
         digest pass, the largest transient of a run.
@@ -155,7 +156,7 @@ class _Columns:
         ids = (vocabulary.setdefault(e, len(vocabulary)) for profile in entries for e in profile)
         self._element = np.fromiter(ids, np.int64, self._offsets[-1])
         exact = np.fromiter(chain.from_iterable(map(dict.values, entries)), np.uint64, self._offsets[-1])
-        self._count = _clip_counts(exact)
+        self._count = exact.astype(np.uint32) if int(exact.max(initial=0)) <= COUNTER_MAX else _clip_counts(exact)
         return list(vocabulary), exact
 
     def _truths(self, corpus: Corpus, metric: str, exact: np.ndarray) -> list[float | PairFailure]:
@@ -203,10 +204,11 @@ class _Columns:
             pairs = order[first:last]
             own = slice(*offsets[left[pairs[0]] : left[pairs[0]] + 2])
             buffer[element[own]] = counts[own]
-            lengths = self._lengths[right[pairs]]
+            lengths = self._lengths[right[pairs]]  # all positive, as reduceat needs: no pair here has an empty side
+            starts = np.cumsum(lengths) - lengths  # where each right profile's run begins in the gather
             # each right entry's index: its profile's first entry plus its place in that profile
-            entries = np.repeat(offsets[right[pairs]] - (np.cumsum(lengths) - lengths), lengths) + np.arange(lengths.sum())
-            sums[pairs] = _segment_sums(np.minimum(buffer[element[entries]], counts[entries]), lengths)
+            entries = np.repeat(offsets[right[pairs]] - starts, lengths) + np.arange(lengths.sum())
+            sums[pairs] = np.add.reduceat(np.minimum(buffer[element[entries]], counts[entries]), starts)
             buffer[element[own]] = 0
         return sums
 
@@ -215,23 +217,19 @@ class _Columns:
 
         A CMS is yielded row by row; a CBF after each probe, so stage i
         is the CBF of i + 1 probes. Each probe's column is computed once
-        per vocabulary element and gathered per profile entry.
+        per vocabulary element and gathered per profile entry, and each
+        stage is one accumulate over the whole profiles x dim table.
         """
-        offsets, profiles = self._offsets, len(self.profiles)
         hash_count = self.grid.params_for(dim, max(self.grid.depths)).hash_count
-        step = max(1, _CHUNK_CELLS // (dim + int(np.diff(offsets).max(initial=0))))
-        bounds = [(first, min(first + step, profiles)) for first in range(0, profiles, step)]
-        # rows, entries, and the flat index of each entry's row's first cell
-        chunks = [(slice(first, last), slice(offsets[first], offsets[last]),
-                   np.repeat(np.arange(last - first, dtype=np.int32) * dim, np.diff(offsets[first : last + 1])))
-                  for first, last in bounds]
-        table = np.empty((profiles, dim), dtype=np.uint32)
+        table = np.empty((len(self.profiles), dim), dtype=np.uint32)
+        # the flat index of each entry's row's first cell, in the narrowest signed type that holds every cell's
+        # index; each stage's positions are cast to it, so its cell index array is no wider
+        firsts = np.repeat(np.arange(0, table.size, dim, dtype=np.min_scalar_type(-table.size)), self._lengths)
         for digests in self._digests:
             table.fill(0)
             for probe in range(hash_count):
                 (positions,) = _probe_positions(digests, probe + 1, dim, probe)  # this probe's column of each element
-                for rows, entries, firsts in chunks:
-                    _count_rows(table[rows], firsts + positions.take(self._element[entries]), self._count[entries])
+                _count_rows(table, firsts + positions.astype(firsts.dtype).take(self._element), self._count)
                 yield table
 
     def _cells(self) -> Iterator[tuple[int, int, np.ndarray]]:
@@ -259,15 +257,6 @@ class _Columns:
             del table  # this dim's buffer, not to be held while the next dim allocates its own
             for depth in depths:
                 yield dim, depth, score_cells(*zip(*by_depth[depth]))  # each sum, one entry per row
-
-
-def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The sum of each run of `lengths` consecutive entries of `values`, in its dtype; 0 for an empty run."""
-    sums = np.zeros(len(lengths), values.dtype)
-    filled = lengths > 0
-    if filled.any():  # the runs between two filled starts are empty, so each filled run ends at the next start
-        sums[filled] = np.add.reduceat(values, (np.cumsum(lengths) - lengths)[filled])
-    return sums
 
 
 def run_pairwise(corpus: Corpus, params: SketchParams, metric: str = "dice") -> PairwiseRun:

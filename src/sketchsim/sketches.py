@@ -139,7 +139,7 @@ def _count_rows(table: np.ndarray, cells: np.ndarray, counts: np.ndarray) -> Non
     """
     cells, values = cells.ravel(), counts.ravel()
     if int(table.max(initial=0)) + int(values.sum()) <= COUNTER_MAX:
-        np.add.at(table.reshape(-1), cells, values.astype(np.uint32))  # int64 values would take numpy's slow path
+        np.add.at(table.reshape(-1), cells, values.astype(np.uint32, copy=False))  # int64 values would take numpy's slow path
         return
     accumulated = table.astype(np.int64)
     np.add.at(accumulated.reshape(-1), cells, values)

@@ -114,12 +114,19 @@ def test_engine_rows_equal_from_multiset():
         columns = _Columns([("xy", x, y), ("zx", z, x)], GridSpec(kind, [width], [shape], seed=3))
         assert [id(p) for p in columns.profiles] == [id(x), id(y), id(z)]
         assert (columns.left.tolist(), columns.right.tolist()) == ([0, 2], [1, 0])
-        stages = np.stack([table.copy() for table in columns._rows(width)], axis=1)  # profile x stage x width
-        for profile, tables in zip(columns.profiles, stages):
-            if kind == "cms":
-                assert np.array_equal(tables, CountMinSketch.from_multiset(profile, width, shape, 3).table)
-            for probes, table in enumerate(tables if kind == "cbf" else (), 1):
-                assert np.array_equal(table, CountingBloomFilter.from_multiset(profile, width, probes, 3).counters)
+        assert columns._count.dtype == np.int64  # z's count needs the clip
+        _assert_rows_equal_from_multiset(columns, kind, width, shape)
+
+
+def _assert_rows_equal_from_multiset(columns, kind, width, shape):
+    """Each stage `_rows` yields, per profile, equals the seed-3 from_multiset table; returns the highest cell."""
+    stages = np.stack([table.copy() for table in columns._rows(width)], axis=1)  # profile x stage x width
+    for profile, tables in zip(columns.profiles, stages):
+        if kind == "cms":
+            assert np.array_equal(tables, CountMinSketch.from_multiset(profile, width, shape, 3).table)
+        for probes, table in enumerate(tables if kind == "cbf" else (), 1):
+            assert np.array_equal(table, CountingBloomFilter.from_multiset(profile, width, probes, 3).counters)
+    return int(stages.max())
 
 
 def test_engine_rows_saturate_when_a_later_probe_passes_the_maximum():
@@ -128,6 +135,15 @@ def test_engine_rows_saturate_when_a_later_probe_passes_the_maximum():
     stages = [table[0].tolist() for table in _Columns([("hh", hot, hot)], GridSpec("cbf", [1], [3]))._rows(1)]
     assert stages == [CountingBloomFilter.from_multiset(hot, 1, probes).counters.tolist() for probes in (1, 2, 3)]
     assert stages[1:] == [[COUNTER_MAX]] * 2
+
+
+def test_engine_rows_sum_past_the_maximum_without_saturating():
+    """Unclipped uint32 counts that together pass COUNTER_MAX, no cell reaching it, take the int64 path exactly."""
+    a, b = Multiset({"a": 2**31}), Multiset({"b": 2**31})
+    for kind, width, shape in [("cbf", 8, 1), ("cms", 5, 3), ("cbf", 16, 2)]:
+        columns = _Columns([("ab", a, b)], GridSpec(kind, [width], [shape], seed=3))
+        assert columns._count.dtype == np.uint32 and int(columns._count.sum()) > COUNTER_MAX
+        assert _assert_rows_equal_from_multiset(columns, kind, width, shape) < COUNTER_MAX
 
 
 class TestRmse:
