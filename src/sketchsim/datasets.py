@@ -7,6 +7,12 @@ similarity t, a companion that shares floor(t * T) units of mass with
 the base (T = base cardinality) and is padded to cardinality T with
 fresh random elements. The achieved Dice is then exactly shared/T; the
 manifest's score is recomputed by the exact oracle as it is written.
+The padding is drawn in rounds: one `rng.integers` call with per-column
+bounds draws several entries' counts and characters at once. numpy's
+bounded draw takes the same values from the bit stream, element by
+element, as one scalar call per entry, so the values and the generator
+state equal the per-entry calls'. A round with a repeated string is
+rewound and its first entry redrawn through `_fresh_string`.
 
 Listening histories arrive as a file, plain or gzip, of
 ``user<TAB>song<TAB>count`` lines. `read_profiles`, their one reader,
@@ -44,6 +50,7 @@ logger = logging.getLogger(__name__)
 # survive the TSV profile format unescaped.
 _ALPHABET = np.frombuffer(bytes(range(0x21, 0x7F)), dtype=np.uint8)
 _FRESH_TRIES = 1000
+_DRAW_BLOCK = 2**16  # draws one padding call holds, unless one entry alone needs more
 _BLOCK_LINES = 1024  # triplet lines read, UTF-8-checked and parsed together
 
 MANIFEST_SCHEMA = "sketchsim-corpus-v1"
@@ -82,10 +89,13 @@ def _fresh_string(rng: np.random.Generator, length: int, taken: set[bytes]) -> b
     )
 
 
-def _check_count_range(count_range: tuple[int, int]) -> tuple[int, int]:
+def _check_shape(string_length: int, count_range: tuple[int, int]) -> tuple[int, int]:
+    """The count range's bounds, once the string length and the range are checked, before any draw."""
+    if string_length < 1:
+        raise ValueError(f"string_length must be >= 1, got {string_length}")
     low, high = count_range
-    if low < 1 or high < low:
-        raise ValueError(f"count_range must satisfy 1 <= low <= high, got {count_range}")
+    if low < 1 or high < low or high >= 2**63:  # counts are drawn as int64
+        raise ValueError(f"count_range must satisfy 1 <= low <= high < 2**63, got {count_range}")
     return low, high
 
 
@@ -103,10 +113,9 @@ def random_multiset(
     """
     if distinct < 1:
         raise ValueError(f"distinct must be >= 1, got {distinct}")
-    if string_length < 1:
-        raise ValueError(f"string_length must be >= 1, got {string_length}")
-    low, high = _check_count_range(count_range)
-    if 4 * distinct > len(_ALPHABET) ** string_length:
+    low, high = _check_shape(string_length, count_range)
+    # 94 ** bit_length(4 * distinct) > 4 * distinct, so a longer string's power need not be formed
+    if 4 * distinct > len(_ALPHABET) ** min(string_length, (4 * distinct).bit_length()):
         raise GenerationError(
             f"{distinct} distinct strings of length {string_length} would exhaust the string space"
         )
@@ -151,7 +160,8 @@ def companion_sharing(
     total = base.cardinality()
     if not 0 <= shared_mass <= total:
         raise ValueError(f"shared_mass must be in [0, {total}], got {shared_mass}")
-    return _companion(rng, sorted(base.items()), total, shared_mass, string_length, *_check_count_range(count_range))
+    return _companion(rng, sorted(base.items()), total, shared_mass, string_length,
+                      *_check_shape(string_length, count_range))
 
 
 def _companion(rng: np.random.Generator, items: list[tuple[bytes, int]], total: int, shared_mass: int,
@@ -167,10 +177,28 @@ def _companion(rng: np.random.Generator, items: list[tuple[bytes, int]], total: 
         remaining -= entries[element]
     taken = {element for element, _ in items}
     padding = total - shared_mass
+    # A padding entry's draws are its count, then its string's characters. A draw from low up to high
+    # is low plus a draw from 0 up to high - low, so each column is drawn from 0 up to its span.
+    width = 1 + string_length
+    spans = np.full(width, len(_ALPHABET) - 1, np.int64)
+    spans[0] = high - low
     while padding > 0:
-        count = min(int(rng.integers(low, high + 1)), padding)
-        entries[_fresh_string(rng, string_length, taken)] = count
-        padding -= count
+        # Each count is at most `high`, so all but the last of these entries add less than `padding`:
+        # every one is consumed, and the row-major draws are those of the per-entry scalar calls.
+        needed = min(-(-padding // high), max(1, _DRAW_BLOCK // width))
+        state = rng.bit_generator.state
+        draws = rng.integers(0, spans, size=(needed, width), endpoint=True)
+        text = _ALPHABET[draws[:, 1:]].tobytes()
+        strings = [text[start:start + string_length] for start in range(0, len(text), string_length)]
+        counts = (draws[:, 0] + low).tolist()
+        if len(set(strings)) < needed or not taken.isdisjoint(strings):
+            # a repeat: rewind and take one entry the per-entry way, its count drawn before its string
+            rng.bit_generator.state = state
+            counts, strings = [int(rng.integers(low, high + 1))], [_fresh_string(rng, string_length, taken)]
+        for string, count in zip(strings, counts):
+            entries[string] = min(count, padding)
+            padding -= entries[string]
+        taken.update(strings)
     return Multiset._from_checked(entries)
 
 

@@ -85,6 +85,11 @@ class TestGen:
         assert len(manifest["pairs"]) == 1001
         distincts = [stats["distinct"] for stats in manifest["multisets"].values()]
         assert 60 <= sum(distincts) / len(distincts) <= 74
+        assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                for name in ("manifest.json", "profiles.tsv")} == {
+            "manifest.json": "6650fcd6acdb920cece3fe6abb65ee633a20c1a33098d06ac6262f2ff84c84e9",
+            "profiles.tsv": "7ff76c334f23c1de0e40815dde3a6ccf31aaef59a8425d83db7c072d395f97e2",
+        }
 
 
 class TestIngest:

@@ -1,5 +1,6 @@
 import gzip
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,6 +92,88 @@ class TestPairBuilders:
         assert m.cardinality() == 100
         assert m.distinct_count() == 10
         assert all(count >= 1 for _, count in m.items())
+
+    @pytest.mark.parametrize("string_length", [0, -3])
+    def test_companion_refuses_a_string_length_below_one_before_any_draw(self, string_length):
+        rng = np.random.default_rng(0)
+        base = random_multiset(rng, 5, 4, total=10)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"string_length must be >= 1, got {string_length}"):
+            companion_sharing(rng, base, 9, string_length)
+        with pytest.raises(ValueError, match=f"string_length must be >= 1, got {string_length}"):
+            random_multiset(rng, 5, string_length)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("count_range", [(0, 3), (4, 3), (1, 2**63)])
+    def test_companion_refuses_a_count_range_it_cannot_draw_from(self, count_range):
+        base = random_multiset(np.random.default_rng(0), 5, 4, total=10)
+        with pytest.raises(ValueError, match="count_range must satisfy"):
+            companion_sharing(np.random.default_rng(1), base, 10, 4, count_range)
+
+    @pytest.mark.parametrize("distinct, string_length, exhausted", [
+        (23, 1, False), (24, 1, True), (2209, 2, False), (2210, 2, True), (207647, 3, True),
+        (5, 40, False),  # longer than 4 * distinct has bits: the check forms 94 ** 5, not 94 ** 40
+    ])
+    def test_string_space_verdict_at_its_boundary(self, distinct, string_length, exhausted):
+        """Exhausted exactly when 4 * distinct > 94 ** string_length."""
+        assert exhausted == (4 * distinct > 94**string_length)
+        rng = np.random.default_rng(0)
+        if exhausted:
+            message = f"{distinct} distinct strings of length {string_length} would exhaust the string space"
+            with pytest.raises(GenerationError, match=message):
+                random_multiset(rng, distinct, string_length)
+        else:
+            assert random_multiset(rng, distinct, string_length).distinct_count() == distinct
+
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64])
+    @pytest.mark.parametrize("string_length", [1, 2, 10])  # lengths 1 and 2 repeat strings, so rounds fall back
+    @pytest.mark.parametrize("count_range", [(1, 1), (1, 29), (3, 7), (1, 2**40)])
+    def test_companion_draws_equal_the_per_entry_loop(self, monkeypatch, bit_generator, string_length, count_range):
+        """The batched padding gives the per-entry loop's entries, in its order, and leaves the same state."""
+        base = random_multiset(np.random.default_rng(9), 10, string_length, count_range=(1, 5), total=40)
+        for block in (datasets._DRAW_BLOCK, 3 * (1 + string_length)):  # one call per round, then capped calls
+            monkeypatch.setattr(datasets, "_DRAW_BLOCK", block)
+            for shared in (0, 20, 39):
+                batched, looped = np.random.Generator(bit_generator(shared)), np.random.Generator(bit_generator(shared))
+                companion = companion_sharing(batched, base, shared, string_length, count_range)
+                assert list(companion.items()) == _per_entry_companion(looped, base, shared, string_length, count_range)
+                assert batched.integers(0, 2**63, size=4).tolist() == looped.integers(0, 2**63, size=4).tolist()
+
+    def test_companion_padding_memory_is_bounded_by_one_strings_draws(self):
+        """Padding ~60 long strings holds a few strings' draws at a time, not every entry's at once."""
+        string_length = 2**18
+        rng = np.random.default_rng(3)
+        base = random_multiset(rng, 5, string_length, count_range=(1, 29), total=1000)
+        tracemalloc.start()
+        try:
+            companion = companion_sharing(rng, base, 0, string_length, count_range=(1, 29))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(len(element) for element, _ in companion.items())
+        assert companion.distinct_count() > 30
+        assert peak - held < 4 * 8 * string_length  # the draws of one string are int64s
+
+
+def _per_entry_companion(rng, base, shared_mass, string_length, count_range):
+    """Reference: `companion_sharing` with one count draw and one `_fresh_string` per padding entry."""
+    low, high = count_range
+    items = sorted(base.items())
+    entries = {}
+    remaining = shared_mass
+    for index in rng.permutation(len(items)):
+        if remaining == 0:
+            break
+        element, count = items[index]
+        entries[element] = min(count, remaining)
+        remaining -= entries[element]
+    taken = {element for element, _ in items}
+    padding = base.cardinality() - shared_mass
+    while padding > 0:
+        count = min(int(rng.integers(low, high + 1)), padding)
+        entries[datasets._fresh_string(rng, string_length, taken)] = count
+        padding -= count
+    return list(entries.items())
 
 
 def _items(profiles):
